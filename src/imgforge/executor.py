@@ -727,8 +727,9 @@ def resolve_cache_dir(explicit: str | Path | None, env: Mapping[str, str],
 
 
 def _sha256_file(path: Path) -> str:
+    """SHA-256 of every apparent byte of ``path``; holes are hashed, never read."""
     digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1024 * 1024), b""):
+    with open(path, "rb", buffering=0) as fh:
+        for _, chunk in source_mod.iter_chunks(fh, fill_holes=True):
             digest.update(chunk)
     return digest.hexdigest()

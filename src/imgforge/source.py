@@ -58,8 +58,14 @@ Fetcher = Callable[[str, Path], None]
 
 URL_SCHEMES = frozenset({"http", "https", "ftp"})
 
-_DECOMPRESS_SUFFIXES = frozenset({".gz", ".xz", ".zst"})
+FETCH_TIMEOUT_S = 60  # per blocking socket operation, not for the whole download
+
+_PACKED_SUFFIXES = frozenset({".gz", ".xz", ".zst", ".zip"})
 _REJECTED_SUFFIXES = frozenset({".bz2", ".tar", ".tgz", ".txz", ".tbz2", ".lz4", ".7z", ".rar"})
+
+# unit of every image read and write; one buffer of it is the most any of them holds
+CHUNK = 1024 * 1024
+_ZEROS = bytes(CHUNK)
 
 
 class SourceKind(Enum):
@@ -145,8 +151,9 @@ def _entry_lock(cache_dir: Path, key: str) -> Iterator[None]:
 
 def _urllib_fetcher(url: str, dest: Path) -> None:
     try:
-        with urllib.request.urlopen(url) as response, open(dest, "wb") as out:
-            shutil.copyfileobj(response, out, length=1024 * 1024)
+        with urllib.request.urlopen(url, timeout=FETCH_TIMEOUT_S) as response, \
+                open(dest, "wb") as out:
+            shutil.copyfileobj(response, out, length=CHUNK)
     except urllib.error.HTTPError as exc:
         raise FetchFailed(f"fetching {url} failed: HTTP {exc.code} {exc.reason}") from exc
     except urllib.error.URLError as exc:
@@ -213,12 +220,28 @@ def read_cache_entry(cache_dir: str | Path, url: str) -> CacheEntry | None:
     return CacheEntry(key=cache_key(url), stored_path=image, fetched_at=fetched_at)
 
 
-def is_archive(name: str) -> bool:
+def _packing(name: str) -> str | None:
+    """The suffix saying how the image behind ``name`` is packed; None for a raw image.
+
+    Container formats (tarballs and friends) raise UnsupportedArchive rather
+    than pass as raw images.
+    """
     suffix = Path(name).suffix.lower()
-    return suffix == ".zip" or suffix in _DECOMPRESS_SUFFIXES or suffix in _REJECTED_SUFFIXES
+    tarball = suffix in _PACKED_SUFFIXES and Path(Path(name).stem).suffix.lower() == ".tar"
+    if tarball or suffix in _REJECTED_SUFFIXES:
+        raise UnsupportedArchive(f"unsupported archive format: {name}")
+    return suffix if suffix in _PACKED_SUFFIXES else None
 
 
-def _zst_open(path: Path) -> BinaryIO:
+def is_archive(name: str) -> bool:
+    """True when ``name`` is packed, including the formats imgforge refuses to unpack."""
+    try:
+        return _packing(name) is not None
+    except UnsupportedArchive:
+        return True
+
+
+def _zst_open(path: Path, mode: str) -> BinaryIO:
     try:
         import zstandard
     except ImportError:
@@ -249,21 +272,13 @@ def open_image_stream(path: str | Path, name_hint: str | None = None) -> BinaryI
     under a fixed name, so the URL's basename carries the real suffix).
     """
     path = Path(path)
-    name = name_hint or path.name
-    suffix = Path(name).suffix.lower()
-    if suffix in _REJECTED_SUFFIXES or Path(Path(name).stem).suffix.lower() == ".tar":
-        raise UnsupportedArchive(f"unsupported archive format: {name}")
+    packing = _packing(name_hint or path.name)
     try:
-        if suffix == ".gz":
-            return gzip.open(path, "rb")
-        if suffix == ".xz":
-            return lzma.open(path, "rb")
-        if suffix == ".zst":
-            return _zst_open(path)
-        if suffix == ".zip":
+        if packing == ".zip":
             archive = zipfile.ZipFile(path)
             return archive.open(_single_image_member(archive))
-        return open(path, "rb")
+        opener = {".gz": gzip.open, ".xz": lzma.open, ".zst": _zst_open}.get(packing, open)
+        return opener(path, "rb")
     except zipfile.BadZipFile as exc:
         raise CorruptArchive(f"{path} is not a valid zip archive: {exc}") from exc
     except OSError as exc:
@@ -274,53 +289,98 @@ def extract_image(archive: str | Path, workspace: str | Path, *,
                   name_hint: str | None = None) -> Path:
     """Unpack a single-image archive into ``workspace``; raw images pass through.
 
-    Already-extracted results are reused, so the unpack cost is paid once
-    per cache entry.  Unsupported container formats (tarballs and friends)
-    are rejected rather than silently treated as raw images.
+    An extraction is reused while the archive keeps the size, mtime and inode
+    recorded beside it, so the unpack cost is paid once per archive version
+    and a re-download or a rewritten local archive is unpacked again.
+    All-zero chunks are left as holes.  Unsupported container formats
+    (tarballs and friends) are rejected rather than silently treated as raw
+    images.
     """
     archive = Path(archive)
     workspace = Path(workspace)
     name = name_hint or archive.name
-    suffix = Path(name).suffix.lower()
-    if suffix in _REJECTED_SUFFIXES or Path(Path(name).stem).suffix.lower() == ".tar":
-        raise UnsupportedArchive(f"unsupported archive format: {name}")
-    if suffix == ".zip" or suffix in _DECOMPRESS_SUFFIXES:
-        workspace.mkdir(parents=True, exist_ok=True)
+    packing = _packing(name)
+    if packing is None:
+        return archive
+    workspace.mkdir(parents=True, exist_ok=True)
+    try:
+        if packing != ".zip":
+            out = workspace / Path(name).stem
+            if out == archive:  # a download of ".../image.gz" is itself stored as <key>/image
+                out = out.with_name(f"{out.name}.unpacked")
+            return _unpack(archive, out, lambda: open_image_stream(archive, name))
+        with zipfile.ZipFile(archive) as zf:
+            member = _single_image_member(zf)
+            return _unpack(archive, workspace / Path(member).name, lambda: zf.open(member))
+    except zipfile.BadZipFile as exc:
+        raise CorruptArchive(f"{archive} is not a valid zip archive: {exc}") from exc
 
-    if suffix == ".zip":
-        try:
-            with zipfile.ZipFile(archive) as zf:
-                member = _single_image_member(zf)
-                out = workspace / Path(member).name
-                if out.is_file():
-                    return out
-                tmp = workspace / f".extract.{os.getpid()}"
-                with zf.open(member) as src, open(tmp, "wb") as dst:
-                    shutil.copyfileobj(src, dst, length=1024 * 1024)
-                os.replace(tmp, out)
-                return out
-        except zipfile.BadZipFile as exc:
-            raise CorruptArchive(f"{archive} is not a valid zip archive: {exc}") from exc
 
-    if suffix in _DECOMPRESS_SUFFIXES:
-        inner = Path(name).stem or "image"
-        out = workspace / inner
-        if out.is_file():
-            return out
-        tmp = workspace / f".extract.{os.getpid()}"
-        try:
-            with open_image_stream(archive, name) as src, open(tmp, "wb") as dst:
-                shutil.copyfileobj(src, dst, length=1024 * 1024)
-        except (gzip.BadGzipFile, lzma.LZMAError, zlib.error, EOFError) as exc:
-            tmp.unlink(missing_ok=True)
-            raise CorruptArchive(f"cannot decompress {archive}: {exc}") from exc
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
-        os.replace(tmp, out)
+def _unpack(archive: Path, out: Path, open_stream: Callable[[], BinaryIO]) -> Path:
+    """Write the image ``open_stream`` yields to ``out``, unless ``out`` already holds it."""
+    st = os.stat(archive)
+    identity = f"size={st.st_size}\nmtime_ns={st.st_mtime_ns}\ninode={st.st_ino}\n"
+    stamp = out.with_name(f".{out.name}.source")
+    if out.is_file() and stamp.is_file() and stamp.read_text() == identity:
         return out
+    tmp = out.with_name(f".extract.{os.getpid()}")
+    try:
+        with open_stream() as src, open(tmp, "wb") as dst:
+            _write_sparse(src, dst)
+    except (gzip.BadGzipFile, lzma.LZMAError, zlib.error, EOFError) as exc:
+        tmp.unlink(missing_ok=True)
+        raise CorruptArchive(f"cannot decompress {archive}: {exc}") from exc
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    stamp.unlink(missing_ok=True)  # no moment where an old stamp vouches for new bytes
+    os.replace(tmp, out)
+    stamp.write_text(identity)
+    return out
 
-    return archive
+
+def _write_sparse(src: BinaryIO, dst: BinaryIO) -> None:
+    """Copy the stream ``src`` into the empty file ``dst``, seeking over all-zero chunks."""
+    buf = bytearray(CHUNK)
+    total = 0
+    while n := src.readinto(buf):
+        chunk = buf if n == CHUNK else buf[:n]
+        if chunk != _ZEROS[:n]:
+            dst.seek(total)
+            dst.write(chunk)
+        total += n
+    dst.truncate(total)
+
+
+def iter_chunks(fh: BinaryIO, *, fill_holes: bool) -> Iterator[tuple[int, memoryview]]:
+    """Yield ``(offset, bytes)`` for the file or device open as ``fh``, in order.
+
+    Only data extents are read (SEEK_DATA/SEEK_HOLE); holes are skipped, or
+    with ``fill_holes`` yielded as views of a shared zero buffer.  Where
+    SEEK_DATA is unsupported the rest is read as data.  Each view is at most
+    CHUNK bytes of one reused buffer and is valid until the next step.
+    """
+    size = fh.seek(0, os.SEEK_END)
+    view = memoryview(bytearray(CHUNK))
+    zeros = memoryview(_ZEROS)
+    pos = 0
+    while pos < size:
+        try:
+            start = min(os.lseek(fh.fileno(), pos, os.SEEK_DATA), size)
+            end = min(os.lseek(fh.fileno(), start, os.SEEK_HOLE), size)
+        except OSError as exc:
+            start, end = (size, size) if exc.errno == errno.ENXIO else (pos, size)
+        if fill_holes:
+            for offset in range(pos, start, CHUNK):
+                yield offset, zeros[:min(CHUNK, start - offset)]
+        fh.seek(start)
+        while start < end:
+            n = fh.readinto(view[:min(CHUNK, end - start)])
+            if not n:
+                raise IoFailure(f"{fh.name} ended at byte {start} while being read")
+            yield start, view[:n]
+            start += n
+        pos = end
 
 
 def copy_image_bytes(src: str | Path, dst: str | Path) -> None:
@@ -331,47 +391,27 @@ def copy_image_bytes(src: str | Path, dst: str | Path) -> None:
     """
     src, dst = Path(src), Path(dst)
     try:
-        with open(src, "rb") as fi, open(dst, "wb") as fo:
-            size = os.fstat(fi.fileno()).st_size
-            fo.truncate(size)
-            pos = 0
-            while pos < size:
-                try:
-                    data_start = os.lseek(fi.fileno(), pos, os.SEEK_DATA)
-                except OSError as exc:
-                    if exc.errno == errno.ENXIO:
-                        break  # trailing hole
-                    # SEEK_DATA unsupported here: fall back to a plain copy
-                    fi.seek(pos)
-                    fo.seek(pos)
-                    shutil.copyfileobj(fi, fo, length=1024 * 1024)
-                    break
-                hole_start = os.lseek(fi.fileno(), data_start, os.SEEK_HOLE)
-                fi.seek(data_start)
-                fo.seek(data_start)
-                remaining = hole_start - data_start
-                while remaining > 0:
-                    chunk = fi.read(min(1024 * 1024, remaining))
-                    if not chunk:
-                        break
-                    fo.write(chunk)
-                    remaining -= len(chunk)
-                pos = hole_start
+        with open(src, "rb", buffering=0) as fi, open(dst, "wb") as fo:
+            fo.truncate(fi.seek(0, os.SEEK_END))
+            for offset, chunk in iter_chunks(fi, fill_holes=False):
+                fo.seek(offset)
+                fo.write(chunk)
     except OSError as exc:
         raise IoFailure(f"copying {src} to {dst} failed: {exc}") from exc
 
 
 def write_to_device(src: str | Path, device: str | Path) -> None:
-    """Write the bytes of ``src`` onto a block device, without truncating it."""
+    """Write the bytes of ``src`` onto a block device, without truncating it.
+
+    Holes in ``src`` are written as zeros: the device holds old data there.
+    """
     try:
-        with open(src, "rb") as fi:
+        with open(src, "rb", buffering=0) as fi:
             fd = os.open(device, os.O_WRONLY)
             try:
-                while True:
-                    chunk = fi.read(1024 * 1024)
-                    if not chunk:
-                        break
-                    os.write(fd, chunk)
+                for _, chunk in iter_chunks(fi, fill_holes=True):
+                    while chunk:
+                        chunk = chunk[os.write(fd, chunk):]
                 os.fsync(fd)
             finally:
                 os.close(fd)

@@ -1,4 +1,6 @@
+import errno
 import hashlib
+import os
 from pathlib import Path
 
 import pytest
@@ -13,6 +15,7 @@ from imgforge.executor import (
     GuestEnv,
     LocalExecutor,
     RunOptions,
+    _sha256_file,
     compose_guest_path,
     execute,
     install_file,
@@ -545,3 +548,48 @@ class TestExecutePipeline:
         with pytest.raises(IoFailure):
             execute(plan, backend, RunOptions(env=FIXED_ENV, emulators=[]))
         assert all(a.kind is ActionKind.COPY_IMAGE for a in backend.actions)
+
+
+MiB = 1024 * 1024
+
+# (apparent size, [(offset, data), ...]); everything not written is a hole
+DIGEST_LAYOUTS = {
+    "empty": (0, []),
+    "dense": (3 * MiB + 17, [(0, bytes(range(256)) * (12 * 1024) + b"x" * 17)]),
+    "leading-hole": (2 * MiB + 9, [(2 * MiB + 5, b"data")]),
+    "trailing-hole": (5 * MiB, [(0, b"data" * 1000)]),
+    "last-byte-only": (4 * MiB + 1, [(4 * MiB, b"\x01")]),
+    "unaligned-hole": (3 * MiB, [(0, b"a" * 1000), (MiB + MiB // 2 + 123, b"b" * 70000)]),
+}
+
+
+def write_layout(path, size, extents):
+    with open(path, "wb") as fh:
+        fh.truncate(size)
+        for offset, data in extents:
+            fh.seek(offset)
+            fh.write(data)
+
+
+class TestDigest:
+    @pytest.mark.parametrize("layout", sorted(DIGEST_LAYOUTS))
+    def test_digest_covers_every_apparent_byte(self, tmp_path, layout):
+        path = tmp_path / "image"
+        write_layout(path, *DIGEST_LAYOUTS[layout])
+        assert _sha256_file(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_digest_reads_whole_file_without_seek_data(self, tmp_path, monkeypatch):
+        path = tmp_path / "image"
+        write_layout(path, *DIGEST_LAYOUTS["unaligned-hole"])
+        real_lseek = os.lseek
+        calls = []
+
+        def no_seek_data(fd, pos, how):
+            if how == os.SEEK_DATA:
+                calls.append(pos)
+                raise OSError(errno.EINVAL, "SEEK_DATA unsupported")
+            return real_lseek(fd, pos, how)
+
+        monkeypatch.setattr(os, "lseek", no_seek_data)
+        assert _sha256_file(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert calls == [0]

@@ -1,6 +1,7 @@
 import gzip
 import hashlib
 import lzma
+import os
 import subprocess
 import zipfile
 from pathlib import Path
@@ -27,7 +28,10 @@ from imgforge.source import (
     fetch_to_cache,
     materialize_destination,
     read_cache_entry,
+    write_to_device,
 )
+
+MiB = 1024 * 1024
 
 
 def sha256(path):
@@ -220,6 +224,51 @@ class TestExtractImage:
         assert second == first
         assert second.stat().st_mtime_ns == marker
 
+    @pytest.mark.parametrize("packing", ["gz", "zip"])
+    def test_extraction_is_sparse(self, tmp_path, packing):
+        # data in the first and an unaligned middle chunk; the input ends in zeros
+        payload = b"boot" + bytes(3 * MiB) + b"root" * 1000 + bytes(5 * MiB + 7)
+        if packing == "gz":
+            archive = tmp_path / "base.img.gz"
+            archive.write_bytes(gzip.compress(payload))
+        else:
+            archive = tmp_path / "base.zip"
+            with zipfile.ZipFile(archive, "w", zipfile.ZIP_DEFLATED) as zf:
+                zf.writestr("base.img", payload)
+        out = extract_image(archive, tmp_path / "work")
+        assert out.read_bytes() == payload
+        assert out.stat().st_size == len(payload)
+        assert out.stat().st_blocks * 512 <= 2 * MiB + 64 * 1024
+
+    def test_rewritten_local_archive_is_extracted_again(self, tmp_path):
+        archive = tmp_path / "base.img.gz"
+        archive.write_bytes(gzip.compress(b"first"))
+        first = extract_image(archive, tmp_path / "work")
+        archive.write_bytes(gzip.compress(b"second, longer"))
+        second = extract_image(archive, tmp_path / "work")
+        assert second == first
+        assert second.read_bytes() == b"second, longer"
+        assert extract_image(archive, tmp_path / "work").read_bytes() == b"second, longer"
+
+    def test_refreshed_download_is_extracted_again(self, tmp_path):
+        url = "https://host/raspbian.img.xz"
+        # equal sizes, so only the re-download itself can tell the versions apart
+        for payload, refresh in ((b"version-1", False), (b"version-2", True)):
+            fetched = fetch_to_cache(url, tmp_path, CountingFetcher(lzma.compress(payload)),
+                                     refresh=refresh)
+            out = extract_image(fetched, fetched.parent, name_hint="raspbian.img.xz")
+            assert out.read_bytes() == payload
+
+    def test_download_named_like_the_cache_entry_keeps_its_archive(self, tmp_path):
+        # the URL basename "image.gz" unpacks to "image", the name the download is stored under
+        fetcher = CountingFetcher(gzip.compress(b"payload"))
+        for _ in range(2):
+            fetched = fetch_to_cache("https://host/image.gz", tmp_path, fetcher)
+            out = extract_image(fetched, fetched.parent, name_hint="image.gz")
+            assert out != fetched
+            assert out.read_bytes() == b"payload"
+        assert gzip.decompress(fetched.read_bytes()) == b"payload"
+
 
 class TestMaterializeDestination:
     def _plan(self, tmp_path, text, probe):
@@ -249,6 +298,23 @@ class TestMaterializeDestination:
         dst = tmp_path / "copy.img"
         copy_image_bytes(src, dst)
         assert dst.read_bytes() == src.read_bytes()
+
+    def test_device_write_zeroes_holes_over_old_data(self, tmp_path, monkeypatch):
+        src = tmp_path / "sparse.img"
+        with open(src, "wb") as fh:
+            fh.write(b"head")
+            fh.seek(2 * MiB + 5)
+            fh.write(b"tail")
+            fh.truncate(3 * MiB + 1)
+        device = tmp_path / "device"
+        device.write_bytes(b"\xff" * (4 * MiB))
+        real_write = os.write
+        # a device may accept less than it is given; every byte must still land
+        monkeypatch.setattr(os, "write", lambda fd, data: real_write(fd, data[:4096]))
+        write_to_device(src, device)
+        written = device.read_bytes()
+        assert written[:3 * MiB + 1] == src.read_bytes()
+        assert written[3 * MiB + 1:] == b"\xff" * (MiB - 1)
 
     def test_inplace_emits_nothing(self, tmp_path):
         src = tmp_path / "a.img"
