@@ -1,5 +1,10 @@
 import hashlib
+import shutil
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import mbr_oracle
 from imgforge.cli import main, render_log
@@ -231,3 +236,21 @@ class TestLogging:
         out = capsys.readouterr().out
         digest = hashlib.sha256((tmp_path / "out.img").read_bytes()).hexdigest()
         assert f"sha256={digest}" in out
+
+
+DEMO_DIR = Path(__file__).parent.parent / "demo"
+DATA_DIR = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("demo", ["serial-console", "sensor-node"])
+def test_demo_dry_run_matches_golden(demo, tmp_path, monkeypatch):
+    """The demos' dry-run logs, pinned byte for byte with host-independent inputs."""
+    work = tmp_path / "demo"
+    shutil.copytree(DEMO_DIR, work)
+    subprocess.run([sys.executable, str(work / "make-demo-image.py"), str(work / "base.img")],
+                   check=True, capture_output=True)
+    monkeypatch.chdir(work)
+    code = main(["--dry-run", "plan.log", "--emulator", "/usr/bin/qemu-arm-static",
+                 "--env", "NODE=alpha", f"{demo}.Pifile"], ENV)
+    assert code == 0
+    assert (work / "plan.log").read_text() == (DATA_DIR / f"demo-{demo}.log").read_text()
