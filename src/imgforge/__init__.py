@@ -6,136 +6,8 @@ effect through an executor backend — a dry-run backend that records a
 deterministic action log, or a local backend that performs the build.
 """
 
-from .errors import (
-    CommandFailed,
-    EnvironmentProblem,
-    ExecutionFailure,
-    ImgforgeError,
-    PifileError,
-)
-from .executor import (
-    Action,
-    ActionKind,
-    BuildReport,
-    DryRunExecutor,
-    Executor,
-    GuestEnv,
-    LocalExecutor,
-    RunOptions,
-    compose_guest_path,
-    execute,
-    install_file,
-    run_guest,
-    run_host,
-    serialize_actions,
-)
-from .image import (
-    PartitionEntry,
-    PartitionTable,
-    grow_image_file,
-    parse_size,
-    pump,
-    read_partition_table,
-    render_size,
-    write_partition_table,
-)
-from .mounts import (
-    FstabEntry,
-    MountAction,
-    MountKind,
-    build_mount_plan,
-    map_fstab_device,
-    parse_fstab,
-    teardown_actions,
-)
-from .pifile import (
-    Command,
-    CommandKind,
-    Pifile,
-    SourceLine,
-    classify_token,
-    parse_pifile,
-    parse_pifile_text,
-    render_pifile,
-)
-from .plan import (
-    ExecutionPlan,
-    PlanDefaults,
-    Stage,
-    assign_stages,
-    build_plan,
-    validate_plan,
-)
-from .source import (
-    CacheEntry,
-    SourceKind,
-    SourceSpec,
-    TargetKind,
-    TargetSpec,
-    classify_source,
-    extract_image,
-    fetch_to_cache,
-    materialize_destination,
-)
+from .cli import entrypoint, main
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Action",
-    "ActionKind",
-    "BuildReport",
-    "CacheEntry",
-    "Command",
-    "CommandFailed",
-    "CommandKind",
-    "DryRunExecutor",
-    "EnvironmentProblem",
-    "ExecutionFailure",
-    "ExecutionPlan",
-    "Executor",
-    "FstabEntry",
-    "GuestEnv",
-    "ImgforgeError",
-    "LocalExecutor",
-    "MountAction",
-    "MountKind",
-    "PartitionEntry",
-    "PartitionTable",
-    "Pifile",
-    "PifileError",
-    "PlanDefaults",
-    "RunOptions",
-    "SourceKind",
-    "SourceLine",
-    "SourceSpec",
-    "Stage",
-    "TargetKind",
-    "TargetSpec",
-    "assign_stages",
-    "build_mount_plan",
-    "build_plan",
-    "classify_source",
-    "classify_token",
-    "compose_guest_path",
-    "execute",
-    "extract_image",
-    "fetch_to_cache",
-    "grow_image_file",
-    "install_file",
-    "map_fstab_device",
-    "materialize_destination",
-    "parse_fstab",
-    "parse_pifile",
-    "parse_pifile_text",
-    "parse_size",
-    "pump",
-    "read_partition_table",
-    "render_pifile",
-    "render_size",
-    "run_guest",
-    "run_host",
-    "serialize_actions",
-    "teardown_actions",
-    "validate_plan",
-    "write_partition_table",
-]
+__all__ = ["entrypoint", "main"]

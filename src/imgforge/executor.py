@@ -2,8 +2,9 @@
 
 Every side effect of a build — copying images, growing files, rewriting
 partition tables, mounting, running host and guest commands, installing
-files — is expressed as an :class:`Action` and emitted to an executor
-backend.  The two backends accept exactly the same vocabulary:
+files — is an :class:`~imgforge.actions.Action` emitted to an executor
+backend.  The two backends accept exactly the same vocabulary, and each
+action's payload is all a backend needs to perform it:
 
 * :class:`DryRunExecutor` records every action and performs nothing.
 * :class:`LocalExecutor` records every action and performs it, shelling
@@ -11,18 +12,20 @@ backend.  The two backends accept exactly the same vocabulary:
   involved.  The command runner is injectable, which is how tests drive
   the privileged paths without privileges.
 
-The recorded log is line-oriented and stable::
+The pipeline in :func:`execute` is the same for both.  Where a dry run
+and a real build differ in what they read, a backend method answers:
+:meth:`Executor.image_to_read` names the image the partition table comes
+from and :meth:`Executor.read_guest_file` reads a file inside the
+mounted guest.
 
-    ORDINAL<TAB>KIND<TAB>key=value<TAB>key=value...
-
-with backslash, tab, and newline escaped inside values.  Loop devices are
-only known after attachment, so recorded commands name them through the
-``<loop>`` placeholder in both backends; the local backend substitutes the
-real device when it invokes a command.
+Loop devices are only known after attachment, so recorded commands name
+them through the ``<loop>`` placeholder in both backends; the local
+backend substitutes the real device when it invokes a command.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import logging
 import os
@@ -32,79 +35,28 @@ import tempfile
 import threading
 import time
 import urllib.parse
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import BinaryIO, Callable, ContextManager, Mapping, Sequence
 
 from . import image as image_mod
 from . import mounts as mounts_mod
 from . import source as source_mod
+# the vocabulary and its log format stay importable from here
+from .actions import Action, ActionKind, render_action, serialize_actions  # noqa: F401
 from .errors import (
     ChrootUnavailable,
     CommandFailed,
     ImgforgeError,
-    InvalidMode,
     IoFailure,
     PrivilegeRequired,
     ShellUnavailable,
     SourceMissing,
 )
-from .pifile import Command, CommandKind, SourceLine, render_command
+from .pifile import CommandKind, SourceLine, render_command
 from .plan import ExecutionPlan, Stage
 
 logger = logging.getLogger(__name__)
-
-
-class ActionKind(Enum):
-    FETCH = "fetch"
-    COPY_IMAGE = "copy-image"
-    DEVICE_WRITE = "device-write"
-    GROW_FILE = "grow-file"
-    TABLE_WRITE = "table-write"
-    FS_RESIZE = "fs-resize"
-    LOOP_ATTACH = "loop-attach"
-    MOUNT_PARTITION = "mount-partition"
-    BIND_MOUNT = "bind-mount"
-    COPY_EMULATOR = "copy-emulator"
-    UNMOUNT = "unmount"
-    REMOVE_EMULATOR = "remove-emulator"
-    LOOP_DETACH = "loop-detach"
-    HOST_EXEC = "host-exec"
-    GUEST_EXEC = "guest-exec"
-    COPY_IN = "copy-in"
-
-
-@dataclass
-class Action:
-    """One externally observable effect.
-
-    ``payload`` is the stable, serializable description that lands in the
-    log; ``detail`` optionally carries a typed object a real backend needs
-    to perform the action (a new partition table, a guest environment) and
-    never takes part in comparison or serialization.
-    """
-
-    kind: ActionKind
-    payload: dict[str, str]
-    ordinal: int = -1
-    detail: Any = field(default=None, compare=False, repr=False)
-
-
-def _escape(value: str) -> str:
-    return value.replace("\\", "\\\\").replace("\t", "\\t").replace("\n", "\\n")
-
-
-def render_action(action: Action) -> str:
-    fields = "\t".join(f"{key}={_escape(value)}" for key, value in action.payload.items())
-    return f"{action.ordinal}\t{action.kind.name}\t{fields}" if fields else \
-        f"{action.ordinal}\t{action.kind.name}"
-
-
-def serialize_actions(actions: Sequence[Action]) -> str:
-    if not actions:
-        return ""
-    return "\n".join(render_action(a) for a in actions) + "\n"
 
 
 @dataclass(frozen=True)
@@ -117,7 +69,6 @@ class GuestEnv:
 
     root: str
     path_var: tuple[str, ...]
-    extra_env: Mapping[str, str] = field(default_factory=dict)
 
 
 def compose_guest_path(extensions: Sequence[str], host_path: Sequence[str]) -> tuple[str, ...]:
@@ -152,33 +103,27 @@ def run_command(argv: Sequence[str], *, stdin_text: str | None = None,
         )
     except FileNotFoundError as exc:
         raise ShellUnavailable(f"cannot execute {argv[0]}: {exc}") from exc
-    feeder = None
-    if stdin_text is not None:
-        assert proc.stdin is not None
+    with proc:  # closes the pipes on every way out
+        feeder = None
+        if stdin_text is not None:
+            assert proc.stdin is not None
 
-        def _feed(stdin=proc.stdin) -> None:
-            try:
-                stdin.write(stdin_text)
-            except (BrokenPipeError, OSError):
-                pass
-            finally:
-                try:
-                    stdin.close()
-                except OSError:
-                    pass
+            def _feed(stdin=proc.stdin) -> None:
+                with contextlib.suppress(OSError), stdin:  # a command may not read it all
+                    stdin.write(stdin_text)
 
-        feeder = threading.Thread(target=_feed, daemon=True)
-        feeder.start()
-    collected: list[str] = []
-    assert proc.stdout is not None
-    for line in proc.stdout:
-        line = line.rstrip("\n")
-        collected.append(line)
-        if on_output:
-            on_output(line)
-    status = proc.wait()
-    if feeder is not None:
-        feeder.join(timeout=10)
+            feeder = threading.Thread(target=_feed, daemon=True)
+            feeder.start()
+        collected: list[str] = []
+        assert proc.stdout is not None
+        for line in proc.stdout:
+            line = line.rstrip("\n")
+            collected.append(line)
+            if on_output:
+                on_output(line)
+        status = proc.wait()
+        if feeder is not None:
+            feeder.join(timeout=10)
     return status, "\n".join(collected)
 
 
@@ -203,11 +148,25 @@ class Executor:
     def render_log(self) -> str:
         return serialize_actions(self.actions)
 
+    def image_to_read(self, dest: Path, source: Path,
+                      name_hint: str) -> ContextManager[Path | BinaryIO]:
+        """The current image, for reading its partition table.
+
+        A dry run never materializes the destination, so it reads the
+        source: the file itself, or a fresh decompressing stream when the
+        source is an archive.  Each call opens its own stream.
+        """
+        if source_mod.is_archive(name_hint):
+            return source_mod.open_image_stream(source, name_hint)
+        return contextlib.nullcontext(source)
+
+    def read_guest_file(self, root: str, path: str) -> str | None:
+        """Text of ``path`` inside the mounted guest at ``root``; None when unavailable."""
+        return None
+
 
 class DryRunExecutor(Executor):
     """Records every would-be effect; performs none of them."""
-
-    performs_effects = False
 
     def _perform(self, action: Action) -> int:
         return 0
@@ -232,7 +191,7 @@ class LocalExecutor(Executor):
         self.on_output = on_output
         self.loop_device: str | None = None
         self._handlers: dict[ActionKind, Callable[[Action], int]] = {
-            ActionKind.FETCH: self._noop,  # the pipeline fetches before emitting
+            ActionKind.FETCH: lambda action: 0,  # the pipeline fetches before emitting
             ActionKind.COPY_IMAGE: self._copy_image,
             ActionKind.DEVICE_WRITE: self._device_write,
             ActionKind.GROW_FILE: self._grow_file,
@@ -253,10 +212,15 @@ class LocalExecutor(Executor):
     def _perform(self, action: Action) -> int:
         return self._handlers[action.kind](action)
 
-    # -- helpers ------------------------------------------------------------
+    def image_to_read(self, dest: Path, source: Path,
+                      name_hint: str) -> ContextManager[Path | BinaryIO]:
+        return contextlib.nullcontext(dest)
 
-    def _noop(self, action: Action) -> int:
-        return 0
+    def read_guest_file(self, root: str, path: str) -> str | None:
+        guest_path = Path(root) / path.lstrip("/")
+        return guest_path.read_text() if guest_path.is_file() else None
+
+    # -- helpers ------------------------------------------------------------
 
     def _sub_loop(self, text: str) -> str:
         if mounts_mod.LOOP_TOKEN in text:
@@ -270,8 +234,12 @@ class LocalExecutor(Executor):
         if self._default_runner and os.geteuid() != 0:
             raise PrivilegeRequired(f"{what} requires root; re-run with sudo")
 
-    def _run(self, argv: Sequence[str], **kwargs: Any) -> tuple[int, str]:
-        return self.runner(argv, **kwargs)
+    def _attach(self, image: str) -> str:
+        """Attach ``image`` to a free loop device with partition scanning; returns it."""
+        status, out = self.runner(["losetup", "--find", "--show", "-P", image])
+        if status != 0:
+            raise IoFailure(f"losetup failed for {image}: {out}")
+        return out.strip()
 
     # -- file-level actions ---------------------------------------------------
 
@@ -288,10 +256,8 @@ class LocalExecutor(Executor):
         return 0
 
     def _table_write(self, action: Action) -> int:
-        table = action.detail
-        if not isinstance(table, image_mod.PartitionTable):
-            raise IoFailure("table-write action carries no partition table")
-        image_mod.write_partition_table(action.payload["path"], table)
+        image_mod.resize_partition_entry(action.payload["path"], int(action.payload["partition"]),
+                                         int(action.payload["lba_size"]))
         return 0
 
     def _copy_in(self, action: Action) -> int:
@@ -314,36 +280,26 @@ class LocalExecutor(Executor):
 
     def _fs_resize(self, action: Action) -> int:
         self._require_root("resizing a filesystem")
-        image = action.payload["image"]
-        index = int(action.payload["partition"])
-        status, out = self._run(["losetup", "--find", "--show", "-P", image])
-        if status != 0:
-            raise IoFailure(f"losetup failed for {image}: {out}")
-        device = out.strip()
+        device = self._attach(action.payload["image"])
         try:
-            partition = mounts_mod.partition_device(device, index)
-            status, out = self._run(["resize2fs", partition])
+            partition = mounts_mod.partition_device(device, int(action.payload["partition"]))
+            status, out = self.runner(["resize2fs", partition])
             if status != 0:
                 raise IoFailure(f"resize2fs {partition} failed with status {status}: {out}")
         finally:
-            self._run(["losetup", "-d", device])
+            self.runner(["losetup", "-d", device])
         return 0
 
     def _loop_attach(self, action: Action) -> int:
         self._require_root("attaching a loop device")
-        status, out = self._run(
-            ["losetup", "--find", "--show", "-P", action.payload["source"]]
-        )
-        if status != 0:
-            raise IoFailure(f"losetup failed for {action.payload['source']}: {out}")
-        self.loop_device = out.strip()
+        self.loop_device = self._attach(action.payload["source"])
         return 0
 
     def _mount(self, action: Action) -> int:
         self._require_root("mounting a partition")
         target = action.payload["target"]
         os.makedirs(target, exist_ok=True)
-        status, out = self._run(["mount", self._sub_loop(action.payload["source"]), target])
+        status, out = self.runner(["mount", self._sub_loop(action.payload["source"]), target])
         if status != 0:
             raise IoFailure(f"mount {target} failed with status {status}: {out}")
         return 0
@@ -357,7 +313,7 @@ class LocalExecutor(Executor):
         else:
             target.parent.mkdir(parents=True, exist_ok=True)
             target.touch(exist_ok=True)
-        status, out = self._run(["mount", "--bind", source, str(target)])
+        status, out = self.runner(["mount", "--bind", source, str(target)])
         if status != 0:
             raise IoFailure(f"bind mount {target} failed with status {status}: {out}")
         return 0
@@ -370,7 +326,7 @@ class LocalExecutor(Executor):
         return 0
 
     def _unmount(self, action: Action) -> int:
-        status, out = self._run(["umount", action.payload["target"]])
+        status, out = self.runner(["umount", action.payload["target"]])
         if status != 0:
             # teardown is best effort; a stuck mount must not mask the real error
             logger.warning("umount %s failed with status %d: %s",
@@ -383,7 +339,7 @@ class LocalExecutor(Executor):
 
     def _loop_detach(self, action: Action) -> int:
         if self.loop_device is not None:
-            status, out = self._run(["losetup", "-d", self.loop_device])
+            status, out = self.runner(["losetup", "-d", self.loop_device])
             if status != 0:
                 logger.warning("losetup -d %s failed with status %d: %s",
                                self.loop_device, status, out)
@@ -393,7 +349,7 @@ class LocalExecutor(Executor):
     # -- command actions --------------------------------------------------------
 
     def _host_exec(self, action: Action) -> int:
-        status, _ = self._run(
+        status, _ = self.runner(
             ["/bin/sh", "-c", action.payload["command"]],
             stdin_text=action.payload.get("stdin") or None,
             cwd=action.payload.get("cwd") or None,
@@ -409,14 +365,10 @@ class LocalExecutor(Executor):
         root = action.payload["root"]
         shell = _guest_shell(root)
         _check_binfmt()
-        env = {"PATH": action.payload["path"]}
-        detail = action.detail
-        if isinstance(detail, GuestEnv):
-            env.update(detail.extra_env)
-        status, _ = self._run(
+        status, _ = self.runner(
             ["chroot", root, shell, "-c", action.payload["command"]],
             stdin_text=action.payload.get("stdin") or None,
-            env=env,
+            env={"PATH": action.payload["path"]},
             on_output=self.on_output,
         )
         return status
@@ -448,7 +400,7 @@ def _check_binfmt() -> None:
 # --- the high-level operations ------------------------------------------------
 
 
-def run_host(cmd: str, env: GuestEnv, executor: Executor, *,
+def run_host(cmd: str, executor: Executor, *,
              origin: SourceLine | None = None, cwd: str = ".",
              stdin: str | None = None) -> int:
     """Run a command on the build host under a shell; nonzero status aborts."""
@@ -475,7 +427,7 @@ def run_guest(cmd: str, env: GuestEnv, executor: Executor, *,
         "root": env.root,
         "path": ":".join(env.path_var),
         "stdin": stdin or "",
-    }, detail=env)
+    })
     status = executor.emit(action)
     if status != 0:
         raise CommandFailed(f"RUN command failed with status {status}: {cmd}",
@@ -484,13 +436,11 @@ def run_guest(cmd: str, env: GuestEnv, executor: Executor, *,
 
 
 def install_file(src: str | Path, dst: str, mode: str | None, executor: Executor, *,
-                 root: str = mounts_mod.ROOT_TOKEN,
-                 origin: SourceLine | None = None) -> None:
-    """Copy a host file or directory into the guest, optionally chmodding it."""
-    if mode is not None:
-        if not (mode.isdigit() and all(c in "01234567" for c in mode) and len(mode) <= 4):
-            raise InvalidMode(f"INSTALL mode must be octal 0..7777, got {mode!r}",
-                              origin=origin)
+                 root: str = mounts_mod.ROOT_TOKEN) -> None:
+    """Copy a host file or directory into the guest, optionally chmodding it.
+
+    ``mode`` is an octal string; ``build_plan`` has already checked it.
+    """
     executor.emit(Action(ActionKind.COPY_IN, {
         "src": str(src),
         "dst": dst,
@@ -509,7 +459,6 @@ class RunOptions:
     offline: bool = False
     emulators: Sequence[str] | None = None
     fetcher: source_mod.Fetcher | None = None
-    guest_fstab: str | None = None  # override for dry runs; real runs read the guest's
     on_log: Callable[[str, SourceLine | None, str], None] | None = None
 
 
@@ -518,7 +467,6 @@ class BuildReport:
     stage_durations: dict[str, float]
     action_count: int
     image_digest: str | None
-    actions: list[Action]
 
 
 def execute(plan: ExecutionPlan, backend: Executor,
@@ -537,7 +485,7 @@ def execute(plan: ExecutionPlan, backend: Executor,
     durations: dict[str, float] = {}
     stage_label = Stage.SETUP.label
 
-    applied_mounts: list[mounts_mod.MountAction] = []
+    applied_mounts: list[Action] = []
     root_dir: str | None = None
     dest = Path(plan.destination.path)
     try:
@@ -546,13 +494,11 @@ def execute(plan: ExecutionPlan, backend: Executor,
         log(Stage.SETUP.label, None, "begin")
         resolved, name_hint = _resolve_source(plan, opts, backend, env, log)
         src_image = resolved
-        if source_mod.is_archive(name_hint):
-            if real:
-                src_image = source_mod.extract_image(
-                    resolved, _extraction_workspace(plan, opts, env, resolved),
-                    name_hint=name_hint,
-                )
-            # dry runs leave the archive packed and read tables via streams
+        if real and source_mod.is_archive(name_hint):
+            src_image = source_mod.extract_image(
+                resolved, _extraction_workspace(plan, opts, env, resolved),
+                name_hint=name_hint,
+            )
         dest = source_mod.materialize_destination(plan, backend, resolved_source=src_image)
         durations[Stage.SETUP.label] = time.monotonic() - started
 
@@ -563,13 +509,8 @@ def execute(plan: ExecutionPlan, backend: Executor,
         if plan.pump_bytes > 0:
             for command in plan.staged[Stage.PREPARE]:
                 log(stage_label, command.origin, render_command(command))
-            if real:
-                image_mod.pump(plan, backend)
-            elif source_mod.is_archive(name_hint):
-                with source_mod.open_image_stream(src_image, name_hint) as stream:
-                    image_mod.pump(plan, backend, table_source=stream)
-            else:
-                image_mod.pump(plan, backend, table_source=src_image)
+            with backend.image_to_read(dest, src_image, name_hint) as image:
+                image_mod.pump(plan, backend, table_source=image)
         durations[stage_label] = time.monotonic() - started
 
         # --- chroot: mounts, commands, installs ------------------------------
@@ -583,30 +524,22 @@ def execute(plan: ExecutionPlan, backend: Executor,
                           for c in chroot_commands)
         root = mounts_mod.ROOT_TOKEN
         if needs_guest:
+            with backend.image_to_read(dest, src_image, name_hint) as image:
+                table = image_mod.read_partition_table(image)
             if real:
-                table = image_mod.read_partition_table(dest)
-                root_dir = tempfile.mkdtemp(prefix="imgforge-root-")
-                root = root_dir
-            else:
-                with source_mod.open_image_stream(src_image, name_hint) as stream:
-                    table = image_mod.read_partition_table(stream)
-
-            base = mounts_mod.base_mount_actions(
-                plan, table, root=root, emulators=opts.emulators
-            )
-            _apply_mounts(base, backend, applied_mounts)
-            fstab_text = opts.guest_fstab
-            if real and fstab_text is None:
-                fstab_path = Path(root) / "etc/fstab"
-                fstab_text = fstab_path.read_text() if fstab_path.is_file() else None
+                root = root_dir = tempfile.mkdtemp(prefix="imgforge-root-")
+            for action in mounts_mod.base_mount_actions(plan, table, root=root,
+                                                        emulators=opts.emulators):
+                backend.emit(action)
+                applied_mounts.append(action)
+            fstab_text = backend.read_guest_file(root, "etc/fstab")
             if fstab_text is not None:
-                extras = mounts_mod.fstab_mount_actions(
-                    plan, table, fstab_text, root=root,
-                    start_ordinal=len(applied_mounts),
-                    already_mounted={a.target for a in applied_mounts
-                                     if a.kind is not mounts_mod.MountKind.LOOP_ATTACH},
-                )
-                _apply_mounts(extras, backend, applied_mounts)
+                mounted = {a.payload["target"] for a in applied_mounts
+                           if a.kind is not ActionKind.LOOP_ATTACH}
+                for action in mounts_mod.fstab_mount_actions(plan, table, fstab_text, root=root,
+                                                             already_mounted=mounted):
+                    backend.emit(action)
+                    applied_mounts.append(action)
 
         if chroot_commands:
             host_path = [p for p in env.get("PATH", "").split(os.pathsep) if p]
@@ -616,24 +549,21 @@ def execute(plan: ExecutionPlan, backend: Executor,
                 if command.kind is CommandKind.PATH:
                     extensions.append(command.args[0])
                     continue
-                guest_env = GuestEnv(
-                    root=root, path_var=compose_guest_path(extensions, host_path)
-                )
                 if command.kind is CommandKind.RUN:
+                    guest_env = GuestEnv(
+                        root=root, path_var=compose_guest_path(extensions, host_path)
+                    )
                     run_guest(command.args[0], guest_env, backend,
                               origin=command.origin, stdin=command.heredoc)
                 elif command.kind is CommandKind.HOST:
-                    run_host(command.args[0], guest_env, backend,
-                             origin=command.origin,
-                             cwd=str(command.origin.file.parent),
-                             stdin=command.heredoc)
+                    run_host(command.args[0], backend, origin=command.origin,
+                             cwd=str(command.origin.file.parent), stdin=command.heredoc)
                 elif command.kind is CommandKind.INSTALL:
-                    mode, src_arg, dst_arg = _install_args(command)
-                    src = Path(src_arg)
+                    src = Path(command.args[-2])
                     if not src.is_absolute():
                         src = command.origin.file.parent / src
-                    install_file(src, dst_arg, mode, backend,
-                                 root=root, origin=command.origin)
+                    mode = command.args[0] if len(command.args) == 3 else None
+                    install_file(src, command.args[-1], mode, backend, root=root)
         durations[stage_label] = time.monotonic() - started
     except ImgforgeError as exc:
         if exc.stage is None:
@@ -643,7 +573,7 @@ def execute(plan: ExecutionPlan, backend: Executor,
         raise
     finally:
         for action in mounts_mod.teardown_actions(applied_mounts):
-            backend.emit(_mount_to_action(action))
+            backend.emit(action)
         if root_dir is not None:
             try:
                 os.rmdir(root_dir)
@@ -657,28 +587,7 @@ def execute(plan: ExecutionPlan, backend: Executor,
         stage_durations=durations,
         action_count=len(backend.actions),
         image_digest=digest,
-        actions=backend.actions,
     )
-
-
-def _install_args(command: Command) -> tuple[str | None, str, str]:
-    if len(command.args) == 3:
-        return command.args[0], command.args[1], command.args[2]
-    return None, command.args[0], command.args[1]
-
-
-def _apply_mounts(actions: Sequence[mounts_mod.MountAction], backend: Executor,
-                  applied: list[mounts_mod.MountAction]) -> None:
-    for action in actions:
-        backend.emit(_mount_to_action(action))
-        applied.append(action)
-
-
-def _mount_to_action(action: mounts_mod.MountAction) -> Action:
-    return Action(ActionKind[action.kind.name], {
-        "source": action.source,
-        "target": action.target,
-    })
 
 
 def _resolve_source(plan: ExecutionPlan, opts: RunOptions, backend: Executor,

@@ -25,6 +25,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, BinaryIO
 
+from .actions import Action, ActionKind
 from .errors import (
     EmptyPartitionSlot,
     InvalidTable,
@@ -36,6 +37,7 @@ from .errors import (
     ShortImage,
     UnsupportedDiskLayout,
 )
+from .source import TargetKind
 
 if TYPE_CHECKING:
     from .executor import Executor
@@ -107,7 +109,6 @@ class PartitionEntry:
 class PartitionTable:
     disk_id: int
     entries: tuple[PartitionEntry, ...]
-    sector_size: int = SECTOR_SIZE
 
     def occupied(self) -> list[PartitionEntry]:
         return [e for e in self.entries if not e.empty]
@@ -249,9 +250,24 @@ def grow_image_file(path: str | Path, extra_bytes: int) -> int:
     return new_size
 
 
+def _occupied_slot(table: PartitionTable, index: int) -> PartitionEntry:
+    if not 1 <= index <= 4:
+        raise EmptyPartitionSlot(f"partition index {index} is outside the 4 MBR slots")
+    entry = table.entries[index - 1]
+    if entry.empty:
+        raise EmptyPartitionSlot(f"partition {index} is an empty slot")
+    return entry
+
+
+def resize_partition_entry(path: str | Path, index: int, lba_size: int) -> None:
+    """Rewrite slot ``index`` of the table at ``path`` to span ``lba_size`` sectors."""
+    table = read_partition_table(path)
+    entry = _occupied_slot(table, index)
+    write_partition_table(path, table.with_entry(replace(entry, lba_size=lba_size)))
+
+
 def pump(plan: "ExecutionPlan", executor: "Executor", *,
-         table_source: str | Path | BinaryIO | None = None,
-         image_length: int | None = None) -> None:
+         table_source: str | Path | BinaryIO | None = None) -> None:
     """Emit the growth sequence for the plan's destination image.
 
     Three actions go through the executor, in order: grow the file by the
@@ -263,12 +279,9 @@ def pump(plan: "ExecutionPlan", executor: "Executor", *,
     The target partition must be the last occupied one by LBA start, or it
     would grow into its successor.  ``table_source`` overrides where the
     current table is read from (dry runs read the source image because the
-    destination was never materialized); ``image_length`` overrides the
-    current image size when the table comes from a non-file stream.
+    destination was never materialized); when it is a stream, the check
+    that the partition ends inside the image is skipped.
     """
-    from .executor import Action, ActionKind  # runtime import to avoid a cycle
-    from .source import TargetKind
-
     if plan.pump_bytes <= 0:
         return
     if plan.destination.kind is TargetKind.BLOCK_DEVICE:
@@ -277,19 +290,16 @@ def pump(plan: "ExecutionPlan", executor: "Executor", *,
         )
     dest = Path(plan.destination.path)
     source = table_source if table_source is not None else dest
-    if isinstance(source, (str, Path)) and image_length is None:
+    image_bytes = None
+    if isinstance(source, (str, Path)):
         try:
-            image_length = os.path.getsize(source)
+            image_bytes = os.path.getsize(source)
         except OSError as exc:
             raise IoFailure(f"cannot stat {source}: {exc}") from exc
     table = read_partition_table(source)
 
     index = plan.partition_index
-    if not 1 <= index <= 4:
-        raise EmptyPartitionSlot(f"partition index {index} is outside the 4 MBR slots")
-    entry = table.entries[index - 1]
-    if entry.empty:
-        raise EmptyPartitionSlot(f"partition {index} is an empty slot")
+    entry = _occupied_slot(table, index)
     if entry.type_code in EXTENDED_TYPES:
         raise UnsupportedDiskLayout(
             f"partition {index} is extended (type {entry.type_code:#04x}); "
@@ -300,14 +310,13 @@ def pump(plan: "ExecutionPlan", executor: "Executor", *,
         raise PartitionNotLast(
             f"partition {index} cannot grow: partition {last.index} starts after it"
         )
-    if image_length is not None and entry.lba_end * SECTOR_SIZE > image_length:
+    if image_bytes is not None and entry.lba_end * SECTOR_SIZE > image_bytes:
         raise InvalidTable(
             f"partition {index} already extends past the end of the image"
         )
 
     rounded = (plan.pump_bytes + SECTOR_SIZE - 1) // SECTOR_SIZE * SECTOR_SIZE
     sectors = rounded // SECTOR_SIZE
-    grown = table.with_entry(replace(entry, lba_size=entry.lba_size + sectors))
     partition_dev = f"<loop>p{index}"
 
     executor.emit(Action(ActionKind.GROW_FILE, {
@@ -318,7 +327,7 @@ def pump(plan: "ExecutionPlan", executor: "Executor", *,
         "partition": str(index),
         "added_sectors": str(sectors),
         "lba_size": str(entry.lba_size + sectors),
-    }, detail=grown))
+    }))
     executor.emit(Action(ActionKind.FS_RESIZE, {
         "image": str(dest),
         "partition": str(index),

@@ -1,16 +1,19 @@
 """Mount planning for the chroot stage.
 
-Builds the ordered list of attach/mount/bind/copy steps that turn a raw
-image into a usable chroot, and the exact reverse teardown.  The plan is
-pure data: loop devices are not known until attachment, so actions refer
-to them through the ``<loop>`` placeholder, and the chroot directory
-through whatever ``root`` string the caller supplies (the dry-run default
-is the stable ``<root>`` token, which keeps action logs reproducible).
+Builds the ordered attach/mount/bind/copy actions that turn a raw image
+into a usable chroot, and the exact reverse teardown.  The actions are
+plain :class:`~imgforge.actions.Action` values with a ``source`` and a
+``target`` in the payload, emitted as they are.  Loop devices are not
+known until attachment, so actions refer to them through the ``<loop>``
+placeholder, and to the chroot directory through whatever ``root`` string
+the caller supplies (the dry-run default is the stable ``<root>`` token,
+which keeps action logs reproducible).
 
 Setup order: loop attach, root partition mount, bind mounts for /dev,
 /sys, /proc and /dev/pts, a bind of the host's resolv.conf for DNS, one
 copy per static emulator binary, then any additional partitions named by
-the guest's /etc/fstab, shallowest mount point first.
+the guest's /etc/fstab, shallowest mount point first.  Teardown undoes
+exactly the setup actions applied, last first.
 """
 
 from __future__ import annotations
@@ -18,16 +21,15 @@ from __future__ import annotations
 import logging
 import os
 import re
-from dataclasses import dataclass, replace
-from enum import Enum
+from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
+from .actions import Action, ActionKind
 from .errors import RootPartitionUnmountable
 from .image import PartitionTable
-
-if TYPE_CHECKING:
-    from .plan import ExecutionPlan
+from .plan import ExecutionPlan
+from .source import TargetKind
 
 logger = logging.getLogger(__name__)
 
@@ -43,32 +45,6 @@ PSEUDO_SPECS = frozenset({"proc", "sysfs", "tmpfs", "devtmpfs", "devpts", "swap"
 
 _PARTUUID = re.compile(r"^PARTUUID=([0-9a-f]{8})-0*(\d+)$")
 _DEV_PARTITION = re.compile(r"^/dev/(?:mmcblk\d+p|sd[a-z]+)(\d+)$")
-
-
-class MountKind(Enum):
-    LOOP_ATTACH = "loop-attach"
-    MOUNT_PARTITION = "mount-partition"
-    BIND_MOUNT = "bind-mount"
-    COPY_EMULATOR = "copy-emulator"
-    UNMOUNT = "unmount"
-    REMOVE_EMULATOR = "remove-emulator"
-    LOOP_DETACH = "loop-detach"
-
-
-_TEARDOWN_KIND = {
-    MountKind.LOOP_ATTACH: MountKind.LOOP_DETACH,
-    MountKind.MOUNT_PARTITION: MountKind.UNMOUNT,
-    MountKind.BIND_MOUNT: MountKind.UNMOUNT,
-    MountKind.COPY_EMULATOR: MountKind.REMOVE_EMULATOR,
-}
-
-
-@dataclass(frozen=True)
-class MountAction:
-    kind: MountKind
-    source: str
-    target: str
-    ordinal: int
 
 
 @dataclass(frozen=True)
@@ -177,67 +153,46 @@ def partition_device(base: str, index: int) -> str:
     return f"{base}{index}"
 
 
-def build_mount_plan(plan: "ExecutionPlan", table: PartitionTable,
-                     guest_fstab: str | None = None, *,
-                     root: str = ROOT_TOKEN,
-                     emulators: Sequence[str] | None = None) -> list[MountAction]:
-    """Produce the ordered setup actions for the plan's chroot environment.
-
-    ``guest_fstab`` text, when available, contributes mounts for additional
-    partitions; entries for "/" are skipped (the root is already mounted
-    from the plan's partition index) and a mismatch only warns, since FROM
-    may legitimately override the root partition.
-    """
-    actions = base_mount_actions(plan, table, root=root, emulators=emulators)
-    if guest_fstab is not None:
-        occupied = {a.target for a in actions if a.kind is not MountKind.LOOP_ATTACH}
-        actions += fstab_mount_actions(
-            plan, table, guest_fstab,
-            root=root, start_ordinal=len(actions), already_mounted=occupied,
-        )
-    return actions
-
-
-def base_mount_actions(plan: "ExecutionPlan", table: PartitionTable, *,
+def base_mount_actions(plan: ExecutionPlan, table: PartitionTable, *,
                        root: str = ROOT_TOKEN,
-                       emulators: Sequence[str] | None = None) -> list[MountAction]:
+                       emulators: Sequence[str] | None = None) -> list[Action]:
     """Loop attach, root mount, system binds, resolv.conf, emulator copies."""
-    from .source import TargetKind
-
     index = plan.partition_index
     if not 1 <= index <= len(table.entries) or table.entries[index - 1].empty:
         raise RootPartitionUnmountable(
             f"partition {index} is not present in the image's partition table"
         )
-    actions: list[MountAction] = []
+    actions: list[Action] = []
 
-    def add(kind: MountKind, source: str, target: str) -> None:
-        actions.append(MountAction(kind=kind, source=source, target=target,
-                                   ordinal=len(actions)))
+    def add(kind: ActionKind, source: str, target: str) -> None:
+        actions.append(Action(kind, {"source": source, "target": target}))
 
     image = plan.destination.path
     if plan.destination.kind is TargetKind.BLOCK_DEVICE:
         # a real device already exposes partition nodes; no loop indirection
         root_source = partition_device(image, index)
     else:
-        add(MountKind.LOOP_ATTACH, image, LOOP_TOKEN)
+        add(ActionKind.LOOP_ATTACH, image, LOOP_TOKEN)
         root_source = f"{LOOP_TOKEN}p{index}"
-    add(MountKind.MOUNT_PARTITION, root_source, root)
+    add(ActionKind.MOUNT_PARTITION, root_source, root)
     for bind in BIND_SOURCES:
-        add(MountKind.BIND_MOUNT, bind, root + bind)
-    add(MountKind.BIND_MOUNT, RESOLV_CONF, root + RESOLV_CONF)
+        add(ActionKind.BIND_MOUNT, bind, root + bind)
+    add(ActionKind.BIND_MOUNT, RESOLV_CONF, root + RESOLV_CONF)
     emulator_paths = list(emulators) if emulators is not None else discover_emulators()
     for emulator in emulator_paths:
-        add(MountKind.COPY_EMULATOR, emulator, f"{root}/{EMULATOR_DIR}/{Path(emulator).name}")
+        add(ActionKind.COPY_EMULATOR, emulator, f"{root}/{EMULATOR_DIR}/{Path(emulator).name}")
     return actions
 
 
-def fstab_mount_actions(plan: "ExecutionPlan", table: PartitionTable, fstab_text: str, *,
-                        root: str = ROOT_TOKEN, start_ordinal: int = 0,
-                        already_mounted: set[str] | None = None) -> list[MountAction]:
-    """Mounts for mappable fstab entries, shallowest mount point first."""
-    from .source import TargetKind
+def fstab_mount_actions(plan: ExecutionPlan, table: PartitionTable, fstab_text: str, *,
+                        root: str = ROOT_TOKEN,
+                        already_mounted: set[str] | None = None) -> list[Action]:
+    """Mounts for mappable fstab entries, shallowest mount point first.
 
+    Entries for "/" are skipped (the root is already mounted from the
+    plan's partition index) and a mismatch only warns, since FROM may
+    legitimately override the root partition.
+    """
     device_base = (plan.destination.path
                    if plan.destination.kind is TargetKind.BLOCK_DEVICE else LOOP_TOKEN)
     occupied = set(already_mounted or ())
@@ -270,23 +225,16 @@ def fstab_mount_actions(plan: "ExecutionPlan", table: PartitionTable, fstab_text
         pending.append((depth, position, slot))
         targets[position] = target
 
-    actions: list[MountAction] = []
-    for depth, position, slot in sorted(pending):
-        actions.append(MountAction(
-            kind=MountKind.MOUNT_PARTITION,
-            source=partition_device(device_base, slot),
-            target=targets[position],
-            ordinal=start_ordinal + len(actions),
-        ))
-    return actions
+    return [Action(ActionKind.MOUNT_PARTITION, {
+        "source": partition_device(device_base, slot), "target": targets[position],
+    }) for _, position, slot in sorted(pending)]
 
 
-def teardown_actions(setup: Sequence[MountAction]) -> list[MountAction]:
+def teardown_actions(setup: Sequence[Action]) -> list[Action]:
     """The exact reverse of a setup list, with each kind swapped to its undo."""
-    torn: list[MountAction] = []
+    torn: list[Action] = []
     for action in reversed(setup):
-        swapped = _TEARDOWN_KIND.get(action.kind)
-        if swapped is None:
+        if action.kind.undo is None:
             raise ValueError(f"{action.kind.value} is not a setup action")
-        torn.append(replace(action, kind=swapped))
+        torn.append(Action(action.kind.undo, dict(action.payload)))
     return torn

@@ -19,6 +19,7 @@ from typing import Callable
 
 from .errors import (
     ConflictingSource,
+    InvalidMode,
     InvalidPartitionIndex,
     MissingSource,
     PifileError,
@@ -75,7 +76,6 @@ class ExecutionPlan:
     inplace: bool
     pump_bytes: int
     partition_index: int
-    path_extensions: list[str]
     staged: dict[Stage, list[Command]]
     pifile_path: Path
 
@@ -99,7 +99,8 @@ def build_plan(pifile: Pifile, defaults: PlanDefaults | None = None) -> Executio
     Exactly one resolution root is required: FROM (optionally paired with
     TO) or INPLACE.  A missing TO defaults the destination to
     ``<pifile stem>.img`` next to the Pifile.  Relative source and
-    destination paths are anchored at the Pifile's directory.
+    destination paths are anchored at the Pifile's directory.  INSTALL
+    modes are checked here, so a bad one stops the build before any copy.
     """
     defaults = defaults or PlanDefaults()
     probe = defaults.probe or default_probe
@@ -127,7 +128,7 @@ def build_plan(pifile: Pifile, defaults: PlanDefaults | None = None) -> Executio
         locator = _anchor(inplaces[0].args[0], base_dir)
         kind = classify_source(locator, probe)
         partition_index = defaults.partition_index
-        source = SourceSpec(kind=kind, locator=locator, partition_index=partition_index)
+        source = SourceSpec(kind=kind, locator=locator)
         target_kind = (TargetKind.BLOCK_DEVICE if kind is SourceKind.BLOCK_DEVICE
                        else TargetKind.LOCAL_FILE)
         destination = TargetSpec(kind=target_kind, path=locator)
@@ -138,7 +139,7 @@ def build_plan(pifile: Pifile, defaults: PlanDefaults | None = None) -> Executio
         raw = from_cmd.args[0]
         locator = raw if is_url(raw) else _anchor(raw, base_dir)
         kind = classify_source(locator, probe)
-        source = SourceSpec(kind=kind, locator=locator, partition_index=partition_index)
+        source = SourceSpec(kind=kind, locator=locator)
         if tos:
             if len(tos) > 1:
                 logger.warning(
@@ -155,7 +156,12 @@ def build_plan(pifile: Pifile, defaults: PlanDefaults | None = None) -> Executio
         inplace = False
 
     pump_bytes = sum(parse_size(c.args[0]) for c in staged[Stage.PREPARE])
-    path_extensions = [c.args[0] for c in staged[Stage.CHROOT] if c.kind is CommandKind.PATH]
+    for command in staged[Stage.CHROOT]:
+        if command.kind is CommandKind.INSTALL and len(command.args) == 3:
+            mode = command.args[0]
+            if not (mode.isdigit() and all(c in "01234567" for c in mode) and len(mode) <= 4):
+                raise InvalidMode(f"INSTALL mode must be octal 0..7777, got {mode!r}",
+                                  origin=command.origin)
 
     return ExecutionPlan(
         source=source,
@@ -163,7 +169,6 @@ def build_plan(pifile: Pifile, defaults: PlanDefaults | None = None) -> Executio
         inplace=inplace,
         pump_bytes=pump_bytes,
         partition_index=partition_index,
-        path_extensions=path_extensions,
         staged=staged,
         pifile_path=pifile.source_path,
     )

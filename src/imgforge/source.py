@@ -37,6 +37,7 @@ from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING, BinaryIO, Callable, Iterator
 
+from .actions import Action, ActionKind
 from .errors import (
     CacheUnwritable,
     CorruptArchive,
@@ -83,7 +84,6 @@ class TargetKind(Enum):
 class SourceSpec:
     kind: SourceKind
     locator: str
-    partition_index: int
 
 
 @dataclass(frozen=True)
@@ -427,8 +427,6 @@ def materialize_destination(plan: "ExecutionPlan", executor: "Executor", *,
     all.  A block-device destination becomes a device-write action; a file
     destination becomes an image copy.  Returns the destination path.
     """
-    from .executor import Action, ActionKind  # runtime import to avoid a cycle
-
     src = Path(resolved_source) if resolved_source is not None else Path(plan.source.locator)
     dest = Path(plan.destination.path)
     if plan.inplace:

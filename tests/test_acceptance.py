@@ -17,7 +17,6 @@ import mbr_oracle
 from imgforge.cli import main
 from imgforge.errors import FetchFailed, PartitionNotLast
 from imgforge.executor import (
-    Action,
     ActionKind,
     DryRunExecutor,
     LocalExecutor,
@@ -30,7 +29,7 @@ from imgforge.image import (
     render_size,
     write_partition_table,
 )
-from imgforge.mounts import build_mount_plan, teardown_actions
+from imgforge.mounts import base_mount_actions, fstab_mount_actions, teardown_actions
 from imgforge.pifile import CommandKind, parse_pifile, parse_pifile_text, render_pifile
 from imgforge.plan import PlanDefaults, Stage, assign_stages, build_plan
 from imgforge.source import SourceKind, fetch_to_cache, read_cache_entry
@@ -115,11 +114,12 @@ def test_criterion_4_mount_plan_golden(tmp_path):
         "PARTUUID=deadbeef-02 / ext4 defaults 0 1\n"
         "proc /proc proc defaults 0 0\n"
     )
-    setup = build_mount_plan(plan, table, fstab, emulators=[EMULATOR])
+    setup = base_mount_actions(plan, table, emulators=[EMULATOR])
+    mounted = {a.payload["target"] for a in setup if a.kind is not ActionKind.LOOP_ATTACH}
+    setup += fstab_mount_actions(plan, table, fstab, already_mounted=mounted)
     backend = DryRunExecutor()
     for action in setup + teardown_actions(setup):
-        backend.emit(Action(ActionKind[action.kind.name],
-                            {"source": action.source, "target": action.target}))
+        backend.emit(action)
     golden = (Path(__file__).parent / "data" / "mount_plan_golden.log").read_text()
     assert backend.render_log() == golden  # byte-identical
 

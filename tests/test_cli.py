@@ -9,7 +9,7 @@ import pytest
 import mbr_oracle
 from imgforge.cli import main, render_log
 from imgforge.errors import ChrootUnavailable
-from imgforge.executor import ActionKind, DryRunExecutor
+from imgforge.executor import ActionKind, DryRunExecutor, LocalExecutor
 from imgforge.source import SourceKind
 
 ENV = {"PATH": "/usr/bin:/bin"}
@@ -66,6 +66,15 @@ class TestExitCodes:
         pifile = tmp_path / "empty.Pifile"
         pifile.write_text("RUN x\n")  # no FROM/INPLACE
         assert main([str(pifile)], ENV) == 1
+
+    def test_invalid_install_mode_is_exit_1_before_any_copy(self, tmp_path, capsys):
+        pifile = write_fixture(
+            tmp_path, text="FROM base.img\nTO out.img\nPUMP 1M\nINSTALL 9999 x /y\n")
+        code = main([str(pifile)], ENV,
+                    executor_factory=lambda cfg: LocalExecutor(runner=lambda argv, **kw: (0, "")))
+        assert code == 1
+        assert "octal" in capsys.readouterr().err
+        assert not (tmp_path / "out.img").exists()
 
     def test_command_failure_is_exit_2(self, tmp_path, capsys):
         pifile = write_fixture(

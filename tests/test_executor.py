@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import mbr_oracle
-from imgforge.errors import CommandFailed, InvalidMode, SourceMissing
+from imgforge.errors import CommandFailed, SourceMissing
 from imgforge.executor import (
     Action,
     ActionKind,
@@ -89,35 +89,35 @@ class TestGuestPath:
 class TestRunHost:
     def test_success_on_real_shell(self):
         backend = LocalExecutor()
-        assert run_host("true", guest_env(), backend) == 0
+        assert run_host("true", backend) == 0
 
     def test_failure_raises_with_status(self):
         backend = LocalExecutor()
         with pytest.raises(CommandFailed) as err:
-            run_host("false", guest_env(), backend)
+            run_host("false", backend)
         assert err.value.status == 1
 
     def test_output_streams_to_callback(self):
         lines = []
         backend = LocalExecutor(on_output=lines.append)
-        run_host("echo hello; echo world", guest_env(), backend)
+        run_host("echo hello; echo world", backend)
         assert lines == ["hello", "world"]
 
     def test_heredoc_reaches_stdin(self):
         lines = []
         backend = LocalExecutor(on_output=lines.append)
-        run_host("cat", guest_env(), backend, stdin="from-heredoc\n")
+        run_host("cat", backend, stdin="from-heredoc\n")
         assert lines == ["from-heredoc"]
 
     def test_runs_in_given_cwd(self, tmp_path):
         lines = []
         backend = LocalExecutor(on_output=lines.append)
-        run_host("pwd", guest_env(), backend, cwd=str(tmp_path))
+        run_host("pwd", backend, cwd=str(tmp_path))
         assert lines == [str(tmp_path)]
 
     def test_dry_run_records_payload(self):
         backend = DryRunExecutor()
-        run_host("make dtnd", guest_env(), backend, cwd=".")
+        run_host("make dtnd", backend, cwd=".")
         action = backend.actions[0]
         assert action.kind is ActionKind.HOST_EXEC
         assert action.payload["command"] == "make dtnd"
@@ -194,11 +194,6 @@ class TestInstallFile:
         backend = LocalExecutor(runner=lambda argv, **kw: (0, ""))
         install_file(src, "/etc/conf.d", None, backend, root=str(root))
         assert (root / "etc/conf.d/sub/x.conf").read_text() == "1"
-
-    @pytest.mark.parametrize("mode", ["999", "78", "worldwrite", "77777"])
-    def test_invalid_modes(self, mode):
-        with pytest.raises(InvalidMode):
-            install_file("x", "/y", mode, DryRunExecutor())
 
     def test_missing_source_fails_on_real_backend(self, tmp_path):
         backend = LocalExecutor(runner=lambda argv, **kw: (0, ""))
@@ -508,12 +503,15 @@ class TestExecutePipeline:
         assert host.payload["cwd"] == str(tmp_path)
 
     def test_fstab_override_adds_boot_mount(self, tmp_path, monkeypatch):
+        class GuestWithFstab(DryRunExecutor):
+            def read_guest_file(self, root, path):
+                assert (root, path) == ("<root>", "etc/fstab")
+                return "PARTUUID=deadbeef-01 /boot vfat defaults 0 2\n"
+
         self._fixture(tmp_path, monkeypatch)
         plan = make_plan(tmp_path, "FROM base.img\nRUN x\n")
-        backend = DryRunExecutor()
-        fstab = "PARTUUID=deadbeef-01 /boot vfat defaults 0 2\n"
-        execute(plan, backend, RunOptions(env=FIXED_ENV, emulators=[],
-                                          guest_fstab=fstab))
+        backend = GuestWithFstab()
+        execute(plan, backend, RunOptions(env=FIXED_ENV, emulators=[]))
         targets = [a.payload.get("target") for a in backend.actions]
         assert "<root>/boot" in targets
 

@@ -17,7 +17,7 @@ from imgforge.errors import (
     ShortImage,
     UnsupportedDiskLayout,
 )
-from imgforge.executor import ActionKind, DryRunExecutor, LocalExecutor
+from imgforge.executor import Action, ActionKind, DryRunExecutor, LocalExecutor
 from imgforge.image import (
     PartitionEntry,
     PartitionTable,
@@ -305,6 +305,34 @@ class TestPump:
         ]
         assert backend.actions[0].payload["bytes"] == str(16 * 1024 * 1024)
         assert backend.actions[1].payload["added_sectors"] == "32768"
+        assert sha256(fixture_image) == digest
+
+
+class TestTableWriteAction:
+    """A TABLE_WRITE is performed from its payload alone."""
+
+    def test_payload_sets_the_named_slot(self, fixture_image):
+        before = mbr_oracle.read_table(fixture_image)
+        grown = 112640 + 2048
+        with open(fixture_image, "r+b") as fh:
+            fh.truncate(fixture_image.stat().st_size + 2048 * 512)
+        LocalExecutor(runner=stub_runner).emit(Action(ActionKind.TABLE_WRITE, {
+            "path": str(fixture_image), "partition": "2",
+            "added_sectors": "2048", "lba_size": str(grown),
+        }))
+        after = mbr_oracle.read_table(fixture_image)
+        expected = [dict(entry) for entry in before["entries"]]
+        expected[1]["size"] = grown
+        assert after["disk_id"] == before["disk_id"]
+        assert after["entries"] == expected
+
+    def test_empty_slot_raises_and_leaves_image_untouched(self, fixture_image):
+        digest = sha256(fixture_image)
+        with pytest.raises(EmptyPartitionSlot):
+            LocalExecutor(runner=stub_runner).emit(Action(ActionKind.TABLE_WRITE, {
+                "path": str(fixture_image), "partition": "3",
+                "added_sectors": "8", "lba_size": "8",
+            }))
         assert sha256(fixture_image) == digest
 
 

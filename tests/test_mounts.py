@@ -5,15 +5,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from imgforge.errors import RootPartitionUnmountable
+from imgforge.executor import Action, ActionKind, DryRunExecutor
 from imgforge.image import PartitionEntry, PartitionTable
 from imgforge.mounts import (
     LOOP_TOKEN,
     ROOT_TOKEN,
     FstabEntry,
-    MountAction,
-    MountKind,
-    build_mount_plan,
+    base_mount_actions,
     discover_emulators,
+    fstab_mount_actions,
     map_fstab_device,
     parse_fstab,
     partition_device,
@@ -44,6 +44,20 @@ def make_plan(partition=2, image="disk.img", block_device=False):
     text = f"INPLACE {image}\n" if partition == 2 else f"FROM {image} {partition}\n"
     pifile = parse_pifile_text(text, {}, source_path=Path("golden.Pifile"))
     return build_plan(pifile, PlanDefaults(probe=lambda loc: kind))
+
+
+def compose_mount_plan(plan, table, guest_fstab=None, *, root=ROOT_TOKEN, emulators=None):
+    """Setup actions composed the way execute() composes them."""
+    actions = base_mount_actions(plan, table, root=root, emulators=emulators)
+    if guest_fstab is not None:
+        mounted = {a.payload["target"] for a in actions if a.kind is not ActionKind.LOOP_ATTACH}
+        actions += fstab_mount_actions(plan, table, guest_fstab, root=root,
+                                       already_mounted=mounted)
+    return actions
+
+
+def mount_action(kind, source, target):
+    return Action(kind, {"source": source, "target": target})
 
 
 class TestParseFstab:
@@ -127,48 +141,47 @@ class TestPartitionDevice:
 
 class TestBuildMountPlan:
     def test_base_plan_shape(self):
-        actions = build_mount_plan(make_plan(), FIXTURE_TABLE, emulators=[EMULATOR])
-        assert [(a.kind, a.source, a.target) for a in actions] == [
-            (MountKind.LOOP_ATTACH, "disk.img", LOOP_TOKEN),
-            (MountKind.MOUNT_PARTITION, "<loop>p2", ROOT_TOKEN),
-            (MountKind.BIND_MOUNT, "/dev", "<root>/dev"),
-            (MountKind.BIND_MOUNT, "/sys", "<root>/sys"),
-            (MountKind.BIND_MOUNT, "/proc", "<root>/proc"),
-            (MountKind.BIND_MOUNT, "/dev/pts", "<root>/dev/pts"),
-            (MountKind.BIND_MOUNT, "/etc/resolv.conf", "<root>/etc/resolv.conf"),
-            (MountKind.COPY_EMULATOR, EMULATOR, "<root>/usr/bin/qemu-arm-static"),
+        actions = compose_mount_plan(make_plan(), FIXTURE_TABLE, emulators=[EMULATOR])
+        assert [(a.kind, a.payload["source"], a.payload["target"]) for a in actions] == [
+            (ActionKind.LOOP_ATTACH, "disk.img", LOOP_TOKEN),
+            (ActionKind.MOUNT_PARTITION, "<loop>p2", ROOT_TOKEN),
+            (ActionKind.BIND_MOUNT, "/dev", "<root>/dev"),
+            (ActionKind.BIND_MOUNT, "/sys", "<root>/sys"),
+            (ActionKind.BIND_MOUNT, "/proc", "<root>/proc"),
+            (ActionKind.BIND_MOUNT, "/dev/pts", "<root>/dev/pts"),
+            (ActionKind.BIND_MOUNT, "/etc/resolv.conf", "<root>/etc/resolv.conf"),
+            (ActionKind.COPY_EMULATOR, EMULATOR, "<root>/usr/bin/qemu-arm-static"),
         ]
-        assert [a.ordinal for a in actions] == list(range(8))
 
     def test_fstab_boot_mount_follows_emulator(self):
-        actions = build_mount_plan(make_plan(), FIXTURE_TABLE, FIXTURE_FSTAB,
+        actions = compose_mount_plan(make_plan(), FIXTURE_TABLE, FIXTURE_FSTAB,
                                    emulators=[EMULATOR])
         kinds = [a.kind for a in actions]
-        boot = next(a for a in actions if a.target == "<root>/boot")
-        assert boot.source == "<loop>p1"
-        assert kinds.index(MountKind.COPY_EMULATOR) < actions.index(boot)
+        boot = next(a for a in actions if a.payload["target"] == "<root>/boot")
+        assert boot.payload["source"] == "<loop>p1"
+        assert kinds.index(ActionKind.COPY_EMULATOR) < actions.index(boot)
         assert actions.index(boot) == len(actions) - 1
 
     def test_fstab_root_entry_skipped_quietly_when_matching(self, caplog):
         with caplog.at_level(logging.WARNING, logger="imgforge.mounts"):
-            actions = build_mount_plan(make_plan(), FIXTURE_TABLE, FIXTURE_FSTAB,
+            actions = compose_mount_plan(make_plan(), FIXTURE_TABLE, FIXTURE_FSTAB,
                                        emulators=[])
-        assert all(a.target != ROOT_TOKEN or a.kind is MountKind.MOUNT_PARTITION
+        assert all(a.payload["target"] != ROOT_TOKEN or a.kind is ActionKind.MOUNT_PARTITION
                    for a in actions)
-        assert sum(1 for a in actions if a.kind is MountKind.MOUNT_PARTITION) == 2
+        assert sum(1 for a in actions if a.kind is ActionKind.MOUNT_PARTITION) == 2
         assert not any("mounted as root" in r.message for r in caplog.records)
 
     def test_fstab_root_mismatch_warns(self, caplog):
         fstab = "PARTUUID=deadbeef-01 / ext4 defaults 0 1\n"
         with caplog.at_level(logging.WARNING, logger="imgforge.mounts"):
-            actions = build_mount_plan(make_plan(), FIXTURE_TABLE, fstab, emulators=[])
+            actions = compose_mount_plan(make_plan(), FIXTURE_TABLE, fstab, emulators=[])
         assert any("mounted as root" in r.message for r in caplog.records)
         # still only the plan's root partition is mounted at <root>
-        roots = [a for a in actions if a.target == ROOT_TOKEN]
-        assert len(roots) == 1 and roots[0].source == "<loop>p2"
+        roots = [a for a in actions if a.payload["target"] == ROOT_TOKEN]
+        assert len(roots) == 1 and roots[0].payload["source"] == "<loop>p2"
 
     def test_no_fstab_means_base_only(self):
-        actions = build_mount_plan(make_plan(), FIXTURE_TABLE, None, emulators=[EMULATOR])
+        actions = compose_mount_plan(make_plan(), FIXTURE_TABLE, None, emulators=[EMULATOR])
         assert len(actions) == 8
 
     def test_mount_point_depth_ordering(self):
@@ -185,15 +198,15 @@ class TestBuildMountPlan:
         fstab = ("PARTUUID=deadbeef-03 /var/lib/data ext4 defaults 0 2\n"
                  "PARTUUID=deadbeef-01 /boot ext4 defaults 0 2\n"
                  "PARTUUID=deadbeef-04 /var ext4 defaults 0 2\n")
-        actions = build_mount_plan(make_plan(), table, fstab, emulators=[])
-        extra_targets = [a.target for a in actions if a.kind is MountKind.MOUNT_PARTITION
-                         and a.target != ROOT_TOKEN]
+        actions = compose_mount_plan(make_plan(), table, fstab, emulators=[])
+        extra_targets = [a.payload["target"] for a in actions if a.kind is ActionKind.MOUNT_PARTITION
+                         and a.payload["target"] != ROOT_TOKEN]
         assert extra_targets == ["<root>/boot", "<root>/var", "<root>/var/lib/data"]
 
     def test_prefix_mounts_precede_nested_mounts(self):
-        actions = build_mount_plan(make_plan(), FIXTURE_TABLE, FIXTURE_FSTAB,
+        actions = compose_mount_plan(make_plan(), FIXTURE_TABLE, FIXTURE_FSTAB,
                                    emulators=[EMULATOR])
-        mount_targets = [a.target for a in actions if a.kind is MountKind.MOUNT_PARTITION]
+        mount_targets = [a.payload["target"] for a in actions if a.kind is ActionKind.MOUNT_PARTITION]
         for i, shallow in enumerate(mount_targets):
             for deep in mount_targets[i + 1:]:
                 assert not deep.startswith(shallow + "/") or \
@@ -202,46 +215,46 @@ class TestBuildMountPlan:
     def test_duplicate_mount_point_skipped(self):
         fstab = ("PARTUUID=deadbeef-01 /boot vfat defaults 0 2\n"
                  "PARTUUID=deadbeef-01 /boot vfat defaults 0 2\n")
-        actions = build_mount_plan(make_plan(), FIXTURE_TABLE, fstab, emulators=[])
-        assert sum(1 for a in actions if a.target == "<root>/boot") == 1
+        actions = compose_mount_plan(make_plan(), FIXTURE_TABLE, fstab, emulators=[])
+        assert sum(1 for a in actions if a.payload["target"] == "<root>/boot") == 1
 
     def test_swap_entries_ignored(self):
         fstab = "PARTUUID=deadbeef-01 /swap swap sw 0 0\n"
-        actions = build_mount_plan(make_plan(), FIXTURE_TABLE, fstab, emulators=[])
-        assert all("/swap" not in a.target for a in actions)
+        actions = compose_mount_plan(make_plan(), FIXTURE_TABLE, fstab, emulators=[])
+        assert all("/swap" not in a.payload["target"] for a in actions)
 
     def test_relative_mount_point_skipped(self, caplog):
         fstab = "PARTUUID=deadbeef-01 boot vfat defaults 0 2\n"
         with caplog.at_level(logging.WARNING, logger="imgforge.mounts"):
-            actions = build_mount_plan(make_plan(), FIXTURE_TABLE, fstab, emulators=[])
-        assert sum(1 for a in actions if a.kind is MountKind.MOUNT_PARTITION) == 1
+            actions = compose_mount_plan(make_plan(), FIXTURE_TABLE, fstab, emulators=[])
+        assert sum(1 for a in actions if a.kind is ActionKind.MOUNT_PARTITION) == 1
         assert any("not absolute" in r.message for r in caplog.records)
 
     def test_missing_root_partition_raises(self):
         assert FIXTURE_TABLE.entries[2].empty
         with pytest.raises(RootPartitionUnmountable):
-            build_mount_plan(make_plan(partition=3), FIXTURE_TABLE, emulators=[])
+            compose_mount_plan(make_plan(partition=3), FIXTURE_TABLE, emulators=[])
 
     def test_block_device_destination_skips_loop(self):
         plan = make_plan(image="/dev/sdc", block_device=True)
-        actions = build_mount_plan(plan, FIXTURE_TABLE, emulators=[])
-        assert actions[0].kind is MountKind.MOUNT_PARTITION
-        assert actions[0].source == "/dev/sdc2"
-        assert not any(a.kind is MountKind.LOOP_ATTACH for a in actions)
+        actions = compose_mount_plan(plan, FIXTURE_TABLE, emulators=[])
+        assert actions[0].kind is ActionKind.MOUNT_PARTITION
+        assert actions[0].payload["source"] == "/dev/sdc2"
+        assert not any(a.kind is ActionKind.LOOP_ATTACH for a in actions)
 
     def test_all_targets_inside_root_except_attach(self):
-        actions = build_mount_plan(make_plan(), FIXTURE_TABLE, FIXTURE_FSTAB,
+        actions = compose_mount_plan(make_plan(), FIXTURE_TABLE, FIXTURE_FSTAB,
                                    emulators=[EMULATOR])
         for action in actions:
-            if action.kind is MountKind.LOOP_ATTACH:
+            if action.kind is ActionKind.LOOP_ATTACH:
                 continue
-            assert action.target == ROOT_TOKEN or action.target.startswith(ROOT_TOKEN + "/")
+            assert action.payload["target"] == ROOT_TOKEN or action.payload["target"].startswith(ROOT_TOKEN + "/")
 
     def test_custom_root_prefix(self):
-        actions = build_mount_plan(make_plan(), FIXTURE_TABLE, emulators=[],
+        actions = compose_mount_plan(make_plan(), FIXTURE_TABLE, emulators=[],
                                    root="/tmp/build-root")
-        assert actions[1].target == "/tmp/build-root"
-        assert actions[2].target == "/tmp/build-root/dev"
+        assert actions[1].payload["target"] == "/tmp/build-root"
+        assert actions[2].payload["target"] == "/tmp/build-root/dev"
 
 
 class TestDiscoverEmulators:
@@ -272,8 +285,8 @@ class TestDiscoverEmulators:
 # --- teardown properties -----------------------------------------------------
 
 _setup_kind = st.sampled_from([
-    MountKind.LOOP_ATTACH, MountKind.MOUNT_PARTITION,
-    MountKind.BIND_MOUNT, MountKind.COPY_EMULATOR,
+    ActionKind.LOOP_ATTACH, ActionKind.MOUNT_PARTITION,
+    ActionKind.BIND_MOUNT, ActionKind.COPY_EMULATOR,
 ])
 _name = st.text(alphabet="abcdefghij/-", min_size=1, max_size=10)
 
@@ -281,17 +294,14 @@ _name = st.text(alphabet="abcdefghij/-", min_size=1, max_size=10)
 @st.composite
 def setup_plans(draw):
     kinds = draw(st.lists(_setup_kind, max_size=12))
-    return [
-        MountAction(kind=kind, source=draw(_name), target=draw(_name), ordinal=i)
-        for i, kind in enumerate(kinds)
-    ]
+    return [mount_action(kind, draw(_name), draw(_name)) for kind in kinds]
 
 
 _SWAP = {
-    MountKind.LOOP_ATTACH: MountKind.LOOP_DETACH,
-    MountKind.MOUNT_PARTITION: MountKind.UNMOUNT,
-    MountKind.BIND_MOUNT: MountKind.UNMOUNT,
-    MountKind.COPY_EMULATOR: MountKind.REMOVE_EMULATOR,
+    ActionKind.LOOP_ATTACH: ActionKind.LOOP_DETACH,
+    ActionKind.MOUNT_PARTITION: ActionKind.UNMOUNT,
+    ActionKind.BIND_MOUNT: ActionKind.UNMOUNT,
+    ActionKind.COPY_EMULATOR: ActionKind.REMOVE_EMULATOR,
 }
 
 
@@ -299,10 +309,8 @@ _SWAP = {
 def test_teardown_is_reverse_with_kinds_swapped(setup):
     torn = teardown_actions(setup)
     # independent oracle: swap each kind in place, then compare reversed
-    swapped = [
-        MountAction(kind=_SWAP[a.kind], source=a.source, target=a.target, ordinal=a.ordinal)
-        for a in setup
-    ]
+    swapped = [mount_action(_SWAP[a.kind], a.payload["source"], a.payload["target"])
+               for a in setup]
     assert list(reversed(torn)) == swapped
     assert len(torn) == len(setup)
 
@@ -310,25 +318,23 @@ def test_teardown_is_reverse_with_kinds_swapped(setup):
 @given(setup_plans())
 def test_every_setup_action_has_one_counterpart(setup):
     torn = teardown_actions(setup)
-    paired = {(a.ordinal, a.source, a.target) for a in setup}
-    assert {(a.ordinal, a.source, a.target) for a in torn} == paired
+    # pair by position: setup action i is undone by teardown action n-1-i
+    paired = {(i, a.payload["source"], a.payload["target"]) for i, a in enumerate(setup)}
+    assert {(len(torn) - 1 - i, a.payload["source"], a.payload["target"])
+            for i, a in enumerate(torn)} == paired
 
 
 def test_teardown_rejects_non_setup_kinds():
-    action = MountAction(kind=MountKind.UNMOUNT, source="x", target="y", ordinal=0)
+    action = mount_action(ActionKind.UNMOUNT, "x", "y")
     with pytest.raises(ValueError):
         teardown_actions([action])
 
 
 def test_golden_mount_plan_log():
-    from imgforge.executor import Action, ActionKind, DryRunExecutor
-
     plan = make_plan()
-    setup = build_mount_plan(plan, FIXTURE_TABLE, FIXTURE_FSTAB, emulators=[EMULATOR])
+    setup = compose_mount_plan(plan, FIXTURE_TABLE, FIXTURE_FSTAB, emulators=[EMULATOR])
     backend = DryRunExecutor()
     for action in setup + teardown_actions(setup):
-        backend.emit(Action(ActionKind[action.kind.name], {
-            "source": action.source, "target": action.target,
-        }))
+        backend.emit(action)
     golden = Path(__file__).parent / "data" / "mount_plan_golden.log"
     assert backend.render_log() == golden.read_text()

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from imgforge.errors import (
     ConflictingSource,
+    InvalidMode,
     InvalidPartitionIndex,
     MalformedSize,
     MissingSource,
@@ -99,7 +100,6 @@ class TestBuildPlan:
         plan = build_plan(pifile, PlanDefaults(probe=files_probe(tmp_path / "a.img")))
         assert plan.partition_index == 1
         assert plan.destination.path == str(tmp_path / "b.img")
-        assert plan.source.partition_index == 1
 
     def test_url_source(self, tmp_path):
         pifile = pifile_at(tmp_path, "FROM https://example.net/base.img.gz\n")
@@ -160,10 +160,12 @@ class TestBuildPlan:
         with pytest.raises(MalformedSize):
             build_plan(pifile, PlanDefaults(probe=files_probe(tmp_path / "a.img")))
 
-    def test_path_extensions_in_order(self, tmp_path):
-        pifile = pifile_at(tmp_path, "FROM a.img\nPATH /opt/bin\nRUN x\nPATH /extra\n")
-        plan = build_plan(pifile, PlanDefaults(probe=files_probe(tmp_path / "a.img")))
-        assert plan.path_extensions == ["/opt/bin", "/extra"]
+    @pytest.mark.parametrize("mode", ["999", "78", "worldwrite", "77777"])
+    def test_invalid_modes(self, tmp_path, mode):
+        pifile = pifile_at(tmp_path, f"FROM a.img\nINSTALL {mode} x /y\n")
+        with pytest.raises(InvalidMode) as err:
+            build_plan(pifile, PlanDefaults(probe=files_probe(tmp_path / "a.img")))
+        assert err.value.origin.line_no == 2
 
     def test_to_block_device_flag(self, tmp_path):
         def probe(locator):
