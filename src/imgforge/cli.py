@@ -169,7 +169,7 @@ def main(argv: Sequence[str] | None = None, env: Mapping[str, str] | None = None
         if report.image_digest is not None:
             print(render_log("done", f"{plan.destination.path} sha256={report.image_digest}"))
         else:
-            print(render_log("done", f"{report.action_count} actions"))
+            print(render_log("done", f"{len(backend.actions)} actions"))
         return EXIT_OK
     except PifileError as exc:
         _report_error(exc)

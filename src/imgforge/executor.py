@@ -12,7 +12,9 @@ action's payload is all a backend needs to perform it:
   involved.  The command runner is injectable, which is how tests drive
   the privileged paths without privileges.
 
-The pipeline in :func:`execute` is the same for both.  Where a dry run
+The pipeline in :func:`execute` is the same for both.  Each RUN, HOST and
+INSTALL command becomes its action in :func:`command_action`, and a
+nonzero status from a RUN or HOST aborts the build.  Where a dry run
 and a real build differ in what they read, a backend method answers:
 :meth:`Executor.image_to_read` names the image the partition table comes
 from and :meth:`Executor.read_guest_file` reads a file inside the
@@ -53,25 +55,16 @@ from .errors import (
     ShellUnavailable,
     SourceMissing,
 )
-from .pifile import CommandKind, SourceLine, render_command
+from .pifile import Command, CommandKind, SourceLine, render_command
 from .plan import ExecutionPlan, Stage
 
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class GuestEnv:
-    """Execution environment inside the chroot.
-
-    ``path_var`` starts with the Pifile's PATH extensions in declaration
-    order, followed by the host's PATH entries, first occurrence winning.
-    """
-
-    root: str
-    path_var: tuple[str, ...]
-
-
 def compose_guest_path(extensions: Sequence[str], host_path: Sequence[str]) -> tuple[str, ...]:
+    """The guest PATH: the Pifile's PATH extensions in declaration order, then
+    the host's PATH entries; an entry listed twice keeps its first position.
+    """
     seen: dict[str, None] = {}
     for entry in (*extensions, *host_path):
         if entry and entry not in seen:
@@ -229,17 +222,35 @@ class LocalExecutor(Executor):
             return text.replace(mounts_mod.LOOP_TOKEN, self.loop_device)
         return text
 
-    def _require_root(self, what: str) -> None:
+    def _require_root(self, what: str,
+                      error: type[ImgforgeError] = PrivilegeRequired) -> None:
         # an injected runner owns the privilege boundary; only gate the real one
         if self._default_runner and os.geteuid() != 0:
-            raise PrivilegeRequired(f"{what} requires root; re-run with sudo")
+            raise error(f"{what} requires root; re-run with sudo")
+
+    def _run_checked(self, argv: list[str], what: str) -> str:
+        """Run ``argv``; a nonzero status raises IoFailure.  Returns the output."""
+        status, out = self.runner(argv)
+        if status != 0:
+            raise IoFailure(f"{what} failed with status {status}: {out}")
+        return out
+
+    def _run_best_effort(self, argv: list[str]) -> None:
+        status, out = self.runner(argv)
+        if status != 0:
+            # teardown is best effort; a stuck mount must not mask the real error
+            logger.warning("%s failed with status %d: %s", " ".join(argv), status, out)
+
+    def _exec(self, argv: list[str], action: Action, **kw) -> int:
+        """Run a HOST or guest command, streaming its output; returns its status."""
+        status, _ = self.runner(argv, stdin_text=action.payload.get("stdin") or None,
+                                on_output=self.on_output, **kw)
+        return status
 
     def _attach(self, image: str) -> str:
         """Attach ``image`` to a free loop device with partition scanning; returns it."""
-        status, out = self.runner(["losetup", "--find", "--show", "-P", image])
-        if status != 0:
-            raise IoFailure(f"losetup failed for {image}: {out}")
-        return out.strip()
+        return self._run_checked(["losetup", "--find", "--show", "-P", image],
+                                 f"losetup {image}").strip()
 
     # -- file-level actions ---------------------------------------------------
 
@@ -283,11 +294,9 @@ class LocalExecutor(Executor):
         device = self._attach(action.payload["image"])
         try:
             partition = mounts_mod.partition_device(device, int(action.payload["partition"]))
-            status, out = self.runner(["resize2fs", partition])
-            if status != 0:
-                raise IoFailure(f"resize2fs {partition} failed with status {status}: {out}")
+            self._run_checked(["resize2fs", partition], f"resize2fs {partition}")
         finally:
-            self.runner(["losetup", "-d", device])
+            self._run_best_effort(["losetup", "-d", device])
         return 0
 
     def _loop_attach(self, action: Action) -> int:
@@ -299,9 +308,8 @@ class LocalExecutor(Executor):
         self._require_root("mounting a partition")
         target = action.payload["target"]
         os.makedirs(target, exist_ok=True)
-        status, out = self.runner(["mount", self._sub_loop(action.payload["source"]), target])
-        if status != 0:
-            raise IoFailure(f"mount {target} failed with status {status}: {out}")
+        self._run_checked(["mount", self._sub_loop(action.payload["source"]), target],
+                          f"mount {target}")
         return 0
 
     def _bind_mount(self, action: Action) -> int:
@@ -313,9 +321,7 @@ class LocalExecutor(Executor):
         else:
             target.parent.mkdir(parents=True, exist_ok=True)
             target.touch(exist_ok=True)
-        status, out = self.runner(["mount", "--bind", source, str(target)])
-        if status != 0:
-            raise IoFailure(f"bind mount {target} failed with status {status}: {out}")
+        self._run_checked(["mount", "--bind", source, str(target)], f"bind mount {target}")
         return 0
 
     def _copy_emulator(self, action: Action) -> int:
@@ -326,11 +332,7 @@ class LocalExecutor(Executor):
         return 0
 
     def _unmount(self, action: Action) -> int:
-        status, out = self.runner(["umount", action.payload["target"]])
-        if status != 0:
-            # teardown is best effort; a stuck mount must not mask the real error
-            logger.warning("umount %s failed with status %d: %s",
-                           action.payload["target"], status, out)
+        self._run_best_effort(["umount", action.payload["target"]])
         return 0
 
     def _remove_emulator(self, action: Action) -> int:
@@ -339,39 +341,23 @@ class LocalExecutor(Executor):
 
     def _loop_detach(self, action: Action) -> int:
         if self.loop_device is not None:
-            status, out = self.runner(["losetup", "-d", self.loop_device])
-            if status != 0:
-                logger.warning("losetup -d %s failed with status %d: %s",
-                               self.loop_device, status, out)
+            self._run_best_effort(["losetup", "-d", self.loop_device])
             self.loop_device = None
         return 0
 
     # -- command actions --------------------------------------------------------
 
     def _host_exec(self, action: Action) -> int:
-        status, _ = self.runner(
-            ["/bin/sh", "-c", action.payload["command"]],
-            stdin_text=action.payload.get("stdin") or None,
-            cwd=action.payload.get("cwd") or None,
-            on_output=self.on_output,
-        )
-        return status
+        return self._exec(["/bin/sh", "-c", action.payload["command"]], action,
+                          cwd=action.payload.get("cwd") or None)
 
     def _guest_exec(self, action: Action) -> int:
-        if self._default_runner and os.geteuid() != 0:
-            raise ChrootUnavailable(
-                "running guest commands requires root for chroot; re-run with sudo"
-            )
+        self._require_root("running guest commands in a chroot", ChrootUnavailable)
         root = action.payload["root"]
         shell = _guest_shell(root)
         _check_binfmt()
-        status, _ = self.runner(
-            ["chroot", root, shell, "-c", action.payload["command"]],
-            stdin_text=action.payload.get("stdin") or None,
-            env={"PATH": action.payload["path"]},
-            on_output=self.on_output,
-        )
-        return status
+        return self._exec(["chroot", root, shell, "-c", action.payload["command"]], action,
+                          env={"PATH": action.payload["path"]})
 
 
 def _chmod_recursive(path: Path, mode: int) -> None:
@@ -400,53 +386,33 @@ def _check_binfmt() -> None:
 # --- the high-level operations ------------------------------------------------
 
 
-def run_host(cmd: str, executor: Executor, *,
-             origin: SourceLine | None = None, cwd: str = ".",
-             stdin: str | None = None) -> int:
-    """Run a command on the build host under a shell; nonzero status aborts."""
-    action = Action(ActionKind.HOST_EXEC, {
-        "command": cmd,
-        "cwd": cwd,
-        "stdin": stdin or "",
-    })
-    status = executor.emit(action)
-    if status != 0:
-        raise CommandFailed(f"HOST command failed with status {status}: {cmd}",
-                            status=status, origin=origin)
-    return status
+def command_action(command: Command, root: str, guest_path: Sequence[str]) -> Action:
+    """The action a RUN, HOST or INSTALL command becomes.
 
-
-def run_guest(cmd: str, env: GuestEnv, executor: Executor, *,
-              origin: SourceLine | None = None, stdin: str | None = None) -> int:
-    """Run a command inside the guest image via chroot; nonzero status aborts.
-
-    The here-document body, when present, is supplied on standard input.
+    RUN executes in the guest at ``root`` with ``guest_path`` as its PATH,
+    HOST executes in the Pifile's directory, and a relative INSTALL source
+    is anchored there.  A here-document body is the command's standard input.
     """
-    action = Action(ActionKind.GUEST_EXEC, {
-        "command": cmd,
-        "root": env.root,
-        "path": ":".join(env.path_var),
-        "stdin": stdin or "",
-    })
-    status = executor.emit(action)
-    if status != 0:
-        raise CommandFailed(f"RUN command failed with status {status}: {cmd}",
-                            status=status, origin=origin)
-    return status
-
-
-def install_file(src: str | Path, dst: str, mode: str | None, executor: Executor, *,
-                 root: str = mounts_mod.ROOT_TOKEN) -> None:
-    """Copy a host file or directory into the guest, optionally chmodding it.
-
-    ``mode`` is an octal string; ``build_plan`` has already checked it.
-    """
-    executor.emit(Action(ActionKind.COPY_IN, {
-        "src": str(src),
-        "dst": dst,
-        "mode": mode or "",
+    here = command.origin.file.parent
+    if command.kind is CommandKind.RUN:
+        return Action(ActionKind.GUEST_EXEC, {
+            "command": command.args[0],
+            "root": root,
+            "path": ":".join(guest_path),
+            "stdin": command.heredoc or "",
+        })
+    if command.kind is CommandKind.HOST:
+        return Action(ActionKind.HOST_EXEC, {
+            "command": command.args[0],
+            "cwd": str(here),
+            "stdin": command.heredoc or "",
+        })
+    return Action(ActionKind.COPY_IN, {
+        "src": str(here / command.args[-2]),
+        "dst": command.args[-1],
+        "mode": command.args[0] if len(command.args) == 3 else "",
         "root": root,
-    }))
+    })
 
 
 @dataclass
@@ -465,7 +431,6 @@ class RunOptions:
 @dataclass
 class BuildReport:
     stage_durations: dict[str, float]
-    action_count: int
     image_digest: str | None
 
 
@@ -475,13 +440,27 @@ def execute(plan: ExecutionPlan, backend: Executor,
 
     The first failing action aborts the remaining commands but never the
     teardown; the raised error carries the stage and Pifile line it came
-    from.  On success the report holds per-stage durations, the action
-    count, and the SHA-256 of the final image (real backends only).
+    from.  On success the report holds per-stage durations and the SHA-256
+    of the final image (real backends only).  Emulators are resolved once,
+    up front: ``opts.emulators``, else the qemu-*-static binaries on the
+    build environment's PATH; a real build that will enter the guest
+    refuses a named emulator that is not a file before copying anything.
     """
     opts = options or RunOptions()
     env = dict(opts.env) if opts.env is not None else dict(os.environ)
     log = opts.on_log or (lambda stage, origin, message: None)
     real = backend.performs_effects
+    chroot_commands = plan.staged[Stage.CHROOT]
+    # HOST and PATH never touch the guest filesystem; mount only when
+    # something will actually run or copy inside the image
+    needs_guest = any(c.kind in (CommandKind.RUN, CommandKind.INSTALL)
+                      for c in chroot_commands)
+    emulators = (list(opts.emulators) if opts.emulators is not None
+                 else mounts_mod.discover_emulators(env.get("PATH", "")))
+    if real and needs_guest:
+        missing = [e for e in emulators if not os.path.isfile(e)]
+        if missing:
+            raise ChrootUnavailable(f"emulator is not a file: {', '.join(missing)}")
     durations: dict[str, float] = {}
     stage_label = Stage.SETUP.label
 
@@ -517,11 +496,6 @@ def execute(plan: ExecutionPlan, backend: Executor,
         started = time.monotonic()
         stage_label = Stage.CHROOT.label
         log(stage_label, None, "begin")
-        chroot_commands = plan.staged[Stage.CHROOT]
-        # HOST and PATH never touch the guest filesystem; mount only when
-        # something will actually run or copy inside the image
-        needs_guest = any(c.kind in (CommandKind.RUN, CommandKind.INSTALL)
-                          for c in chroot_commands)
         root = mounts_mod.ROOT_TOKEN
         if needs_guest:
             with backend.image_to_read(dest, src_image, name_hint) as image:
@@ -529,7 +503,7 @@ def execute(plan: ExecutionPlan, backend: Executor,
             if real:
                 root = root_dir = tempfile.mkdtemp(prefix="imgforge-root-")
             for action in mounts_mod.base_mount_actions(plan, table, root=root,
-                                                        emulators=opts.emulators):
+                                                        emulators=emulators):
                 backend.emit(action)
                 applied_mounts.append(action)
             fstab_text = backend.read_guest_file(root, "etc/fstab")
@@ -541,29 +515,20 @@ def execute(plan: ExecutionPlan, backend: Executor,
                     backend.emit(action)
                     applied_mounts.append(action)
 
-        if chroot_commands:
-            host_path = [p for p in env.get("PATH", "").split(os.pathsep) if p]
-            extensions: list[str] = []
-            for command in chroot_commands:
-                log(stage_label, command.origin, render_command(command).split("\n")[0])
-                if command.kind is CommandKind.PATH:
-                    extensions.append(command.args[0])
-                    continue
-                if command.kind is CommandKind.RUN:
-                    guest_env = GuestEnv(
-                        root=root, path_var=compose_guest_path(extensions, host_path)
-                    )
-                    run_guest(command.args[0], guest_env, backend,
-                              origin=command.origin, stdin=command.heredoc)
-                elif command.kind is CommandKind.HOST:
-                    run_host(command.args[0], backend, origin=command.origin,
-                             cwd=str(command.origin.file.parent), stdin=command.heredoc)
-                elif command.kind is CommandKind.INSTALL:
-                    src = Path(command.args[-2])
-                    if not src.is_absolute():
-                        src = command.origin.file.parent / src
-                    mode = command.args[0] if len(command.args) == 3 else None
-                    install_file(src, command.args[-1], mode, backend, root=root)
+        host_path = env.get("PATH", "").split(os.pathsep)
+        extensions: list[str] = []
+        guest_path = compose_guest_path(extensions, host_path)
+        for command in chroot_commands:
+            log(stage_label, command.origin, render_command(command).split("\n")[0])
+            if command.kind is CommandKind.PATH:
+                extensions.append(command.args[0])
+                guest_path = compose_guest_path(extensions, host_path)
+                continue
+            status = backend.emit(command_action(command, root, guest_path))
+            if status != 0:
+                raise CommandFailed(
+                    f"{command.kind.value} command failed with status {status}: "
+                    f"{command.args[0]}", status=status, origin=command.origin)
         durations[stage_label] = time.monotonic() - started
     except ImgforgeError as exc:
         if exc.stage is None:
@@ -585,7 +550,6 @@ def execute(plan: ExecutionPlan, backend: Executor,
         digest = _sha256_file(dest)
     return BuildReport(
         stage_durations=durations,
-        action_count=len(backend.actions),
         image_digest=digest,
     )
 

@@ -37,7 +37,6 @@ from .errors import (
     ShortImage,
     UnsupportedDiskLayout,
 )
-from .source import TargetKind
 
 if TYPE_CHECKING:
     from .executor import Executor
@@ -280,14 +279,11 @@ def pump(plan: "ExecutionPlan", executor: "Executor", *,
     would grow into its successor.  ``table_source`` overrides where the
     current table is read from (dry runs read the source image because the
     destination was never materialized); when it is a stream, the check
-    that the partition ends inside the image is skipped.
+    that the partition ends inside the image is skipped.  The destination
+    is never a block device: ``build_plan`` refuses PUMP onto one.
     """
     if plan.pump_bytes <= 0:
         return
-    if plan.destination.kind is TargetKind.BLOCK_DEVICE:
-        raise IsBlockDevice(
-            f"PUMP requested but destination {plan.destination.path} is a fixed-size device"
-        )
     dest = Path(plan.destination.path)
     source = table_source if table_source is not None else dest
     image_bytes = None

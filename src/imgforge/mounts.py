@@ -123,9 +123,8 @@ def map_fstab_device(spec: str, table: PartitionTable) -> int | None:
     return None
 
 
-def discover_emulators(env_path: str | None = None) -> list[str]:
-    """Find static user-mode emulator binaries (qemu-*-static) on the host PATH."""
-    path_var = env_path if env_path is not None else os.environ.get("PATH", "")
+def discover_emulators(path_var: str) -> list[str]:
+    """Find static user-mode emulator binaries (qemu-*-static) on ``path_var``, a PATH value."""
     found: dict[str, str] = {}
     for directory in path_var.split(os.pathsep):
         if not directory:
@@ -155,7 +154,7 @@ def partition_device(base: str, index: int) -> str:
 
 def base_mount_actions(plan: ExecutionPlan, table: PartitionTable, *,
                        root: str = ROOT_TOKEN,
-                       emulators: Sequence[str] | None = None) -> list[Action]:
+                       emulators: Sequence[str]) -> list[Action]:
     """Loop attach, root mount, system binds, resolv.conf, emulator copies."""
     index = plan.partition_index
     if not 1 <= index <= len(table.entries) or table.entries[index - 1].empty:
@@ -178,8 +177,7 @@ def base_mount_actions(plan: ExecutionPlan, table: PartitionTable, *,
     for bind in BIND_SOURCES:
         add(ActionKind.BIND_MOUNT, bind, root + bind)
     add(ActionKind.BIND_MOUNT, RESOLV_CONF, root + RESOLV_CONF)
-    emulator_paths = list(emulators) if emulators is not None else discover_emulators()
-    for emulator in emulator_paths:
+    for emulator in emulators:
         add(ActionKind.COPY_EMULATOR, emulator, f"{root}/{EMULATOR_DIR}/{Path(emulator).name}")
     return actions
 

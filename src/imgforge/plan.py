@@ -64,12 +64,6 @@ _STAGE_BY_KIND: dict[CommandKind, Stage] = {
 
 
 @dataclass
-class PlanDefaults:
-    partition_index: int = DEFAULT_PARTITION_INDEX
-    probe: Callable[[str], SourceKind | None] | None = None  # None = filesystem probe
-
-
-@dataclass
 class ExecutionPlan:
     source: SourceSpec
     destination: TargetSpec
@@ -93,17 +87,19 @@ def assign_stages(pifile: Pifile) -> dict[Stage, list[Command]]:
     return staged
 
 
-def build_plan(pifile: Pifile, defaults: PlanDefaults | None = None) -> ExecutionPlan:
+def build_plan(pifile: Pifile,
+               probe: Callable[[str], SourceKind | None] | None = None) -> ExecutionPlan:
     """Resolve source, destination, growth, and PATH semantics into a plan.
 
     Exactly one resolution root is required: FROM (optionally paired with
     TO) or INPLACE.  A missing TO defaults the destination to
     ``<pifile stem>.img`` next to the Pifile.  Relative source and
     destination paths are anchored at the Pifile's directory.  INSTALL
-    modes are checked here, so a bad one stops the build before any copy.
+    modes are checked here, so a bad one stops the build before any copy,
+    and so is a PUMP onto a block device, which cannot grow.  ``probe``
+    replaces the filesystem probe that classifies paths.
     """
-    defaults = defaults or PlanDefaults()
-    probe = defaults.probe or default_probe
+    probe = probe or default_probe
     staged = assign_stages(pifile)
     setup = staged[Stage.SETUP]
     froms = [c for c in setup if c.kind is CommandKind.FROM]
@@ -127,7 +123,7 @@ def build_plan(pifile: Pifile, defaults: PlanDefaults | None = None) -> Executio
     if inplaces:
         locator = _anchor(inplaces[0].args[0], base_dir)
         kind = classify_source(locator, probe)
-        partition_index = defaults.partition_index
+        partition_index = DEFAULT_PARTITION_INDEX
         source = SourceSpec(kind=kind, locator=locator)
         target_kind = (TargetKind.BLOCK_DEVICE if kind is SourceKind.BLOCK_DEVICE
                        else TargetKind.LOCAL_FILE)
@@ -135,7 +131,7 @@ def build_plan(pifile: Pifile, defaults: PlanDefaults | None = None) -> Executio
         inplace = True
     else:
         from_cmd = froms[0]
-        partition_index = _partition_index(from_cmd, defaults.partition_index)
+        partition_index = _partition_index(from_cmd)
         raw = from_cmd.args[0]
         locator = raw if is_url(raw) else _anchor(raw, base_dir)
         kind = classify_source(locator, probe)
@@ -156,6 +152,9 @@ def build_plan(pifile: Pifile, defaults: PlanDefaults | None = None) -> Executio
         inplace = False
 
     pump_bytes = sum(parse_size(c.args[0]) for c in staged[Stage.PREPARE])
+    if pump_bytes > 0 and destination.kind is TargetKind.BLOCK_DEVICE:
+        raise ConflictingSource(f"PUMP cannot grow the fixed-size device {destination.path}",
+                                origin=staged[Stage.PREPARE][0].origin)
     for command in staged[Stage.CHROOT]:
         if command.kind is CommandKind.INSTALL and len(command.args) == 3:
             mode = command.args[0]
@@ -182,9 +181,9 @@ def _anchor(path_text: str, base_dir: Path) -> str:
     return str(base_dir / p)
 
 
-def _partition_index(from_cmd: Command, fallback: int) -> int:
+def _partition_index(from_cmd: Command) -> int:
     if len(from_cmd.args) < 2:
-        return fallback
+        return DEFAULT_PARTITION_INDEX
     raw = from_cmd.args[1]
     try:
         index = int(raw)
@@ -212,11 +211,6 @@ def validate_plan(plan: ExecutionPlan) -> list[str]:
     chroot = plan.staged[Stage.CHROOT]
     if not chroot:
         warnings.append("no guest modifications: the chroot stage is empty")
-    if plan.pump_bytes > 0 and plan.destination.kind is TargetKind.BLOCK_DEVICE:
-        warnings.append(
-            f"PUMP requested but destination {plan.destination.path} "
-            "is a block device that cannot grow"
-        )
 
     host_texts: list[str] = []
     for command in chroot:
@@ -224,10 +218,7 @@ def validate_plan(plan: ExecutionPlan) -> list[str]:
             host_texts.append(command.args[0])
         elif command.kind is CommandKind.INSTALL:
             src_arg = command.args[-2]
-            src_path = Path(src_arg)
-            if not src_path.is_absolute():
-                src_path = command.origin.file.parent / src_path
-            if src_path.exists():
+            if (command.origin.file.parent / src_arg).exists():
                 continue
             hint = posixpath.dirname(src_arg) or src_arg
             if any(hint in text or src_arg in text for text in host_texts):

@@ -92,13 +92,6 @@ class TargetSpec:
     path: str
 
 
-@dataclass(frozen=True)
-class CacheEntry:
-    key: str
-    stored_path: Path
-    fetched_at: float
-
-
 def is_url(locator: str) -> bool:
     return urllib.parse.urlsplit(locator).scheme in URL_SCHEMES
 
@@ -203,21 +196,6 @@ def fetch_to_cache(url: str, cache_dir: str | Path, fetcher: Fetcher | None = No
         )
     logger.info("fetched %s (%d bytes)", url, image.stat().st_size)
     return image
-
-
-def read_cache_entry(cache_dir: str | Path, url: str) -> CacheEntry | None:
-    """Look up a cache entry without fetching; None when absent."""
-    entry_dir = Path(cache_dir) / cache_key(url)
-    image = entry_dir / "image"
-    if not image.is_file():
-        return None
-    fetched_at = 0.0
-    meta = entry_dir / "meta"
-    if meta.is_file():
-        for line in meta.read_text().splitlines():
-            if line.startswith("fetched_at="):
-                fetched_at = float(line.split("=", 1)[1])
-    return CacheEntry(key=cache_key(url), stored_path=image, fetched_at=fetched_at)
 
 
 def _packing(name: str) -> str | None:

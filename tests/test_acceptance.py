@@ -31,8 +31,8 @@ from imgforge.image import (
 )
 from imgforge.mounts import base_mount_actions, fstab_mount_actions, teardown_actions
 from imgforge.pifile import CommandKind, parse_pifile, parse_pifile_text, render_pifile
-from imgforge.plan import PlanDefaults, Stage, assign_stages, build_plan
-from imgforge.source import SourceKind, fetch_to_cache, read_cache_entry
+from imgforge.plan import Stage, assign_stages, build_plan
+from imgforge.source import SourceKind, cache_key, fetch_to_cache
 
 ENV = {"PATH": "/usr/bin:/bin"}
 EMULATOR = "/usr/bin/qemu-arm-static"
@@ -84,7 +84,7 @@ def test_criterion_2_pump_arithmetic(tmp_path):
     middle_before = hashlib.sha256(image.read_bytes()[512:]).hexdigest()
     pifile = parse_pifile_text(
         "INPLACE disk.img\nPUMP 16M\n", {}, source_path=tmp_path / "grow.Pifile")
-    plan = build_plan(pifile, PlanDefaults(probe=lambda loc: SourceKind.LOCAL_FILE))
+    plan = build_plan(pifile, lambda loc: SourceKind.LOCAL_FILE)
     backend = LocalExecutor(runner=lambda argv, **kw: (0, ""))
 
     started = time.monotonic()
@@ -108,7 +108,7 @@ def test_criterion_4_mount_plan_golden(tmp_path):
     table = read_partition_table(mbr_oracle.write_image(tmp_path / "disk.img"))
     pifile = parse_pifile_text("INPLACE disk.img\n", {},
                                source_path=Path("golden.Pifile"))
-    plan = build_plan(pifile, PlanDefaults(probe=lambda loc: SourceKind.LOCAL_FILE))
+    plan = build_plan(pifile, lambda loc: SourceKind.LOCAL_FILE)
     fstab = (
         "PARTUUID=deadbeef-01 /boot vfat defaults 0 2\n"
         "PARTUUID=deadbeef-02 / ext4 defaults 0 1\n"
@@ -144,7 +144,7 @@ def test_criterion_5_cache_property(tmp_path):
     bad_url = "https://example.net/other.img"
     with pytest.raises(FetchFailed):
         fetch_to_cache(bad_url, tmp_path / "cache", failing)
-    assert read_cache_entry(tmp_path / "cache", bad_url) is None
+    assert not (tmp_path / "cache" / cache_key(bad_url) / "image").exists()
 
 
 # --- criterion 6: randomized round-trip properties, >= 1000 cases each --------
@@ -229,12 +229,9 @@ def test_criterion_7_failure_semantics(tmp_path):
 def test_criterion_8_pump_safety(tmp_path):
     image = mbr_oracle.write_image(tmp_path / "disk.img")
     digest_before = sha256(image)
-    pifile = parse_pifile_text(
-        "INPLACE disk.img\nPUMP 16M\n", {}, source_path=tmp_path / "unsafe.Pifile")
-    plan = build_plan(pifile, PlanDefaults(
-        partition_index=1,  # boot: partition 2 starts after it
-        probe=lambda loc: SourceKind.LOCAL_FILE,
-    ))
+    pifile = parse_pifile_text(  # partition 1 is boot: partition 2 starts after it
+        "FROM disk.img 1\nTO disk.img\nPUMP 16M\n", {}, source_path=tmp_path / "unsafe.Pifile")
+    plan = build_plan(pifile, lambda loc: SourceKind.LOCAL_FILE)
 
     with pytest.raises(PartitionNotLast):
         pump(plan, LocalExecutor(runner=lambda argv, **kw: (0, "")))

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import imgforge.plan as plan_mod
 import mbr_oracle
 from imgforge.cli import main, render_log
 from imgforge.errors import ChrootUnavailable
@@ -33,6 +34,15 @@ class NoChroot(DryRunExecutor):
         if action.kind is ActionKind.GUEST_EXEC:
             raise ChrootUnavailable("running guest commands requires root")
         return 0
+
+
+def fake_device_probe(locator):
+    """Filesystem probe that also sees a block device at /dev/fake."""
+    if locator == "/dev/fake":
+        return SourceKind.BLOCK_DEVICE
+    if Path(locator).is_file():
+        return SourceKind.LOCAL_FILE
+    return None
 
 
 def write_fixture(tmp_path, name="example.Pifile",
@@ -74,6 +84,15 @@ class TestExitCodes:
                     executor_factory=lambda cfg: LocalExecutor(runner=lambda argv, **kw: (0, "")))
         assert code == 1
         assert "octal" in capsys.readouterr().err
+        assert not (tmp_path / "out.img").exists()
+
+    def test_missing_emulator_is_exit_3_before_any_copy(self, tmp_path, capsys):
+        pifile = write_fixture(
+            tmp_path, text="FROM base.img\nTO out.img\nPUMP 1M\nRUN x\n")
+        code = main(["--emulator", str(tmp_path / "nonexistent"), str(pifile)], ENV,
+                    executor_factory=lambda cfg: LocalExecutor(runner=lambda argv, **kw: (0, "")))
+        assert code == 3
+        assert "nonexistent" in capsys.readouterr().err
         assert not (tmp_path / "out.img").exists()
 
     def test_command_failure_is_exit_2(self, tmp_path, capsys):
@@ -165,37 +184,41 @@ class TestDryRun:
         assert code == 0  # offline run succeeded purely from the prewarmed cache
 
     def test_device_destination_needs_confirmation(self, tmp_path, capsys, monkeypatch):
-        import imgforge.plan as plan_mod
-
-        def fake_probe(locator):
-            if locator == "/dev/fake":
-                return SourceKind.BLOCK_DEVICE
-            if Path(locator).is_file():
-                return SourceKind.LOCAL_FILE
-            return None
-
-        monkeypatch.setattr(plan_mod, "default_probe", fake_probe)
+        monkeypatch.setattr(plan_mod, "default_probe", fake_device_probe)
         pifile = write_fixture(tmp_path, text="FROM base.img\nTO /dev/fake\n")
         code = main([str(pifile)], ENV)
         assert code == 1
         assert "--inplace-device" in capsys.readouterr().err
 
     def test_device_destination_confirmed_dry_run(self, tmp_path, monkeypatch):
-        import imgforge.plan as plan_mod
-
-        def fake_probe(locator):
-            if locator == "/dev/fake":
-                return SourceKind.BLOCK_DEVICE
-            if Path(locator).is_file():
-                return SourceKind.LOCAL_FILE
-            return None
-
-        monkeypatch.setattr(plan_mod, "default_probe", fake_probe)
+        monkeypatch.setattr(plan_mod, "default_probe", fake_device_probe)
         pifile = write_fixture(tmp_path, text="FROM base.img\nTO /dev/fake\n")
         log = tmp_path / "plan.log"
         code = main(["--inplace-device", "--dry-run", str(log), str(pifile)], ENV)
         assert code == 0
         assert "DEVICE_WRITE" in log.read_text()
+
+
+    def test_pump_onto_device_is_exit_1_before_any_write(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(plan_mod, "default_probe", fake_device_probe)
+        pifile = write_fixture(tmp_path, text="FROM base.img\nTO /dev/fake\nPUMP 1M\n")
+        log = tmp_path / "plan.log"
+        code = main(["--inplace-device", "--dry-run", str(log), str(pifile)], ENV)
+        assert code == 1
+        assert f"{pifile}:3" in capsys.readouterr().err
+        assert not log.exists()
+
+    def test_emulator_found_on_build_path(self, tmp_path):
+        bindir = tmp_path / "qemu-bin"
+        bindir.mkdir()
+        emulator = bindir / "qemu-arm-static"
+        emulator.write_bytes(b"\x7fELF")
+        emulator.chmod(0o755)
+        pifile = write_fixture(tmp_path, text="FROM base.img\nRUN x\n")
+        log = tmp_path / "plan.log"
+        env = {"PATH": f"{bindir}:{ENV['PATH']}"}
+        assert main(["--dry-run", str(log), str(pifile)], env) == 0
+        assert f"COPY_EMULATOR\tsource={emulator}\t" in log.read_text()
 
 
 class TestLogging:

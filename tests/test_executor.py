@@ -12,16 +12,13 @@ from imgforge.executor import (
     Action,
     ActionKind,
     DryRunExecutor,
-    GuestEnv,
     LocalExecutor,
     RunOptions,
     _sha256_file,
+    command_action,
     compose_guest_path,
     execute,
-    install_file,
     render_action,
-    run_guest,
-    run_host,
     serialize_actions,
 )
 from imgforge.pifile import parse_pifile_text
@@ -38,8 +35,18 @@ def make_plan(tmp_path, text, name="build.Pifile", env=None):
     return build_plan(pifile)
 
 
-def guest_env(root="<root>", extensions=(), host=("/usr/bin", "/bin")):
-    return GuestEnv(root=root, path_var=compose_guest_path(list(extensions), list(host)))
+def emit_command(backend, text, *, pifile=Path("x.Pifile"), root="<root>", extensions=(),
+                 host=("/usr/bin", "/bin")):
+    """Emit the action of the one command in ``text``, a Pifile at ``pifile``."""
+    command = parse_pifile_text(text, {}, source_path=pifile).commands[0]
+    guest_path = compose_guest_path(list(extensions), list(host))
+    return backend.emit(command_action(command, root, guest_path))
+
+
+def run_pifile(tmp_path, text, backend):
+    """Execute ``text`` against a fixture ``base.img`` beside it."""
+    mbr_oracle.write_image(tmp_path / "base.img")
+    execute(make_plan(tmp_path, text), backend, RunOptions(env=FIXED_ENV, emulators=[]))
 
 
 class ScriptedExecutor(DryRunExecutor):
@@ -89,35 +96,36 @@ class TestGuestPath:
 class TestRunHost:
     def test_success_on_real_shell(self):
         backend = LocalExecutor()
-        assert run_host("true", backend) == 0
+        assert emit_command(backend, "HOST true") == 0
 
-    def test_failure_raises_with_status(self):
+    def test_failure_raises_with_status(self, tmp_path):
         backend = LocalExecutor()
+        assert emit_command(backend, "HOST false") == 1
         with pytest.raises(CommandFailed) as err:
-            run_host("false", backend)
+            run_pifile(tmp_path, "INPLACE base.img\nHOST false\n", backend)
         assert err.value.status == 1
 
     def test_output_streams_to_callback(self):
         lines = []
         backend = LocalExecutor(on_output=lines.append)
-        run_host("echo hello; echo world", backend)
+        emit_command(backend, "HOST echo hello; echo world")
         assert lines == ["hello", "world"]
 
     def test_heredoc_reaches_stdin(self):
         lines = []
         backend = LocalExecutor(on_output=lines.append)
-        run_host("cat", backend, stdin="from-heredoc\n")
+        emit_command(backend, "HOST cat << EOF\nfrom-heredoc\nEOF\n")
         assert lines == ["from-heredoc"]
 
     def test_runs_in_given_cwd(self, tmp_path):
         lines = []
         backend = LocalExecutor(on_output=lines.append)
-        run_host("pwd", backend, cwd=str(tmp_path))
+        emit_command(backend, "HOST pwd", pifile=tmp_path / "x.Pifile")
         assert lines == [str(tmp_path)]
 
     def test_dry_run_records_payload(self):
         backend = DryRunExecutor()
-        run_host("make dtnd", backend, cwd=".")
+        emit_command(backend, "HOST make dtnd")
         action = backend.actions[0]
         assert action.kind is ActionKind.HOST_EXEC
         assert action.payload["command"] == "make dtnd"
@@ -127,7 +135,7 @@ class TestRunHost:
 class TestRunGuest:
     def test_records_exact_command_string(self):
         backend = DryRunExecutor()
-        run_guest("raspi-config nonint do_serial 0", guest_env(), backend)
+        emit_command(backend, "RUN raspi-config nonint do_serial 0")
         action = backend.actions[0]
         assert action.kind is ActionKind.GUEST_EXEC
         assert action.payload["command"] == "raspi-config nonint do_serial 0"
@@ -135,26 +143,23 @@ class TestRunGuest:
     def test_env_prefix_passes_verbatim(self):
         backend = DryRunExecutor()
         cmd = "DEBIAN_FRONTEND=noninteractive apt-get dist-upgrade -y"
-        run_guest(cmd, guest_env(), backend)
+        emit_command(backend, f"RUN {cmd}")
         assert backend.actions[0].payload["command"] == cmd
 
     def test_path_extension_leads_path_var(self):
         backend = DryRunExecutor()
-        run_guest("x", guest_env(extensions=["/opt/bin"]), backend)
+        emit_command(backend, "RUN x", extensions=["/opt/bin"])
         assert backend.actions[0].payload["path"].startswith("/opt/bin:")
 
     def test_heredoc_lands_in_payload(self):
         backend = DryRunExecutor()
-        run_guest("tee /etc/x", guest_env(), backend, stdin="a\nb\n")
+        emit_command(backend, "RUN tee /etc/x << EOF\na\nb\nEOF\n")
         assert backend.actions[0].payload["stdin"] == "a\nb\n"
 
     def test_failure_aborts_with_origin(self, tmp_path):
-        from imgforge.pifile import SourceLine
-
         backend = ScriptedExecutor(fail_guest_exec_number=1)
-        origin = SourceLine(tmp_path / "x.Pifile", 7, "RUN boom")
         with pytest.raises(CommandFailed) as err:
-            run_guest("boom", guest_env(), backend, origin=origin)
+            run_pifile(tmp_path, "INPLACE base.img\n" + "\n" * 5 + "RUN boom\n", backend)
         assert err.value.status == 1
         assert err.value.origin.line_no == 7
 
@@ -162,7 +167,7 @@ class TestRunGuest:
 class TestInstallFile:
     def test_mode_recorded(self):
         backend = DryRunExecutor()
-        install_file("id_ed25519.pub", "/root/.ssh/authorized_keys", "700", backend)
+        emit_command(backend, "INSTALL 700 id_ed25519.pub /root/.ssh/authorized_keys")
         action = backend.actions[0]
         assert action.kind is ActionKind.COPY_IN
         assert action.payload["mode"] == "700"
@@ -173,7 +178,7 @@ class TestInstallFile:
         src.chmod(0o640)
         root = tmp_path / "root"
         backend = LocalExecutor(runner=lambda argv, **kw: (0, ""))
-        install_file(src, "/etc/a.conf", None, backend, root=str(root))
+        emit_command(backend, f"INSTALL {src} /etc/a.conf", root=str(root))
         installed = root / "etc/a.conf"
         assert installed.read_text() == "x=1\n"
         assert installed.stat().st_mode & 0o777 == 0o640
@@ -183,7 +188,7 @@ class TestInstallFile:
         src.write_text("#!/bin/sh\n")
         root = tmp_path / "root"
         backend = LocalExecutor(runner=lambda argv, **kw: (0, ""))
-        install_file(src, "/usr/local/bin/tool", "755", backend, root=str(root))
+        emit_command(backend, f"INSTALL 755 {src} /usr/local/bin/tool", root=str(root))
         assert (root / "usr/local/bin/tool").stat().st_mode & 0o777 == 0o755
 
     def test_directory_copied_recursively(self, tmp_path):
@@ -192,18 +197,28 @@ class TestInstallFile:
         (src / "sub" / "x.conf").write_text("1")
         root = tmp_path / "root"
         backend = LocalExecutor(runner=lambda argv, **kw: (0, ""))
-        install_file(src, "/etc/conf.d", None, backend, root=str(root))
+        emit_command(backend, f"INSTALL {src} /etc/conf.d", root=str(root))
         assert (root / "etc/conf.d/sub/x.conf").read_text() == "1"
+
+    def test_relative_source_anchored_at_pifile(self, tmp_path):
+        (tmp_path / "files").mkdir()
+        (tmp_path / "files" / "motd").write_text("hi\n")
+        root = tmp_path / "root"
+        backend = LocalExecutor(runner=lambda argv, **kw: (0, ""))
+        emit_command(backend, "INSTALL files/motd /etc/motd",
+                     pifile=tmp_path / "x.Pifile", root=str(root))
+        assert backend.actions[0].payload["src"] == str(tmp_path / "files" / "motd")
+        assert (root / "etc/motd").read_text() == "hi\n"
 
     def test_missing_source_fails_on_real_backend(self, tmp_path):
         backend = LocalExecutor(runner=lambda argv, **kw: (0, ""))
         with pytest.raises(SourceMissing):
-            install_file(tmp_path / "ghost", "/etc/ghost", None, backend,
+            emit_command(backend, f"INSTALL {tmp_path / 'ghost'} /etc/ghost",
                          root=str(tmp_path / "root"))
 
     def test_missing_source_fine_in_dry_run(self):
         backend = DryRunExecutor()
-        install_file("built-later", "/usr/bin/tool", None, backend)
+        emit_command(backend, "INSTALL built-later /usr/bin/tool")
         assert backend.actions[0].payload["src"] == "built-later"
 
 
@@ -285,8 +300,8 @@ class TestLocalBackendCommands:
         (root / "bin" / "sh").write_text("")
         runner = RecordingRunner()
         backend = LocalExecutor(runner=runner)
-        env = guest_env(root=str(root), extensions=["/opt/bin"])
-        run_guest("uname -a", env, backend, stdin="body\n")
+        emit_command(backend, "RUN uname -a << EOF\nbody\nEOF\n", root=str(root),
+                     extensions=["/opt/bin"])
         argv, kwargs = runner.calls[0]
         assert argv == ["chroot", str(root), "/bin/sh", "-c", "uname -a"]
         assert kwargs["env"]["PATH"] == "/opt/bin:/usr/bin:/bin"
@@ -298,7 +313,7 @@ class TestLocalBackendCommands:
         (root / "bin" / "bash").write_text("")
         runner = RecordingRunner()
         backend = LocalExecutor(runner=runner)
-        run_guest("true", guest_env(root=str(root)), backend)
+        emit_command(backend, "RUN true", root=str(root))
         assert runner.calls[0][0][2] == "/bin/bash"
 
     def test_guest_without_shell_is_environment_problem(self, tmp_path):
@@ -308,7 +323,7 @@ class TestLocalBackendCommands:
         root.mkdir()
         backend = LocalExecutor(runner=RecordingRunner())
         with pytest.raises(ShellUnavailable):
-            run_guest("true", guest_env(root=str(root)), backend)
+            emit_command(backend, "RUN true", root=str(root))
 
     def test_unmount_failure_is_best_effort(self, tmp_path):
         def failing_umount(argv, **kwargs):
@@ -429,10 +444,9 @@ class TestExecutePipeline:
         self._fixture(tmp_path, monkeypatch)
         plan = make_plan(tmp_path, "FROM base.img\n")
         backend = DryRunExecutor()
-        report = execute(plan, backend, RunOptions(env=FIXED_ENV, emulators=[]))
+        execute(plan, backend, RunOptions(env=FIXED_ENV, emulators=[]))
         kinds = [a.kind for a in backend.actions]
         assert kinds == [ActionKind.COPY_IMAGE]
-        assert report.action_count == 1
 
     def test_real_backend_copies_and_pumps(self, tmp_path, monkeypatch):
         self._fixture(tmp_path, monkeypatch)
@@ -456,6 +470,10 @@ class TestExecutePipeline:
         with pytest.raises(CommandFailed) as err:
             execute(plan, backend, RunOptions(env=FIXED_ENV, emulators=[EMULATOR]))
         assert err.value.stage == "chroot"
+        assert err.value.status == 1
+        assert err.value.origin.line_no == 5
+        assert err.value.args[0] == (
+            "RUN command failed with status 1: DEBIAN_FRONTEND=noninteractive apt-get update")
         kinds = [a.kind for a in backend.actions]
         # the failed command is the last non-teardown record
         assert kinds.count(ActionKind.GUEST_EXEC) == 2
@@ -478,8 +496,11 @@ class TestExecutePipeline:
         plan = make_plan(
             tmp_path, "FROM base.img\nRUN ok\nHOST false\nRUN never\n")
         backend = FailingHost()
-        with pytest.raises(CommandFailed):
+        with pytest.raises(CommandFailed) as err:
             execute(plan, backend, RunOptions(env=FIXED_ENV, emulators=[EMULATOR]))
+        assert err.value.status == 1
+        assert err.value.origin.line_no == 3
+        assert err.value.args[0] == "HOST command failed with status 1: false"
         kinds = [a.kind for a in backend.actions]
         assert kinds.count(ActionKind.GUEST_EXEC) == 1  # the RUN after HOST aborted
         assert kinds[-1] is ActionKind.LOOP_DETACH  # teardown still ran

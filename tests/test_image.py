@@ -30,7 +30,7 @@ from imgforge.image import (
     write_partition_table,
 )
 from imgforge.pifile import parse_pifile_text
-from imgforge.plan import PlanDefaults, build_plan
+from imgforge.plan import build_plan
 from imgforge.source import SourceKind
 
 
@@ -39,11 +39,9 @@ def sha256(path):
 
 
 def plan_for(tmp_path, image, pump_spec="16M", partition=2):
-    text = f"INPLACE {image.name}\nPUMP {pump_spec}\n"
+    text = f"FROM {image.name} {partition}\nTO {image.name}\nPUMP {pump_spec}\n"
     pifile = parse_pifile_text(text, {}, source_path=tmp_path / "grow.Pifile")
-    defaults = PlanDefaults(partition_index=partition,
-                            probe=lambda loc: SourceKind.LOCAL_FILE)
-    return build_plan(pifile, defaults)
+    return build_plan(pifile, lambda loc: SourceKind.LOCAL_FILE)
 
 
 def stub_runner(argv, **kwargs):

@@ -20,7 +20,7 @@ from imgforge.mounts import (
     teardown_actions,
 )
 from imgforge.pifile import parse_pifile_text
-from imgforge.plan import PlanDefaults, build_plan
+from imgforge.plan import build_plan
 from imgforge.source import SourceKind
 
 EMULATOR = "/usr/bin/qemu-arm-static"
@@ -43,10 +43,10 @@ def make_plan(partition=2, image="disk.img", block_device=False):
     kind = SourceKind.BLOCK_DEVICE if block_device else SourceKind.LOCAL_FILE
     text = f"INPLACE {image}\n" if partition == 2 else f"FROM {image} {partition}\n"
     pifile = parse_pifile_text(text, {}, source_path=Path("golden.Pifile"))
-    return build_plan(pifile, PlanDefaults(probe=lambda loc: kind))
+    return build_plan(pifile, lambda loc: kind)
 
 
-def compose_mount_plan(plan, table, guest_fstab=None, *, root=ROOT_TOKEN, emulators=None):
+def compose_mount_plan(plan, table, guest_fstab=None, *, emulators, root=ROOT_TOKEN):
     """Setup actions composed the way execute() composes them."""
     actions = base_mount_actions(plan, table, root=root, emulators=emulators)
     if guest_fstab is not None:

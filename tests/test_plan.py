@@ -14,7 +14,6 @@ from imgforge.errors import (
 )
 from imgforge.pifile import CommandKind, parse_pifile_text
 from imgforge.plan import (
-    PlanDefaults,
     Stage,
     assign_stages,
     build_plan,
@@ -82,7 +81,7 @@ class TestAssignStages:
 class TestBuildPlan:
     def test_default_destination_named_after_pifile(self, tmp_path):
         pifile = pifile_at(tmp_path, "FROM base.img\n")
-        plan = build_plan(pifile, PlanDefaults(probe=files_probe(tmp_path / "base.img")))
+        plan = build_plan(pifile, files_probe(tmp_path / "base.img"))
         assert plan.destination.path == str(tmp_path / "example.img")
         assert plan.destination.kind is TargetKind.LOCAL_FILE
         assert plan.inplace is False
@@ -90,27 +89,27 @@ class TestBuildPlan:
 
     def test_inplace(self, tmp_path):
         pifile = pifile_at(tmp_path, "INPLACE x.img\n")
-        plan = build_plan(pifile, PlanDefaults(probe=files_probe(tmp_path / "x.img")))
+        plan = build_plan(pifile, files_probe(tmp_path / "x.img"))
         assert plan.source.locator == str(tmp_path / "x.img")
         assert plan.destination.path == plan.source.locator
         assert plan.inplace is True
 
     def test_from_partition_and_to(self, tmp_path):
         pifile = pifile_at(tmp_path, "FROM a.img 1\nTO b.img\n")
-        plan = build_plan(pifile, PlanDefaults(probe=files_probe(tmp_path / "a.img")))
+        plan = build_plan(pifile, files_probe(tmp_path / "a.img"))
         assert plan.partition_index == 1
         assert plan.destination.path == str(tmp_path / "b.img")
 
     def test_url_source(self, tmp_path):
         pifile = pifile_at(tmp_path, "FROM https://example.net/base.img.gz\n")
-        plan = build_plan(pifile, PlanDefaults(probe=files_probe()))
+        plan = build_plan(pifile, files_probe())
         assert plan.source.kind is SourceKind.URL
         assert plan.source.locator == "https://example.net/base.img.gz"
 
     def test_absolute_paths_unchanged(self, tmp_path):
         img = tmp_path / "elsewhere" / "a.img"
         pifile = pifile_at(tmp_path, f"FROM {img}\n")
-        plan = build_plan(pifile, PlanDefaults(probe=files_probe(img)))
+        plan = build_plan(pifile, files_probe(img))
         assert plan.source.locator == str(img)
 
     def test_missing_source(self, tmp_path):
@@ -135,7 +134,7 @@ class TestBuildPlan:
     def test_multiple_to_last_wins_with_warning(self, tmp_path, caplog):
         pifile = pifile_at(tmp_path, "FROM a.img\nTO first.img\nTO second.img\n")
         with caplog.at_level(logging.WARNING, logger="imgforge.plan"):
-            plan = build_plan(pifile, PlanDefaults(probe=files_probe(tmp_path / "a.img")))
+            plan = build_plan(pifile, files_probe(tmp_path / "a.img"))
         assert plan.destination.path == str(tmp_path / "second.img")
         assert any("multiple TO" in r.message for r in caplog.records)
 
@@ -143,28 +142,28 @@ class TestBuildPlan:
     def test_invalid_partition_index(self, tmp_path, index):
         pifile = pifile_at(tmp_path, f"FROM a.img {index}\n")
         with pytest.raises(InvalidPartitionIndex):
-            build_plan(pifile, PlanDefaults(probe=files_probe(tmp_path / "a.img")))
+            build_plan(pifile, files_probe(tmp_path / "a.img"))
 
     def test_source_must_exist(self, tmp_path):
         pifile = pifile_at(tmp_path, "FROM nowhere.img\n")
         with pytest.raises(SourceNotFound):
-            build_plan(pifile, PlanDefaults(probe=files_probe()))
+            build_plan(pifile, files_probe())
 
     def test_pump_amounts_sum(self, tmp_path):
         pifile = pifile_at(tmp_path, "FROM a.img\nPUMP 1M\nPUMP 512\nPUMP 1k\n")
-        plan = build_plan(pifile, PlanDefaults(probe=files_probe(tmp_path / "a.img")))
+        plan = build_plan(pifile, files_probe(tmp_path / "a.img"))
         assert plan.pump_bytes == 1048576 + 512 + 1024
 
     def test_malformed_pump_surfaces(self, tmp_path):
         pifile = pifile_at(tmp_path, "FROM a.img\nPUMP huge\n")
         with pytest.raises(MalformedSize):
-            build_plan(pifile, PlanDefaults(probe=files_probe(tmp_path / "a.img")))
+            build_plan(pifile, files_probe(tmp_path / "a.img"))
 
     @pytest.mark.parametrize("mode", ["999", "78", "worldwrite", "77777"])
     def test_invalid_modes(self, tmp_path, mode):
         pifile = pifile_at(tmp_path, f"FROM a.img\nINSTALL {mode} x /y\n")
         with pytest.raises(InvalidMode) as err:
-            build_plan(pifile, PlanDefaults(probe=files_probe(tmp_path / "a.img")))
+            build_plan(pifile, files_probe(tmp_path / "a.img"))
         assert err.value.origin.line_no == 2
 
     def test_to_block_device_flag(self, tmp_path):
@@ -176,21 +175,33 @@ class TestBuildPlan:
             return None
 
         pifile = pifile_at(tmp_path, "FROM a.img\nTO /dev/sdc\n")
-        plan = build_plan(pifile, PlanDefaults(probe=probe))
+        plan = build_plan(pifile, probe)
         assert plan.destination.kind is TargetKind.BLOCK_DEVICE
         assert plan.destination.path == "/dev/sdc"
 
+    def test_pump_onto_block_device_is_refused(self, tmp_path):
+        def probe(locator):
+            return (SourceKind.BLOCK_DEVICE if locator == "/dev/sdc"
+                    else SourceKind.LOCAL_FILE)
+
+        for setup in ("INPLACE /dev/sdc\n", "FROM a.img\nTO /dev/sdc\n"):
+            pifile = pifile_at(tmp_path, f"{setup}RUN x\nPUMP 1M\nPUMP 1M\n")
+            with pytest.raises(ConflictingSource) as err:
+                build_plan(pifile, probe)
+            assert "/dev/sdc" in err.value.args[0]
+            assert err.value.origin.line_no == setup.count("\n") + 2
+
     def test_build_plan_idempotent(self, tmp_path):
         pifile = pifile_at(tmp_path, "FROM a.img\nPUMP 1M\nRUN x\n")
-        defaults = PlanDefaults(probe=files_probe(tmp_path / "a.img"))
-        assert build_plan(pifile, defaults) == build_plan(pifile, defaults)
+        probe = files_probe(tmp_path / "a.img")
+        assert build_plan(pifile, probe) == build_plan(pifile, probe)
 
 
 class TestValidatePlan:
     def _plan(self, tmp_path, text, extra_files=()):
         pifile = pifile_at(tmp_path, text)
         probe = files_probe(tmp_path / "a.img", *extra_files)
-        return build_plan(pifile, PlanDefaults(probe=probe))
+        return build_plan(pifile, probe)
 
     def test_no_chroot_commands_warns(self, tmp_path):
         plan = self._plan(tmp_path, "FROM a.img\n")
@@ -226,14 +237,6 @@ class TestValidatePlan:
         warnings = validate_plan(self._plan(tmp_path, text))
         assert any("does not exist: out.bin" in w for w in warnings)
 
-    def test_pump_onto_block_device_warns(self, tmp_path):
-        def probe(locator):
-            return (SourceKind.BLOCK_DEVICE if locator == "/dev/sdc"
-                    else SourceKind.LOCAL_FILE)
-
-        pifile = pifile_at(tmp_path, "INPLACE /dev/sdc\nPUMP 1M\nRUN x\n")
-        plan = build_plan(pifile, PlanDefaults(probe=probe))
-        assert any("block device" in w for w in validate_plan(plan))
 
 
 # --- staging properties -------------------------------------------------------

@@ -19,7 +19,7 @@ from imgforge.errors import (
 )
 from imgforge.executor import ActionKind, DryRunExecutor
 from imgforge.pifile import parse_pifile_text
-from imgforge.plan import PlanDefaults, build_plan
+from imgforge.plan import build_plan
 from imgforge.source import (
     SourceKind,
     cache_key,
@@ -27,7 +27,6 @@ from imgforge.source import (
     extract_image,
     fetch_to_cache,
     materialize_destination,
-    read_cache_entry,
     write_to_device,
 )
 
@@ -89,7 +88,7 @@ class TestFetchToCache:
 
         with pytest.raises(FetchFailed):
             fetch_to_cache("https://host/base.img", tmp_path, failing)
-        assert read_cache_entry(tmp_path, "https://host/base.img") is None
+        assert not (tmp_path / cache_key("https://host/base.img") / "image").exists()
         leftovers = [p for p in tmp_path.rglob("*") if p.is_file() and p.suffix != ".lock"]
         assert leftovers == []
 
@@ -273,7 +272,7 @@ class TestExtractImage:
 class TestMaterializeDestination:
     def _plan(self, tmp_path, text, probe):
         pifile = parse_pifile_text(text, {}, source_path=tmp_path / "m.Pifile")
-        return build_plan(pifile, PlanDefaults(probe=probe))
+        return build_plan(pifile, probe)
 
     def test_copy_is_byte_identical(self, tmp_path):
         from imgforge.executor import LocalExecutor
