@@ -121,8 +121,6 @@ def main(argv: Sequence[str] | None = None, env: Mapping[str, str] | None = None
         return EXIT_OK if exc.code in (0, None) else EXIT_PIFILE
 
     environment = dict(os.environ if env is None else env)
-    backend: Executor | None = None
-    config: CliConfig | None = None
     try:
         config = CliConfig(
             pifile=Path(ns.pifile),
@@ -136,6 +134,8 @@ def main(argv: Sequence[str] | None = None, env: Mapping[str, str] | None = None
             verbosity=ns.verbose - ns.quiet,
         )
         _configure_logging(config.verbosity)
+        if config.dry_run is not None and not config.dry_run.parent.is_dir():
+            raise PifileError(f"directory of the dry-run log does not exist: {config.dry_run}")
         environment.update(config.env_overrides)
 
         pifile = parse_pifile(config.pifile, environment)
@@ -165,7 +165,11 @@ def main(argv: Sequence[str] | None = None, env: Mapping[str, str] | None = None
             emulators=config.emulators,
             on_log=_stdout_logger,
         )
-        report = execute(plan, backend, options)
+        try:
+            report = execute(plan, backend, options)
+        finally:
+            if config.dry_run is not None:  # a write failure surfaces as the OSError below
+                config.dry_run.write_text(backend.render_log())
         if report.image_digest is not None:
             print(render_log("done", f"{plan.destination.path} sha256={report.image_digest}"))
         else:
@@ -183,9 +187,6 @@ def main(argv: Sequence[str] | None = None, env: Mapping[str, str] | None = None
     except OSError as exc:
         print(f"[error] {exc}", file=sys.stderr)
         return EXIT_EXECUTION
-    finally:
-        if config is not None and config.dry_run is not None and backend is not None:
-            config.dry_run.write_text(backend.render_log())
 
 
 def _stdout_logger(stage: str, origin: SourceLine | None, message: str) -> None:

@@ -14,15 +14,15 @@ action's payload is all a backend needs to perform it:
 
 The pipeline in :func:`execute` is the same for both.  Each RUN, HOST and
 INSTALL command becomes its action in :func:`command_action`, and a
-nonzero status from a RUN or HOST aborts the build.  Where a dry run
-and a real build differ in what they read, a backend method answers:
-:meth:`Executor.image_to_read` names the image the partition table comes
-from and :meth:`Executor.read_guest_file` reads a file inside the
-mounted guest.
+nonzero status from a RUN or HOST aborts the build.  The backends differ
+in :meth:`Executor.read_guest_file`, a file inside the mounted guest, and
+in ``performs_effects``: a dry run never extracts an archive, checks that
+an emulator is a file, or hashes the output.
 
-Loop devices are only known after attachment, so recorded commands name
-them through the ``<loop>`` placeholder in both backends; the local
-backend substitutes the real device when it invokes a command.
+The loop device and the chroot directory only exist once the build has
+made them, so actions name them through the ``<loop>`` and ``<root>``
+placeholders in both backends; the local backend resolves them when it
+performs an action, and so records exactly the log a dry run predicts.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import time
 import urllib.parse
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Callable, ContextManager, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from . import image as image_mod
 from . import mounts as mounts_mod
@@ -141,20 +141,8 @@ class Executor:
     def render_log(self) -> str:
         return serialize_actions(self.actions)
 
-    def image_to_read(self, dest: Path, source: Path,
-                      name_hint: str) -> ContextManager[Path | BinaryIO]:
-        """The current image, for reading its partition table.
-
-        A dry run never materializes the destination, so it reads the
-        source: the file itself, or a fresh decompressing stream when the
-        source is an archive.  Each call opens its own stream.
-        """
-        if source_mod.is_archive(name_hint):
-            return source_mod.open_image_stream(source, name_hint)
-        return contextlib.nullcontext(source)
-
-    def read_guest_file(self, root: str, path: str) -> str | None:
-        """Text of ``path`` inside the mounted guest at ``root``; None when unavailable."""
+    def read_guest_file(self, path: str) -> str | None:
+        """Text of ``path`` inside the mounted guest; None when unavailable."""
         return None
 
 
@@ -172,6 +160,10 @@ class LocalExecutor(Executor):
     anything touching mounts, loop devices, or the chroot shells out via
     ``runner`` and needs root when the default runner is used.  Injecting a
     runner replaces that boundary wholesale, privilege checks included.
+
+    ``loop_device`` and ``root_dir`` resolve ``<loop>`` and ``<root>``.  A
+    mount at ``<root>`` makes ``root_dir``, a temporary directory, and its
+    unmount removes it again unless the mount is still busy.
     """
 
     performs_effects = True
@@ -183,6 +175,7 @@ class LocalExecutor(Executor):
         self.runner: Runner = runner if runner is not None else run_command
         self.on_output = on_output
         self.loop_device: str | None = None
+        self.root_dir: str | None = None
         self._handlers: dict[ActionKind, Callable[[Action], int]] = {
             ActionKind.FETCH: lambda action: 0,  # the pipeline fetches before emitting
             ActionKind.COPY_IMAGE: self._copy_image,
@@ -205,21 +198,20 @@ class LocalExecutor(Executor):
     def _perform(self, action: Action) -> int:
         return self._handlers[action.kind](action)
 
-    def image_to_read(self, dest: Path, source: Path,
-                      name_hint: str) -> ContextManager[Path | BinaryIO]:
-        return contextlib.nullcontext(dest)
-
-    def read_guest_file(self, root: str, path: str) -> str | None:
-        guest_path = Path(root) / path.lstrip("/")
+    def read_guest_file(self, path: str) -> str | None:
+        guest_path = Path(self._sub(mounts_mod.ROOT_TOKEN)) / path.lstrip("/")
         return guest_path.read_text() if guest_path.is_file() else None
 
     # -- helpers ------------------------------------------------------------
 
-    def _sub_loop(self, text: str) -> str:
-        if mounts_mod.LOOP_TOKEN in text:
-            if self.loop_device is None:
-                raise IoFailure(f"no loop device attached to satisfy {text!r}")
-            return text.replace(mounts_mod.LOOP_TOKEN, self.loop_device)
+    def _sub(self, text: str) -> str:
+        """``text`` with the ``<loop>`` and ``<root>`` placeholders resolved."""
+        for token, value in ((mounts_mod.LOOP_TOKEN, self.loop_device),
+                             (mounts_mod.ROOT_TOKEN, self.root_dir)):
+            if token in text:
+                if value is None:
+                    raise IoFailure(f"nothing is attached to satisfy {token} in {text!r}")
+                text = text.replace(token, value)
         return text
 
     def _require_root(self, what: str,
@@ -275,8 +267,7 @@ class LocalExecutor(Executor):
         src = Path(action.payload["src"])
         if not src.exists():
             raise SourceMissing(f"INSTALL source does not exist: {src}")
-        root = Path(action.payload["root"])
-        dst = root / action.payload["dst"].lstrip("/")
+        dst = Path(self._sub(action.payload["root"])) / action.payload["dst"].lstrip("/")
         dst.parent.mkdir(parents=True, exist_ok=True)
         if src.is_dir():
             shutil.copytree(src, dst, dirs_exist_ok=True)
@@ -306,16 +297,24 @@ class LocalExecutor(Executor):
 
     def _mount(self, action: Action) -> int:
         self._require_root("mounting a partition")
-        target = action.payload["target"]
+        if action.payload["target"] == mounts_mod.ROOT_TOKEN:
+            self.root_dir = tempfile.mkdtemp(prefix="imgforge-root-")
+        target = self._sub(action.payload["target"])
         os.makedirs(target, exist_ok=True)
-        self._run_checked(["mount", self._sub_loop(action.payload["source"]), target],
-                          f"mount {target}")
+        try:
+            self._run_checked(["mount", self._sub(action.payload["source"]), target],
+                              f"mount {target}")
+        except BaseException:
+            if target == self.root_dir:
+                os.rmdir(target)
+                self.root_dir = None
+            raise
         return 0
 
     def _bind_mount(self, action: Action) -> int:
         self._require_root("bind mounting")
         source = action.payload["source"]
-        target = Path(action.payload["target"])
+        target = Path(self._sub(action.payload["target"]))
         if Path(source).is_dir():
             target.mkdir(parents=True, exist_ok=True)
         else:
@@ -325,18 +324,22 @@ class LocalExecutor(Executor):
         return 0
 
     def _copy_emulator(self, action: Action) -> int:
-        target = Path(action.payload["target"])
+        target = Path(self._sub(action.payload["target"]))
         target.parent.mkdir(parents=True, exist_ok=True)
         shutil.copy2(action.payload["source"], target)
         target.chmod(0o755)
         return 0
 
     def _unmount(self, action: Action) -> int:
-        self._run_best_effort(["umount", action.payload["target"]])
+        self._run_best_effort(["umount", self._sub(action.payload["target"])])
+        if action.payload["target"] == mounts_mod.ROOT_TOKEN:
+            with contextlib.suppress(OSError):  # left behind for inspection when still busy
+                os.rmdir(self.root_dir)
+            self.root_dir = None
         return 0
 
     def _remove_emulator(self, action: Action) -> int:
-        Path(action.payload["target"]).unlink(missing_ok=True)
+        Path(self._sub(action.payload["target"])).unlink(missing_ok=True)
         return 0
 
     def _loop_detach(self, action: Action) -> int:
@@ -353,7 +356,7 @@ class LocalExecutor(Executor):
 
     def _guest_exec(self, action: Action) -> int:
         self._require_root("running guest commands in a chroot", ChrootUnavailable)
-        root = action.payload["root"]
+        root = self._sub(action.payload["root"])
         shell = _guest_shell(root)
         _check_binfmt()
         return self._exec(["chroot", root, shell, "-c", action.payload["command"]], action,
@@ -386,10 +389,10 @@ def _check_binfmt() -> None:
 # --- the high-level operations ------------------------------------------------
 
 
-def command_action(command: Command, root: str, guest_path: Sequence[str]) -> Action:
+def command_action(command: Command, guest_path: Sequence[str]) -> Action:
     """The action a RUN, HOST or INSTALL command becomes.
 
-    RUN executes in the guest at ``root`` with ``guest_path`` as its PATH,
+    RUN executes in the guest with ``guest_path`` as its PATH,
     HOST executes in the Pifile's directory, and a relative INSTALL source
     is anchored there.  A here-document body is the command's standard input.
     """
@@ -397,7 +400,7 @@ def command_action(command: Command, root: str, guest_path: Sequence[str]) -> Ac
     if command.kind is CommandKind.RUN:
         return Action(ActionKind.GUEST_EXEC, {
             "command": command.args[0],
-            "root": root,
+            "root": mounts_mod.ROOT_TOKEN,
             "path": ":".join(guest_path),
             "stdin": command.heredoc or "",
         })
@@ -411,7 +414,7 @@ def command_action(command: Command, root: str, guest_path: Sequence[str]) -> Ac
         "src": str(here / command.args[-2]),
         "dst": command.args[-1],
         "mode": command.args[0] if len(command.args) == 3 else "",
-        "root": root,
+        "root": mounts_mod.ROOT_TOKEN,
     })
 
 
@@ -465,10 +468,8 @@ def execute(plan: ExecutionPlan, backend: Executor,
     stage_label = Stage.SETUP.label
 
     applied_mounts: list[Action] = []
-    root_dir: str | None = None
-    dest = Path(plan.destination.path)
     try:
-        # --- setup: resolve source, materialize destination -----------------
+        # --- setup: resolve source, read its table, materialize destination --
         started = time.monotonic()
         log(Stage.SETUP.label, None, "begin")
         resolved, name_hint = _resolve_source(plan, opts, backend, env, log)
@@ -478,6 +479,16 @@ def execute(plan: ExecutionPlan, backend: Executor,
                 resolved, _extraction_workspace(plan, opts, env, resolved),
                 name_hint=name_hint,
             )
+        # until it is extracted, an archive is read through a decompressing stream
+        packing = name_hint if src_image is resolved and source_mod.is_archive(name_hint) else None
+        if plan.pump_bytes > 0 or needs_guest:
+            try:
+                with source_mod.open_image_stream(src_image, packing) as image:
+                    table = image_mod.read_partition_table(image)
+                    # the open file's length, not st_size, which is 0 for a block device
+                    image_bytes = None if packing else image.seek(0, os.SEEK_END)
+            except OSError as exc:
+                raise IoFailure(f"cannot read the partition table of {src_image}: {exc}") from exc
         dest = source_mod.materialize_destination(plan, backend, resolved_source=src_image)
         durations[Stage.SETUP.label] = time.monotonic() - started
 
@@ -488,29 +499,22 @@ def execute(plan: ExecutionPlan, backend: Executor,
         if plan.pump_bytes > 0:
             for command in plan.staged[Stage.PREPARE]:
                 log(stage_label, command.origin, render_command(command))
-            with backend.image_to_read(dest, src_image, name_hint) as image:
-                image_mod.pump(plan, backend, table_source=image)
+            image_mod.pump(plan, backend, table, image_bytes)
         durations[stage_label] = time.monotonic() - started
 
         # --- chroot: mounts, commands, installs ------------------------------
         started = time.monotonic()
         stage_label = Stage.CHROOT.label
         log(stage_label, None, "begin")
-        root = mounts_mod.ROOT_TOKEN
         if needs_guest:
-            with backend.image_to_read(dest, src_image, name_hint) as image:
-                table = image_mod.read_partition_table(image)
-            if real:
-                root = root_dir = tempfile.mkdtemp(prefix="imgforge-root-")
-            for action in mounts_mod.base_mount_actions(plan, table, root=root,
-                                                        emulators=emulators):
+            for action in mounts_mod.base_mount_actions(plan, table, emulators=emulators):
                 backend.emit(action)
                 applied_mounts.append(action)
-            fstab_text = backend.read_guest_file(root, "etc/fstab")
+            fstab_text = backend.read_guest_file("etc/fstab")
             if fstab_text is not None:
                 mounted = {a.payload["target"] for a in applied_mounts
                            if a.kind is not ActionKind.LOOP_ATTACH}
-                for action in mounts_mod.fstab_mount_actions(plan, table, fstab_text, root=root,
+                for action in mounts_mod.fstab_mount_actions(plan, table, fstab_text,
                                                              already_mounted=mounted):
                     backend.emit(action)
                     applied_mounts.append(action)
@@ -524,7 +528,7 @@ def execute(plan: ExecutionPlan, backend: Executor,
                 extensions.append(command.args[0])
                 guest_path = compose_guest_path(extensions, host_path)
                 continue
-            status = backend.emit(command_action(command, root, guest_path))
+            status = backend.emit(command_action(command, guest_path))
             if status != 0:
                 raise CommandFailed(
                     f"{command.kind.value} command failed with status {status}: "
@@ -539,11 +543,6 @@ def execute(plan: ExecutionPlan, backend: Executor,
     finally:
         for action in mounts_mod.teardown_actions(applied_mounts):
             backend.emit(action)
-        if root_dir is not None:
-            try:
-                os.rmdir(root_dir)
-            except OSError:
-                pass  # left behind for inspection when still busy
 
     digest = None
     if real and plan.destination.kind is source_mod.TargetKind.LOCAL_FILE and dest.is_file():

@@ -265,8 +265,8 @@ def resize_partition_entry(path: str | Path, index: int, lba_size: int) -> None:
     write_partition_table(path, table.with_entry(replace(entry, lba_size=lba_size)))
 
 
-def pump(plan: "ExecutionPlan", executor: "Executor", *,
-         table_source: str | Path | BinaryIO | None = None) -> None:
+def pump(plan: "ExecutionPlan", executor: "Executor", table: PartitionTable,
+         image_bytes: int | None) -> None:
     """Emit the growth sequence for the plan's destination image.
 
     Three actions go through the executor, in order: grow the file by the
@@ -276,24 +276,15 @@ def pump(plan: "ExecutionPlan", executor: "Executor", *,
     A dry-run executor records the sequence; a local executor performs it.
 
     The target partition must be the last occupied one by LBA start, or it
-    would grow into its successor.  ``table_source`` overrides where the
-    current table is read from (dry runs read the source image because the
-    destination was never materialized); when it is a stream, the check
-    that the partition ends inside the image is skipped.  The destination
-    is never a block device: ``build_plan`` refuses PUMP onto one.
+    would grow into its successor.  ``table`` and ``image_bytes`` describe
+    the image the destination is copied from; ``image_bytes`` is None when
+    that length is unknown (a packed source read as a stream), and the
+    check that the partition ends inside the image is then skipped.  The
+    destination is never a block device: ``build_plan`` refuses PUMP onto one.
     """
     if plan.pump_bytes <= 0:
         return
     dest = Path(plan.destination.path)
-    source = table_source if table_source is not None else dest
-    image_bytes = None
-    if isinstance(source, (str, Path)):
-        try:
-            image_bytes = os.path.getsize(source)
-        except OSError as exc:
-            raise IoFailure(f"cannot stat {source}: {exc}") from exc
-    table = read_partition_table(source)
-
     index = plan.partition_index
     entry = _occupied_slot(table, index)
     if entry.type_code in EXTENDED_TYPES:

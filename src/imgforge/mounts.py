@@ -3,11 +3,10 @@
 Builds the ordered attach/mount/bind/copy actions that turn a raw image
 into a usable chroot, and the exact reverse teardown.  The actions are
 plain :class:`~imgforge.actions.Action` values with a ``source`` and a
-``target`` in the payload, emitted as they are.  Loop devices are not
-known until attachment, so actions refer to them through the ``<loop>``
-placeholder, and to the chroot directory through whatever ``root`` string
-the caller supplies (the dry-run default is the stable ``<root>`` token,
-which keeps action logs reproducible).
+``target`` in the payload, emitted as they are.  Neither the loop device
+nor the chroot directory exists until the build makes it, so actions name
+them through the ``<loop>`` and ``<root>`` placeholders, which the local
+backend resolves; the action log is the same for every backend and run.
 
 Setup order: loop attach, root partition mount, bind mounts for /dev,
 /sys, /proc and /dev/pts, a bind of the host's resolv.conf for DNS, one
@@ -153,7 +152,6 @@ def partition_device(base: str, index: int) -> str:
 
 
 def base_mount_actions(plan: ExecutionPlan, table: PartitionTable, *,
-                       root: str = ROOT_TOKEN,
                        emulators: Sequence[str]) -> list[Action]:
     """Loop attach, root mount, system binds, resolv.conf, emulator copies."""
     index = plan.partition_index
@@ -173,17 +171,17 @@ def base_mount_actions(plan: ExecutionPlan, table: PartitionTable, *,
     else:
         add(ActionKind.LOOP_ATTACH, image, LOOP_TOKEN)
         root_source = f"{LOOP_TOKEN}p{index}"
-    add(ActionKind.MOUNT_PARTITION, root_source, root)
+    add(ActionKind.MOUNT_PARTITION, root_source, ROOT_TOKEN)
     for bind in BIND_SOURCES:
-        add(ActionKind.BIND_MOUNT, bind, root + bind)
-    add(ActionKind.BIND_MOUNT, RESOLV_CONF, root + RESOLV_CONF)
+        add(ActionKind.BIND_MOUNT, bind, ROOT_TOKEN + bind)
+    add(ActionKind.BIND_MOUNT, RESOLV_CONF, ROOT_TOKEN + RESOLV_CONF)
     for emulator in emulators:
-        add(ActionKind.COPY_EMULATOR, emulator, f"{root}/{EMULATOR_DIR}/{Path(emulator).name}")
+        add(ActionKind.COPY_EMULATOR, emulator,
+            f"{ROOT_TOKEN}/{EMULATOR_DIR}/{Path(emulator).name}")
     return actions
 
 
 def fstab_mount_actions(plan: ExecutionPlan, table: PartitionTable, fstab_text: str, *,
-                        root: str = ROOT_TOKEN,
                         already_mounted: set[str] | None = None) -> list[Action]:
     """Mounts for mappable fstab entries, shallowest mount point first.
 
@@ -215,7 +213,7 @@ def fstab_mount_actions(plan: ExecutionPlan, table: PartitionTable, fstab_text: 
         if table.entries[slot - 1].empty:
             logger.warning("fstab names partition %d, which is an empty slot", slot)
             continue
-        target = root + entry.mount_point.rstrip("/")
+        target = ROOT_TOKEN + entry.mount_point.rstrip("/")
         if target in occupied:
             continue
         occupied.add(target)

@@ -212,16 +212,17 @@ def validate_plan(plan: ExecutionPlan) -> list[str]:
     if not chroot:
         warnings.append("no guest modifications: the chroot stage is empty")
 
-    host_texts: list[str] = []
+    # a source argument holds no whitespace, so no match spans two joined texts
+    host_text = ""
     for command in chroot:
         if command.kind is CommandKind.HOST:
-            host_texts.append(command.args[0])
+            host_text += "\n" + command.args[0]
         elif command.kind is CommandKind.INSTALL:
             src_arg = command.args[-2]
             if (command.origin.file.parent / src_arg).exists():
                 continue
             hint = posixpath.dirname(src_arg) or src_arg
-            if any(hint in text or src_arg in text for text in host_texts):
+            if hint in host_text or src_arg in host_text:
                 warnings.append(
                     f"deferred existence: INSTALL source {src_arg} does not exist yet; "
                     "an earlier HOST step appears to produce it"

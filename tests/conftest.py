@@ -1,4 +1,5 @@
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,17 @@ import mbr_oracle  # noqa: E402
 def fixture_image(tmp_path):
     """64 MiB two-partition image: boot (8 MiB) + root (remainder)."""
     return mbr_oracle.write_image(tmp_path / "disk.img")
+
+
+@pytest.fixture(autouse=True)
+def private_tempdir(tmp_path_factory, monkeypatch):
+    """A tempfile directory of the test's own, which must hold no chroot directory after it."""
+    scratch = tmp_path_factory.mktemp("tempdir")
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    yield scratch
+    leftover = sorted(p.name for p in scratch.glob("imgforge-root-*"))
+    if leftover:
+        pytest.fail(f"chroot directories left behind: {leftover}")
 
 
 def pytest_runtest_logreport(report):

@@ -88,7 +88,7 @@ def test_criterion_2_pump_arithmetic(tmp_path):
     backend = LocalExecutor(runner=lambda argv, **kw: (0, ""))
 
     started = time.monotonic()
-    pump(plan, backend)
+    pump(plan, backend, read_partition_table(image), image.stat().st_size)
     elapsed = time.monotonic() - started
 
     assert image.stat().st_size == 83886080  # 64 MiB + 16 MiB, exactly
@@ -234,7 +234,8 @@ def test_criterion_8_pump_safety(tmp_path):
     plan = build_plan(pifile, lambda loc: SourceKind.LOCAL_FILE)
 
     with pytest.raises(PartitionNotLast):
-        pump(plan, LocalExecutor(runner=lambda argv, **kw: (0, "")))
+        pump(plan, LocalExecutor(runner=lambda argv, **kw: (0, "")),
+             read_partition_table(image), image.stat().st_size)
     assert sha256(image) == digest_before  # image byte-identical
 
 

@@ -101,6 +101,16 @@ class TestExitCodes:
         code = main([str(pifile)], ENV, executor_factory=lambda cfg: FailingSecondRun())
         assert code == 2
 
+    def test_static_table_error_stops_setup_before_to_is_written(self, tmp_path, capsys):
+        mbr_oracle.write_image(tmp_path / "gpt.img", partitions=[
+            {"index": 1, "type": 0xEE, "start": 1, "size": 2047},
+        ])
+        pifile = tmp_path / "gpt.Pifile"
+        pifile.write_text("FROM gpt.img\nTO out.img\nPUMP 1M\n")
+        assert main([str(pifile)], ENV) == 2
+        assert "[setup] protective MBR found" in capsys.readouterr().err
+        assert not (tmp_path / "out.img").exists()
+
     def test_environment_problem_is_exit_3(self, tmp_path):
         pifile = write_fixture(tmp_path, text="FROM base.img\nRUN x\n")
         code = main([str(pifile)], ENV, executor_factory=lambda cfg: NoChroot())
@@ -150,6 +160,21 @@ class TestDryRun:
         content = log.read_text()
         assert "LOOP_DETACH" in content  # teardown made it into the log
         assert "COPY_IN" not in content  # aborted commands did not
+
+    def test_missing_log_directory_is_exit_1_before_parsing(self, tmp_path, capsys):
+        log = tmp_path / "nodir" / "plan.log"
+        code = main(["--dry-run", str(log), str(tmp_path / "unread.Pifile")], ENV)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "nodir" in err and "unread.Pifile" not in err
+
+    def test_unwritable_log_is_exit_2_without_traceback(self, tmp_path, capsys):
+        pifile = write_fixture(tmp_path, text="FROM base.img\nHOST true\n")
+        log = tmp_path / "plan.log"
+        log.mkdir()  # the write fails the way a denied one does
+        assert main(["--dry-run", str(log), str(pifile)], ENV) == 2
+        err = capsys.readouterr().err
+        assert err.count("[error]") == 1 and "Traceback" not in err
 
     def test_env_flag_feeds_substitution(self, tmp_path):
         mbr_oracle.write_image(tmp_path / "base.img")

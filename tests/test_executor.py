@@ -1,13 +1,15 @@
 import errno
 import hashlib
 import os
+import shutil
+import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 import mbr_oracle
-from imgforge.errors import CommandFailed, SourceMissing
+from imgforge.errors import CommandFailed, IoFailure, SourceMissing
 from imgforge.executor import (
     Action,
     ActionKind,
@@ -35,12 +37,17 @@ def make_plan(tmp_path, text, name="build.Pifile", env=None):
     return build_plan(pifile)
 
 
-def emit_command(backend, text, *, pifile=Path("x.Pifile"), root="<root>", extensions=(),
+def emit_command(backend, text, *, pifile=Path("x.Pifile"), root=None, extensions=(),
                  host=("/usr/bin", "/bin")):
-    """Emit the action of the one command in ``text``, a Pifile at ``pifile``."""
+    """Emit the action of the one command in ``text``, a Pifile at ``pifile``.
+
+    ``root`` is where a local backend finds the mounted guest.
+    """
     command = parse_pifile_text(text, {}, source_path=pifile).commands[0]
     guest_path = compose_guest_path(list(extensions), list(host))
-    return backend.emit(command_action(command, root, guest_path))
+    if root is not None:
+        backend.root_dir = root
+    return backend.emit(command_action(command, guest_path))
 
 
 def run_pifile(tmp_path, text, backend):
@@ -525,8 +532,8 @@ class TestExecutePipeline:
 
     def test_fstab_override_adds_boot_mount(self, tmp_path, monkeypatch):
         class GuestWithFstab(DryRunExecutor):
-            def read_guest_file(self, root, path):
-                assert (root, path) == ("<root>", "etc/fstab")
+            def read_guest_file(self, path):
+                assert path == "etc/fstab"
                 return "PARTUUID=deadbeef-01 /boot vfat defaults 0 2\n"
 
         self._fixture(tmp_path, monkeypatch)
@@ -556,9 +563,16 @@ class TestExecutePipeline:
         assert (cache / "__present__").exists() is False  # sanity: key-named dirs only
         assert any(p.name == "image" for p in cache.rglob("*"))
 
-    def test_setup_failure_produces_no_teardown(self, tmp_path, monkeypatch):
-        from imgforge.errors import IoFailure
+    def test_pump_takes_source_length_from_open_file(self, tmp_path, monkeypatch):
+        # a block device's st_size is 0; seeking to its end gives its length
+        self._fixture(tmp_path, monkeypatch)
+        monkeypatch.setattr(os.path, "getsize", lambda path: 0)
+        plan = make_plan(tmp_path, "FROM base.img\nTO out.img\nPUMP 1M\n")
+        backend = DryRunExecutor()
+        execute(plan, backend, RunOptions(env=FIXED_ENV, emulators=[]))
+        assert backend.actions[-1].kind is ActionKind.FS_RESIZE
 
+    def test_setup_failure_produces_no_teardown(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         mbr_oracle.write_image(tmp_path / "base.img")
         plan = make_plan(tmp_path, "FROM base.img\nPUMP 1M\nRUN x\n")
@@ -567,6 +581,76 @@ class TestExecutePipeline:
         with pytest.raises(IoFailure):
             execute(plan, backend, RunOptions(env=FIXED_ENV, emulators=[]))
         assert all(a.kind is ActionKind.COPY_IMAGE for a in backend.actions)
+
+
+class GuestRunner(RecordingRunner):
+    """Stub runner for a real build: a partition mount shows a guest with
+    /bin/sh at its target, and unmounting the partition empties the target."""
+
+    def __init__(self):
+        super().__init__()
+        self.partitions = set()
+
+    def __call__(self, argv, **kwargs):
+        if argv[0] == "mount" and argv[1] != "--bind":
+            self.partitions.add(argv[2])
+            (Path(argv[2]) / "bin").mkdir(parents=True)
+            (Path(argv[2]) / "bin" / "sh").write_text("")
+        elif argv[0] == "umount" and argv[1] in self.partitions:
+            shutil.rmtree(argv[1])  # the guest's files leave with the partition
+            os.mkdir(argv[1])
+        return super().__call__(argv, **kwargs)
+
+
+def root_dirs_left():
+    return sorted(Path(tempfile.gettempdir()).glob("imgforge-root-*"))
+
+
+class TestRealBuildLog:
+    LISTING = (
+        "FROM base.img\n"
+        "TO out.img\n"
+        "PUMP 1M\n"
+        "RUN tee /etc/issue << EOF\nwelcome\nEOF\n"
+        "PATH /opt/bin\n"
+        "HOST make\n"
+        "INSTALL 644 motd /etc/motd\n"
+        "RUN true\n"
+    )
+
+    def test_real_build_records_the_dry_run_log(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        mbr_oracle.write_image(tmp_path / "base.img")
+        (tmp_path / "motd").write_text("hi\n")
+        emulator = tmp_path / "qemu-arm-static"
+        emulator.write_bytes(b"\x7fELF")
+        options = RunOptions(env=FIXED_ENV, emulators=[str(emulator)])
+        dry = DryRunExecutor()
+        execute(make_plan(tmp_path, self.LISTING), dry, options)
+        runner = GuestRunner()
+        real = LocalExecutor(runner=runner)
+        report = execute(make_plan(tmp_path, self.LISTING), real, options)
+        assert real.render_log() == dry.render_log()
+        assert report.image_digest is not None
+        chroots = [argv for argv, _ in runner.calls if argv[0] == "chroot"]
+        assert len(chroots) == 2 and chroots[0][1] in runner.partitions
+        assert real.root_dir is None and root_dirs_left() == []
+
+    def test_failed_root_mount_removes_root_directory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        mbr_oracle.write_image(tmp_path / "base.img")
+        runner = RecordingRunner()
+
+        def failing_mount(argv, **kwargs):
+            return (32, "no medium") if argv[0] == "mount" else runner(argv, **kwargs)
+
+        backend = LocalExecutor(runner=failing_mount)
+        with pytest.raises(IoFailure):
+            execute(make_plan(tmp_path, "FROM base.img\nTO out.img\nRUN true\n"), backend,
+                    RunOptions(env=FIXED_ENV, emulators=[]))
+        assert [a.kind for a in backend.actions][-2:] == [
+            ActionKind.MOUNT_PARTITION, ActionKind.LOOP_DETACH]
+        assert backend.root_dir is None and root_dirs_left() == []
 
 
 MiB = 1024 * 1024

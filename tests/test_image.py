@@ -48,6 +48,11 @@ def stub_runner(argv, **kwargs):
     return 0, ""
 
 
+def pump_image(plan, backend, image):
+    """``pump`` given the table and length of ``image``, as setup reads them."""
+    pump(plan, backend, read_partition_table(image), image.stat().st_size)
+
+
 class TestParseSize:
     @pytest.mark.parametrize("text,expected", [
         ("0", 0),
@@ -233,7 +238,7 @@ class TestPump:
         middle_before = hashlib.sha256(
             fixture_image.read_bytes()[512:]).hexdigest()
         backend = LocalExecutor(runner=stub_runner)
-        pump(plan, backend)
+        pump_image(plan, backend, fixture_image)
 
         assert fixture_image.stat().st_size == 83886080
         oracle = mbr_oracle.read_table(fixture_image)
@@ -249,14 +254,14 @@ class TestPump:
 
     def test_partition_never_exceeds_image(self, tmp_path, fixture_image):
         plan = plan_for(tmp_path, fixture_image, "3M")
-        pump(plan, LocalExecutor(runner=stub_runner))
+        pump_image(plan, LocalExecutor(runner=stub_runner), fixture_image)
         oracle = mbr_oracle.read_table(fixture_image)
         end = oracle["entries"][1]["start"] + oracle["entries"][1]["size"]
         assert end * 512 <= fixture_image.stat().st_size
 
     def test_rounds_up_to_sector_multiple(self, tmp_path, fixture_image):
         plan = plan_for(tmp_path, fixture_image, "1000")  # not a sector multiple
-        pump(plan, LocalExecutor(runner=stub_runner))
+        pump_image(plan, LocalExecutor(runner=stub_runner), fixture_image)
         assert fixture_image.stat().st_size == 67108864 + 1024
         assert mbr_oracle.read_table(fixture_image)["entries"][1]["size"] == 112640 + 2
 
@@ -264,24 +269,33 @@ class TestPump:
         digest = sha256(fixture_image)
         plan = plan_for(tmp_path, fixture_image, "16M", partition=1)
         with pytest.raises(PartitionNotLast):
-            pump(plan, LocalExecutor(runner=stub_runner))
+            pump_image(plan, LocalExecutor(runner=stub_runner), fixture_image)
         assert sha256(fixture_image) == digest
+
+    def test_partition_past_image_end_refused_when_length_known(self, tmp_path, fixture_image):
+        plan = plan_for(tmp_path, fixture_image, "1M")
+        table = read_partition_table(fixture_image)
+        with pytest.raises(InvalidTable):
+            pump(plan, DryRunExecutor(), table, fixture_image.stat().st_size - 512)
+        backend = DryRunExecutor()
+        pump(plan, backend, table, None)  # a packed source's length is unknown
+        assert len(backend.actions) == 3
 
     def test_zero_pump_emits_nothing(self, tmp_path, fixture_image):
         plan = plan_for(tmp_path, fixture_image, "0")
         backend = DryRunExecutor()
-        pump(plan, backend)
+        pump_image(plan, backend, fixture_image)
         assert backend.actions == []
 
     def test_empty_slot_refused(self, tmp_path, fixture_image):
         plan = plan_for(tmp_path, fixture_image, "1M", partition=3)
         with pytest.raises(EmptyPartitionSlot):
-            pump(plan, DryRunExecutor())
+            pump_image(plan, DryRunExecutor(), fixture_image)
 
     def test_index_beyond_table_refused(self, tmp_path, fixture_image):
         plan = plan_for(tmp_path, fixture_image, "1M", partition=7)
         with pytest.raises(EmptyPartitionSlot):
-            pump(plan, DryRunExecutor())
+            pump_image(plan, DryRunExecutor(), fixture_image)
 
     def test_extended_partition_refused(self, tmp_path):
         img = tmp_path / "ext.img"
@@ -291,13 +305,13 @@ class TestPump:
         ])
         plan = plan_for(tmp_path, img, "1M", partition=2)
         with pytest.raises(UnsupportedDiskLayout):
-            pump(plan, DryRunExecutor())
+            pump_image(plan, DryRunExecutor(), img)
 
     def test_dry_run_records_without_touching(self, tmp_path, fixture_image):
         digest = sha256(fixture_image)
         plan = plan_for(tmp_path, fixture_image, "16M")
         backend = DryRunExecutor()
-        pump(plan, backend, table_source=fixture_image)
+        pump_image(plan, backend, fixture_image)
         assert [a.kind for a in backend.actions] == [
             ActionKind.GROW_FILE, ActionKind.TABLE_WRITE, ActionKind.FS_RESIZE,
         ]

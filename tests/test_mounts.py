@@ -46,13 +46,12 @@ def make_plan(partition=2, image="disk.img", block_device=False):
     return build_plan(pifile, lambda loc: kind)
 
 
-def compose_mount_plan(plan, table, guest_fstab=None, *, emulators, root=ROOT_TOKEN):
+def compose_mount_plan(plan, table, guest_fstab=None, *, emulators):
     """Setup actions composed the way execute() composes them."""
-    actions = base_mount_actions(plan, table, root=root, emulators=emulators)
+    actions = base_mount_actions(plan, table, emulators=emulators)
     if guest_fstab is not None:
         mounted = {a.payload["target"] for a in actions if a.kind is not ActionKind.LOOP_ATTACH}
-        actions += fstab_mount_actions(plan, table, guest_fstab, root=root,
-                                       already_mounted=mounted)
+        actions += fstab_mount_actions(plan, table, guest_fstab, already_mounted=mounted)
     return actions
 
 
@@ -249,12 +248,6 @@ class TestBuildMountPlan:
             if action.kind is ActionKind.LOOP_ATTACH:
                 continue
             assert action.payload["target"] == ROOT_TOKEN or action.payload["target"].startswith(ROOT_TOKEN + "/")
-
-    def test_custom_root_prefix(self):
-        actions = compose_mount_plan(make_plan(), FIXTURE_TABLE, emulators=[],
-                                   root="/tmp/build-root")
-        assert actions[1].payload["target"] == "/tmp/build-root"
-        assert actions[2].payload["target"] == "/tmp/build-root/dev"
 
 
 class TestDiscoverEmulators:
