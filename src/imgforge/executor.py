@@ -81,8 +81,11 @@ def run_command(argv: Sequence[str], *, stdin_text: str | None = None,
                 on_output: Callable[[str], None] | None = None) -> tuple[int, str]:
     """Run a command, streaming its combined output line by line.
 
-    Standard input is fed from a helper thread so a command that writes
-    output while reading a large here-document cannot deadlock the pipes.
+    Lines streamed to ``on_output`` are not kept and the returned text is
+    empty; without ``on_output`` the output is collected and returned.  It
+    is decoded as UTF-8, an invalid byte becoming U+FFFD.  Standard input is
+    fed from a helper thread so a command that writes output while reading a
+    large here-document cannot deadlock the pipes.
     """
     try:
         proc = subprocess.Popen(
@@ -92,7 +95,7 @@ def run_command(argv: Sequence[str], *, stdin_text: str | None = None,
             stderr=subprocess.STDOUT,
             cwd=cwd,
             env=dict(env) if env is not None else None,
-            text=True,
+            text=True, encoding="utf-8", errors="replace",
         )
     except FileNotFoundError as exc:
         raise ShellUnavailable(f"cannot execute {argv[0]}: {exc}") from exc
@@ -108,12 +111,10 @@ def run_command(argv: Sequence[str], *, stdin_text: str | None = None,
             feeder = threading.Thread(target=_feed, daemon=True)
             feeder.start()
         collected: list[str] = []
+        sink = on_output or collected.append
         assert proc.stdout is not None
         for line in proc.stdout:
-            line = line.rstrip("\n")
-            collected.append(line)
-            if on_output:
-                on_output(line)
+            sink(line.rstrip("\n"))
         status = proc.wait()
         if feeder is not None:
             feeder.join(timeout=10)
@@ -234,9 +235,9 @@ class LocalExecutor(Executor):
             logger.warning("%s failed with status %d: %s", " ".join(argv), status, out)
 
     def _exec(self, argv: list[str], action: Action, **kw) -> int:
-        """Run a HOST or guest command, streaming its output; returns its status."""
+        """Run a HOST or guest command, streaming its output unkept; returns its status."""
         status, _ = self.runner(argv, stdin_text=action.payload.get("stdin") or None,
-                                on_output=self.on_output, **kw)
+                                on_output=self.on_output or (lambda line: None), **kw)
         return status
 
     def _attach(self, image: str) -> str:
@@ -487,6 +488,8 @@ def execute(plan: ExecutionPlan, backend: Executor,
                     table = image_mod.read_partition_table(image)
                     # the open file's length, not st_size, which is 0 for a block device
                     image_bytes = None if packing else image.seek(0, os.SEEK_END)
+                if packing and plan.pump_bytes > 0:  # a stream's length is known at its end
+                    image_bytes = source_mod.unpacked_length(src_image, packing)
             except OSError as exc:
                 raise IoFailure(f"cannot read the partition table of {src_image}: {exc}") from exc
         dest = source_mod.materialize_destination(plan, backend, resolved_source=src_image)

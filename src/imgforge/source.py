@@ -63,6 +63,7 @@ FETCH_TIMEOUT_S = 60  # per blocking socket operation, not for the whole downloa
 
 _PACKED_SUFFIXES = frozenset({".gz", ".xz", ".zst", ".zip"})
 _REJECTED_SUFFIXES = frozenset({".bz2", ".tar", ".tgz", ".txz", ".tbz2", ".lz4", ".7z", ".rar"})
+_DECOMPRESS_ERRORS = (gzip.BadGzipFile, lzma.LZMAError, zlib.error, EOFError)
 
 # unit of every image read and write; one buffer of it is the most any of them holds
 CHUNK = 1024 * 1024
@@ -263,6 +264,19 @@ def open_image_stream(path: str | Path, name_hint: str | None = None) -> BinaryI
         raise IoFailure(f"cannot open image {path}: {exc}") from exc
 
 
+def unpacked_length(archive: str | Path, name_hint: str | None = None) -> int:
+    """Length of the image packed in ``archive``: it is decompressed once and nothing written."""
+    buf = bytearray(CHUNK)
+    total = 0
+    try:
+        with open_image_stream(archive, name_hint) as src:
+            while n := src.readinto(buf):
+                total += n
+    except _DECOMPRESS_ERRORS as exc:
+        raise CorruptArchive(f"cannot decompress {archive}: {exc}") from exc
+    return total
+
+
 def extract_image(archive: str | Path, workspace: str | Path, *,
                   name_hint: str | None = None) -> Path:
     """Unpack a single-image archive into ``workspace``; raw images pass through.
@@ -305,7 +319,7 @@ def _unpack(archive: Path, out: Path, open_stream: Callable[[], BinaryIO]) -> Pa
     try:
         with open_stream() as src, open(tmp, "wb") as dst:
             _write_sparse(src, dst)
-    except (gzip.BadGzipFile, lzma.LZMAError, zlib.error, EOFError) as exc:
+    except _DECOMPRESS_ERRORS as exc:
         tmp.unlink(missing_ok=True)
         raise CorruptArchive(f"cannot decompress {archive}: {exc}") from exc
     except BaseException:

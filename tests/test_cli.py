@@ -1,4 +1,5 @@
 import hashlib
+import lzma
 import shutil
 import subprocess
 import sys
@@ -176,6 +177,24 @@ class TestDryRun:
         err = capsys.readouterr().err
         assert err.count("[error]") == 1 and "Traceback" not in err
 
+    def test_archive_pump_past_image_end_fails_like_the_real_build(self, tmp_path, capsys):
+        # an 8 MiB image whose partition 2 claims 20,000 sectors, known only once unpacked
+        raw = mbr_oracle.write_image(tmp_path / "long.img", 8 * 1024 * 1024, partitions=[
+            {"index": 1, "type": 0x0C, "start": 2048, "size": 2048},
+            {"index": 2, "type": 0x83, "start": 4096, "size": 20000},
+        ])
+        (tmp_path / "long.img.xz").write_bytes(lzma.compress(raw.read_bytes()))
+        raw.unlink()
+        pifile = tmp_path / "long.Pifile"
+        pifile.write_text("FROM long.img.xz\nTO out.img\nPUMP 1M\n")
+        log = tmp_path / "plan.log"
+        assert main(["--dry-run", str(log), str(pifile)], ENV) == 2
+        dry_err = capsys.readouterr().err
+        assert "[prepare]" in dry_err and "past the end of the image" in dry_err
+        assert "TABLE_WRITE" not in log.read_text()
+        assert main([str(pifile)], ENV) == 2
+        assert capsys.readouterr().err == dry_err
+
     def test_env_flag_feeds_substitution(self, tmp_path):
         mbr_oracle.write_image(tmp_path / "base.img")
         pifile = tmp_path / "env.Pifile"
@@ -286,6 +305,11 @@ class TestLogging:
         assert main([str(pifile)], ENV) == 0
         out = capsys.readouterr().out
         assert "  deep" in out.splitlines()
+
+    def test_invalid_utf8_output_shown_as_replacement_character(self, tmp_path, capsys):
+        pifile = write_fixture(tmp_path, text='FROM base.img\nHOST printf "ok \\377\\376 bad\\n"\n')
+        assert main([str(pifile)], ENV) == 0
+        assert "  ok \ufffd\ufffd bad" in capsys.readouterr().out.splitlines()
 
     def test_done_line_reports_digest(self, tmp_path, capsys):
         pifile = write_fixture(tmp_path)

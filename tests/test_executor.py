@@ -3,6 +3,7 @@ import hashlib
 import os
 import shutil
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,7 @@ from imgforge.executor import (
     compose_guest_path,
     execute,
     render_action,
+    run_command,
     serialize_actions,
 )
 from imgforge.pifile import parse_pifile_text
@@ -137,6 +139,52 @@ class TestRunHost:
         assert action.kind is ActionKind.HOST_EXEC
         assert action.payload["command"] == "make dtnd"
         assert action.payload["cwd"] == "."
+
+
+def traced_peak(fn):
+    """``fn()`` and the peak bytes Python allocated while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class InOrderSink:
+    """Counts the lines ``seq 1 N`` streams, checking each without keeping it."""
+
+    def __init__(self):
+        self.count = 0
+        self.in_order = True
+
+    def __call__(self, line):
+        self.count += 1
+        self.in_order = self.in_order and line == str(self.count)
+
+
+class TestRunCommand:
+    def test_streamed_lines_are_delivered_and_not_kept(self):
+        sink = InOrderSink()
+        (status, text), peak = traced_peak(
+            lambda: run_command(["seq", "1", "50000"], on_output=sink))
+        assert (status, text) == (0, "")
+        assert sink.count == 50000 and sink.in_order
+        assert peak < 1024 * 1024
+
+    def test_host_output_not_kept_without_a_listener(self):
+        backend = LocalExecutor()
+        status, peak = traced_peak(lambda: emit_command(backend, "HOST seq 1 50000"))
+        assert status == 0
+        assert peak < 1024 * 1024
+
+    def test_output_returned_without_a_listener(self):
+        assert run_command(["printf", "a\nb\n"]) == (0, "a\nb")
+
+    def test_carriage_returns_end_lines(self):
+        lines = []
+        run_command(["printf", "a\r\nb\rc\n"], on_output=lines.append)
+        assert lines == ["a", "b", "c"]
 
 
 class TestRunGuest:
