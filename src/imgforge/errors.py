@@ -147,10 +147,6 @@ class DestinationIsDirectory(ExecutionFailure):
 
 # --- mounts and execution ---------------------------------------------------
 
-class RootPartitionUnmountable(ExecutionFailure):
-    pass
-
-
 class SourceMissing(ExecutionFailure):
     """INSTALL source absent at execution time."""
 

@@ -49,6 +49,7 @@ from .actions import Action, ActionKind, render_action, serialize_actions  # noq
 from .errors import (
     ChrootUnavailable,
     CommandFailed,
+    CorruptArchive,
     ImgforgeError,
     IoFailure,
     PrivilegeRequired,
@@ -449,6 +450,9 @@ def execute(plan: ExecutionPlan, backend: Executor,
     up front: ``opts.emulators``, else the qemu-*-static binaries on the
     build environment's PATH; a real build that will enter the guest
     refuses a named emulator that is not a file before copying anything.
+    Setup reads the source's partition table once, if PUMP or the guest
+    needs it, and :func:`~imgforge.image.check_partition` refuses a plan it
+    cannot serve before the destination is written, in a dry run too.
     """
     opts = options or RunOptions()
     env = dict(opts.env) if opts.env is not None else dict(os.environ)
@@ -490,8 +494,11 @@ def execute(plan: ExecutionPlan, backend: Executor,
                     image_bytes = None if packing else image.seek(0, os.SEEK_END)
                 if packing and plan.pump_bytes > 0:  # a stream's length is known at its end
                     image_bytes = source_mod.unpacked_length(src_image, packing)
+            except source_mod.DECOMPRESS_ERRORS as exc:  # what extraction says in a real build
+                raise CorruptArchive(f"cannot decompress {src_image}: {exc}") from exc
             except OSError as exc:
                 raise IoFailure(f"cannot read the partition table of {src_image}: {exc}") from exc
+            image_mod.check_partition(plan, table, image_bytes)
         dest = source_mod.materialize_destination(plan, backend, resolved_source=src_image)
         durations[Stage.SETUP.label] = time.monotonic() - started
 
@@ -502,7 +509,7 @@ def execute(plan: ExecutionPlan, backend: Executor,
         if plan.pump_bytes > 0:
             for command in plan.staged[Stage.PREPARE]:
                 log(stage_label, command.origin, render_command(command))
-            image_mod.pump(plan, backend, table, image_bytes)
+            image_mod.pump(plan, backend, table)
         durations[stage_label] = time.monotonic() - started
 
         # --- chroot: mounts, commands, installs ------------------------------
@@ -510,7 +517,7 @@ def execute(plan: ExecutionPlan, backend: Executor,
         stage_label = Stage.CHROOT.label
         log(stage_label, None, "begin")
         if needs_guest:
-            for action in mounts_mod.base_mount_actions(plan, table, emulators=emulators):
+            for action in mounts_mod.base_mount_actions(plan, emulators=emulators):
                 backend.emit(action)
                 applied_mounts.append(action)
             fstab_text = backend.read_guest_file("etc/fstab")

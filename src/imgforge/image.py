@@ -265,28 +265,19 @@ def resize_partition_entry(path: str | Path, index: int, lba_size: int) -> None:
     write_partition_table(path, table.with_entry(replace(entry, lba_size=lba_size)))
 
 
-def pump(plan: "ExecutionPlan", executor: "Executor", table: PartitionTable,
-         image_bytes: int | None) -> None:
-    """Emit the growth sequence for the plan's destination image.
+def check_partition(plan: "ExecutionPlan", table: PartitionTable,
+                    image_bytes: int | None) -> None:
+    """Refuse a plan that the source's table and length (needed only with PUMP) cannot serve.
 
-    Three actions go through the executor, in order: grow the file by the
-    requested bytes rounded up to a whole number of sectors, rewrite the
-    target partition entry with the matching sector count, and run the
-    external filesystem-resize command on the partition's mapped device.
-    A dry-run executor records the sequence; a local executor performs it.
-
-    The target partition must be the last occupied one by LBA start, or it
-    would grow into its successor.  ``table`` and ``image_bytes`` describe
-    the image the destination is copied from; ``image_bytes`` is None when
-    that length is unknown (a packed source read as a stream), and the
-    check that the partition ends inside the image is then skipped.  The
-    destination is never a block device: ``build_plan`` refuses PUMP onto one.
+    The plan's partition must be an occupied slot.  With PUMP it must also
+    be primary, the last one by LBA start (or it would grow into its
+    successor) and inside the image, and its grown size must fit an entry's
+    32-bit field.  Setup calls this before the destination is written.
     """
-    if plan.pump_bytes <= 0:
-        return
-    dest = Path(plan.destination.path)
     index = plan.partition_index
     entry = _occupied_slot(table, index)
+    if plan.pump_bytes <= 0:
+        return
     if entry.type_code in EXTENDED_TYPES:
         raise UnsupportedDiskLayout(
             f"partition {index} is extended (type {entry.type_code:#04x}); "
@@ -297,26 +288,39 @@ def pump(plan: "ExecutionPlan", executor: "Executor", table: PartitionTable,
         raise PartitionNotLast(
             f"partition {index} cannot grow: partition {last.index} starts after it"
         )
-    if image_bytes is not None and entry.lba_end * SECTOR_SIZE > image_bytes:
-        raise InvalidTable(
-            f"partition {index} already extends past the end of the image"
+    if entry.lba_end * SECTOR_SIZE > image_bytes:
+        raise InvalidTable(f"partition {index} already extends past the end of the image")
+    if entry.lba_size * SECTOR_SIZE + plan.pump_bytes > (2**32 - 1) * SECTOR_SIZE:
+        raise UnsupportedDiskLayout(
+            f"partition {index} cannot grow by {render_size(plan.pump_bytes)}: "
+            "its sector count would not fit the 32-bit size field of an MBR entry"
         )
 
-    rounded = (plan.pump_bytes + SECTOR_SIZE - 1) // SECTOR_SIZE * SECTOR_SIZE
-    sectors = rounded // SECTOR_SIZE
-    partition_dev = f"<loop>p{index}"
 
+def pump(plan: "ExecutionPlan", executor: "Executor", table: PartitionTable) -> None:
+    """Emit the growth sequence for the plan's destination image.
+
+    Three actions go through the executor, in order: grow the file by the
+    requested bytes rounded up to a whole number of sectors, rewrite the
+    target partition entry with the matching sector count, and run the
+    external filesystem-resize command on the partition's mapped device.
+    A dry-run executor records the sequence; a local executor performs it.
+    ``table`` is the source's, which :func:`check_partition` has accepted.
+    """
+    dest = str(Path(plan.destination.path))
+    index = plan.partition_index
+    sectors = -(-plan.pump_bytes // SECTOR_SIZE)  # rounded up to a whole sector
     executor.emit(Action(ActionKind.GROW_FILE, {
-        "path": str(dest), "bytes": str(rounded),
+        "path": dest, "bytes": str(sectors * SECTOR_SIZE),
     }))
     executor.emit(Action(ActionKind.TABLE_WRITE, {
-        "path": str(dest),
+        "path": dest,
         "partition": str(index),
         "added_sectors": str(sectors),
-        "lba_size": str(entry.lba_size + sectors),
+        "lba_size": str(table.entries[index - 1].lba_size + sectors),
     }))
     executor.emit(Action(ActionKind.FS_RESIZE, {
-        "image": str(dest),
+        "image": dest,
         "partition": str(index),
-        "command": f"resize2fs {partition_dev}",
+        "command": f"resize2fs <loop>p{index}",
     }))

@@ -25,7 +25,6 @@ from pathlib import Path
 from typing import Sequence
 
 from .actions import Action, ActionKind
-from .errors import RootPartitionUnmountable
 from .image import PartitionTable
 from .plan import ExecutionPlan
 from .source import TargetKind
@@ -151,14 +150,12 @@ def partition_device(base: str, index: int) -> str:
     return f"{base}{index}"
 
 
-def base_mount_actions(plan: ExecutionPlan, table: PartitionTable, *,
-                       emulators: Sequence[str]) -> list[Action]:
-    """Loop attach, root mount, system binds, resolv.conf, emulator copies."""
+def base_mount_actions(plan: ExecutionPlan, *, emulators: Sequence[str]) -> list[Action]:
+    """Loop attach, root mount, system binds, resolv.conf, emulator copies.
+
+    Setup's :func:`~imgforge.image.check_partition` has refused an empty slot.
+    """
     index = plan.partition_index
-    if not 1 <= index <= len(table.entries) or table.entries[index - 1].empty:
-        raise RootPartitionUnmountable(
-            f"partition {index} is not present in the image's partition table"
-        )
     actions: list[Action] = []
 
     def add(kind: ActionKind, source: str, target: str) -> None:

@@ -22,7 +22,6 @@ from .errors import (
     InvalidMode,
     InvalidPartitionIndex,
     MissingSource,
-    PifileError,
 )
 from .image import parse_size
 from .pifile import Command, CommandKind, Pifile
@@ -78,12 +77,7 @@ def assign_stages(pifile: Pifile) -> dict[Stage, list[Command]]:
     """Partition commands over the three stages, keeping textual order inside each."""
     staged: dict[Stage, list[Command]] = {stage: [] for stage in Stage}
     for command in pifile.commands:
-        stage = _STAGE_BY_KIND.get(command.kind)
-        if stage is None:
-            raise PifileError(
-                f"{command.kind.value} must be resolved before staging", origin=command.origin
-            )
-        staged[stage].append(command)
+        staged[_STAGE_BY_KIND[command.kind]].append(command)
     return staged
 
 

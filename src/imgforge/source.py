@@ -63,7 +63,7 @@ FETCH_TIMEOUT_S = 60  # per blocking socket operation, not for the whole downloa
 
 _PACKED_SUFFIXES = frozenset({".gz", ".xz", ".zst", ".zip"})
 _REJECTED_SUFFIXES = frozenset({".bz2", ".tar", ".tgz", ".txz", ".tbz2", ".lz4", ".7z", ".rar"})
-_DECOMPRESS_ERRORS = (gzip.BadGzipFile, lzma.LZMAError, zlib.error, EOFError)
+DECOMPRESS_ERRORS = (gzip.BadGzipFile, lzma.LZMAError, zlib.error, EOFError)
 
 # unit of every image read and write; one buffer of it is the most any of them holds
 CHUNK = 1024 * 1024
@@ -265,15 +265,15 @@ def open_image_stream(path: str | Path, name_hint: str | None = None) -> BinaryI
 
 
 def unpacked_length(archive: str | Path, name_hint: str | None = None) -> int:
-    """Length of the image packed in ``archive``: it is decompressed once and nothing written."""
+    """Length of the image packed in ``archive``: it is decompressed once and nothing written.
+
+    A corrupt archive raises one of ``DECOMPRESS_ERRORS``, which the caller maps.
+    """
     buf = bytearray(CHUNK)
     total = 0
-    try:
-        with open_image_stream(archive, name_hint) as src:
-            while n := src.readinto(buf):
-                total += n
-    except _DECOMPRESS_ERRORS as exc:
-        raise CorruptArchive(f"cannot decompress {archive}: {exc}") from exc
+    with open_image_stream(archive, name_hint) as src:
+        while n := src.readinto(buf):
+            total += n
     return total
 
 
@@ -319,7 +319,7 @@ def _unpack(archive: Path, out: Path, open_stream: Callable[[], BinaryIO]) -> Pa
     try:
         with open_stream() as src, open(tmp, "wb") as dst:
             _write_sparse(src, dst)
-    except _DECOMPRESS_ERRORS as exc:
+    except DECOMPRESS_ERRORS as exc:
         tmp.unlink(missing_ok=True)
         raise CorruptArchive(f"cannot decompress {archive}: {exc}") from exc
     except BaseException:

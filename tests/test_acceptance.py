@@ -23,6 +23,7 @@ from imgforge.executor import (
     serialize_actions,
 )
 from imgforge.image import (
+    check_partition,
     parse_size,
     pump,
     read_partition_table,
@@ -88,7 +89,9 @@ def test_criterion_2_pump_arithmetic(tmp_path):
     backend = LocalExecutor(runner=lambda argv, **kw: (0, ""))
 
     started = time.monotonic()
-    pump(plan, backend, read_partition_table(image), image.stat().st_size)
+    table = read_partition_table(image)
+    check_partition(plan, table, image.stat().st_size)
+    pump(plan, backend, table)
     elapsed = time.monotonic() - started
 
     assert image.stat().st_size == 83886080  # 64 MiB + 16 MiB, exactly
@@ -114,7 +117,7 @@ def test_criterion_4_mount_plan_golden(tmp_path):
         "PARTUUID=deadbeef-02 / ext4 defaults 0 1\n"
         "proc /proc proc defaults 0 0\n"
     )
-    setup = base_mount_actions(plan, table, emulators=[EMULATOR])
+    setup = base_mount_actions(plan, emulators=[EMULATOR])
     mounted = {a.payload["target"] for a in setup if a.kind is not ActionKind.LOOP_ATTACH}
     setup += fstab_mount_actions(plan, table, fstab, already_mounted=mounted)
     backend = DryRunExecutor()
@@ -233,9 +236,10 @@ def test_criterion_8_pump_safety(tmp_path):
         "FROM disk.img 1\nTO disk.img\nPUMP 16M\n", {}, source_path=tmp_path / "unsafe.Pifile")
     plan = build_plan(pifile, lambda loc: SourceKind.LOCAL_FILE)
 
+    table = read_partition_table(image)
     with pytest.raises(PartitionNotLast):
-        pump(plan, LocalExecutor(runner=lambda argv, **kw: (0, "")),
-             read_partition_table(image), image.stat().st_size)
+        check_partition(plan, table, image.stat().st_size)
+        pump(plan, LocalExecutor(runner=lambda argv, **kw: (0, "")), table)
     assert sha256(image) == digest_before  # image byte-identical
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import lzma
+import random
 import shutil
 import subprocess
 import sys
@@ -44,6 +45,13 @@ def fake_device_probe(locator):
     if Path(locator).is_file():
         return SourceKind.LOCAL_FILE
     return None
+
+
+def error_line(stderr):
+    """The one line of ``stderr`` that is not a plan warning."""
+    lines = [line for line in stderr.splitlines() if not line.startswith("warning: ")]
+    assert len(lines) == 1, stderr
+    return lines[0]
 
 
 def write_fixture(tmp_path, name="example.Pifile",
@@ -111,6 +119,27 @@ class TestExitCodes:
         assert main([str(pifile)], ENV) == 2
         assert "[setup] protective MBR found" in capsys.readouterr().err
         assert not (tmp_path / "out.img").exists()
+
+    @pytest.mark.parametrize("text", [
+        "FROM base.img 1\nTO out.img\nPUMP 1M\n",  # partition 2 starts after it
+        "FROM base.img 3\nTO out.img\nPUMP 1M\n",  # an empty slot
+        "FROM base.img 3\nTO out.img\nRUN true\n",
+        "FROM base.img 7\nTO out.img\nRUN true\n",  # outside the 4 slots
+        "FROM base.img\nTO out.img\nPUMP 2T\n",  # past a 32-bit sector count
+    ])
+    def test_partition_refusal_stops_setup_before_to_is_written(self, tmp_path, capsys, text):
+        pifile = write_fixture(tmp_path, text=text)
+        emulator = tmp_path / "qemu-arm-static"
+        emulator.write_bytes(b"")
+        args = ["--emulator", str(emulator), str(pifile)]
+        code = main(args, ENV,
+                    executor_factory=lambda cfg: LocalExecutor(runner=lambda argv, **kw: (0, "")))
+        assert code == 2
+        real_err = capsys.readouterr().err
+        assert error_line(real_err).startswith("[setup]")
+        assert not (tmp_path / "out.img").exists()
+        assert main(["--dry-run", str(tmp_path / "plan.log"), *args], ENV) == 2
+        assert capsys.readouterr().err == real_err
 
     def test_environment_problem_is_exit_3(self, tmp_path):
         pifile = write_fixture(tmp_path, text="FROM base.img\nRUN x\n")
@@ -190,10 +219,23 @@ class TestDryRun:
         log = tmp_path / "plan.log"
         assert main(["--dry-run", str(log), str(pifile)], ENV) == 2
         dry_err = capsys.readouterr().err
-        assert "[prepare]" in dry_err and "past the end of the image" in dry_err
+        assert "[setup]" in dry_err and "past the end of the image" in dry_err
         assert "TABLE_WRITE" not in log.read_text()
         assert main([str(pifile)], ENV) == 2
         assert capsys.readouterr().err == dry_err
+        assert not (tmp_path / "out.img").exists()
+
+    def test_corrupt_archive_fails_like_the_real_build(self, tmp_path, capsys):
+        (tmp_path / "bad.img.xz").write_bytes(random.Random(0).randbytes(4096))
+        pifile = tmp_path / "bad.Pifile"
+        pifile.write_text("FROM bad.img.xz\nTO out.img\nPUMP 1M\n")
+        assert main([str(pifile)], ENV) == 2
+        real_err = capsys.readouterr().err
+        assert error_line(real_err).startswith("[setup] cannot decompress")
+        assert main(["--dry-run", str(tmp_path / "plan.log"), str(pifile)], ENV) == 2
+        dry_err = capsys.readouterr().err
+        assert dry_err == real_err and "Traceback" not in dry_err
+        assert not (tmp_path / "out.img").exists()
 
     def test_env_flag_feeds_substitution(self, tmp_path):
         mbr_oracle.write_image(tmp_path / "base.img")

@@ -17,10 +17,18 @@ from imgforge.errors import (
     ShortImage,
     UnsupportedDiskLayout,
 )
-from imgforge.executor import Action, ActionKind, DryRunExecutor, LocalExecutor
+from imgforge.executor import (
+    Action,
+    ActionKind,
+    DryRunExecutor,
+    LocalExecutor,
+    RunOptions,
+    execute,
+)
 from imgforge.image import (
     PartitionEntry,
     PartitionTable,
+    check_partition,
     grow_image_file,
     parse_size,
     pump,
@@ -48,9 +56,11 @@ def stub_runner(argv, **kwargs):
     return 0, ""
 
 
-def pump_image(plan, backend, image):
-    """``pump`` given the table and length of ``image``, as setup reads them."""
-    pump(plan, backend, read_partition_table(image), image.stat().st_size)
+def pump_image(plan, backend, image, image_bytes=None):
+    """The check, then ``pump``, on the table and length of ``image``, as setup runs them."""
+    table = read_partition_table(image)
+    check_partition(plan, table, image.stat().st_size if image_bytes is None else image_bytes)
+    pump(plan, backend, table)
 
 
 class TestParseSize:
@@ -274,17 +284,15 @@ class TestPump:
 
     def test_partition_past_image_end_refused_when_length_known(self, tmp_path, fixture_image):
         plan = plan_for(tmp_path, fixture_image, "1M")
-        table = read_partition_table(fixture_image)
-        with pytest.raises(InvalidTable):
-            pump(plan, DryRunExecutor(), table, fixture_image.stat().st_size - 512)
         backend = DryRunExecutor()
-        pump(plan, backend, table, None)  # a packed source's length is unknown
-        assert len(backend.actions) == 3
+        with pytest.raises(InvalidTable):
+            pump_image(plan, backend, fixture_image, fixture_image.stat().st_size - 512)
+        assert backend.actions == []
 
     def test_zero_pump_emits_nothing(self, tmp_path, fixture_image):
         plan = plan_for(tmp_path, fixture_image, "0")
         backend = DryRunExecutor()
-        pump_image(plan, backend, fixture_image)
+        execute(plan, backend, RunOptions(env={"PATH": ""}))
         assert backend.actions == []
 
     def test_empty_slot_refused(self, tmp_path, fixture_image):

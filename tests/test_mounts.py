@@ -4,9 +4,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from imgforge.errors import RootPartitionUnmountable
+from imgforge.errors import EmptyPartitionSlot
 from imgforge.executor import Action, ActionKind, DryRunExecutor
-from imgforge.image import PartitionEntry, PartitionTable
+from imgforge.image import PartitionEntry, PartitionTable, check_partition
 from imgforge.mounts import (
     LOOP_TOKEN,
     ROOT_TOKEN,
@@ -48,7 +48,7 @@ def make_plan(partition=2, image="disk.img", block_device=False):
 
 def compose_mount_plan(plan, table, guest_fstab=None, *, emulators):
     """Setup actions composed the way execute() composes them."""
-    actions = base_mount_actions(plan, table, emulators=emulators)
+    actions = base_mount_actions(plan, emulators=emulators)
     if guest_fstab is not None:
         mounted = {a.payload["target"] for a in actions if a.kind is not ActionKind.LOOP_ATTACH}
         actions += fstab_mount_actions(plan, table, guest_fstab, already_mounted=mounted)
@@ -231,8 +231,8 @@ class TestBuildMountPlan:
 
     def test_missing_root_partition_raises(self):
         assert FIXTURE_TABLE.entries[2].empty
-        with pytest.raises(RootPartitionUnmountable):
-            compose_mount_plan(make_plan(partition=3), FIXTURE_TABLE, emulators=[])
+        with pytest.raises(EmptyPartitionSlot):
+            check_partition(make_plan(partition=3), FIXTURE_TABLE, None)
 
     def test_block_device_destination_skips_loop(self):
         plan = make_plan(image="/dev/sdc", block_device=True)
