@@ -16,8 +16,9 @@ The pipeline in :func:`execute` is the same for both.  Each RUN, HOST and
 INSTALL command becomes its action in :func:`command_action`, and a
 nonzero status from a RUN or HOST aborts the build.  The backends differ
 in :meth:`Executor.read_guest_file`, a file inside the mounted guest, and
-in ``performs_effects``: a dry run never extracts an archive, checks that
-an emulator is a file, or hashes the output.
+in ``performs_effects``: a dry run neither checks that an emulator is a
+file nor hashes the output.  Both fetch and unpack the source into the
+cache, so both copy the same file to the destination.
 
 The loop device and the chroot directory only exist once the build has
 made them, so actions name them through the ``<loop>`` and ``<root>``
@@ -49,7 +50,6 @@ from .actions import Action, ActionKind, render_action, serialize_actions  # noq
 from .errors import (
     ChrootUnavailable,
     CommandFailed,
-    CorruptArchive,
     ImgforgeError,
     IoFailure,
     PrivilegeRequired,
@@ -450,14 +450,14 @@ def execute(plan: ExecutionPlan, backend: Executor,
     up front: ``opts.emulators``, else the qemu-*-static binaries on the
     build environment's PATH; a real build that will enter the guest
     refuses a named emulator that is not a file before copying anything.
-    Setup reads the source's partition table once, if PUMP or the guest
-    needs it, and :func:`~imgforge.image.check_partition` refuses a plan it
-    cannot serve before the destination is written, in a dry run too.
+    Setup unpacks an archive source into the cache in both backends, then
+    reads the image's partition table and length once, if PUMP or the guest
+    needs them, and :func:`~imgforge.image.check_partition` refuses a plan
+    it cannot serve before the destination is written, in a dry run too.
     """
     opts = options or RunOptions()
     env = dict(opts.env) if opts.env is not None else dict(os.environ)
     log = opts.on_log or (lambda stage, origin, message: None)
-    real = backend.performs_effects
     chroot_commands = plan.staged[Stage.CHROOT]
     # HOST and PATH never touch the guest filesystem; mount only when
     # something will actually run or copy inside the image
@@ -465,7 +465,7 @@ def execute(plan: ExecutionPlan, backend: Executor,
                       for c in chroot_commands)
     emulators = (list(opts.emulators) if opts.emulators is not None
                  else mounts_mod.discover_emulators(env.get("PATH", "")))
-    if real and needs_guest:
+    if backend.performs_effects and needs_guest:
         missing = [e for e in emulators if not os.path.isfile(e)]
         if missing:
             raise ChrootUnavailable(f"emulator is not a file: {', '.join(missing)}")
@@ -479,23 +479,17 @@ def execute(plan: ExecutionPlan, backend: Executor,
         log(Stage.SETUP.label, None, "begin")
         resolved, name_hint = _resolve_source(plan, opts, backend, env, log)
         src_image = resolved
-        if real and source_mod.is_archive(name_hint):
+        if source_mod.is_archive(name_hint):
             src_image = source_mod.extract_image(
                 resolved, _extraction_workspace(plan, opts, env, resolved),
                 name_hint=name_hint,
             )
-        # until it is extracted, an archive is read through a decompressing stream
-        packing = name_hint if src_image is resolved and source_mod.is_archive(name_hint) else None
         if plan.pump_bytes > 0 or needs_guest:
             try:
-                with source_mod.open_image_stream(src_image, packing) as image:
+                with open(src_image, "rb") as image:
                     table = image_mod.read_partition_table(image)
                     # the open file's length, not st_size, which is 0 for a block device
-                    image_bytes = None if packing else image.seek(0, os.SEEK_END)
-                if packing and plan.pump_bytes > 0:  # a stream's length is known at its end
-                    image_bytes = source_mod.unpacked_length(src_image, packing)
-            except source_mod.DECOMPRESS_ERRORS as exc:  # what extraction says in a real build
-                raise CorruptArchive(f"cannot decompress {src_image}: {exc}") from exc
+                    image_bytes = image.seek(0, os.SEEK_END)
             except OSError as exc:
                 raise IoFailure(f"cannot read the partition table of {src_image}: {exc}") from exc
             image_mod.check_partition(plan, table, image_bytes)
@@ -555,7 +549,7 @@ def execute(plan: ExecutionPlan, backend: Executor,
             backend.emit(action)
 
     digest = None
-    if real and plan.destination.kind is source_mod.TargetKind.LOCAL_FILE and dest.is_file():
+    if backend.performs_effects and dest.is_file():  # a device destination is no file
         digest = _sha256_file(dest)
     return BuildReport(
         stage_durations=durations,
@@ -593,9 +587,7 @@ def _extraction_workspace(plan: ExecutionPlan, opts: RunOptions,
     if plan.source.kind is source_mod.SourceKind.URL:
         return resolved.parent
     cache_dir = resolve_cache_dir(opts.cache_dir, env, plan.pifile_path)
-    entry = Path(cache_dir) / source_mod.cache_key(f"file://{resolved.resolve()}")
-    entry.mkdir(parents=True, exist_ok=True)
-    return entry
+    return Path(cache_dir) / source_mod.cache_key(f"file://{resolved.resolve()}")
 
 
 def resolve_cache_dir(explicit: str | Path | None, env: Mapping[str, str],

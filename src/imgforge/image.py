@@ -265,8 +265,7 @@ def resize_partition_entry(path: str | Path, index: int, lba_size: int) -> None:
     write_partition_table(path, table.with_entry(replace(entry, lba_size=lba_size)))
 
 
-def check_partition(plan: "ExecutionPlan", table: PartitionTable,
-                    image_bytes: int | None) -> None:
+def check_partition(plan: "ExecutionPlan", table: PartitionTable, image_bytes: int) -> None:
     """Refuse a plan that the source's table and length (needed only with PUMP) cannot serve.
 
     The plan's partition must be an occupied slot.  With PUMP it must also

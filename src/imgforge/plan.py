@@ -115,6 +115,9 @@ def build_plan(pifile: Pifile,
     base_dir = pifile.source_path.parent
 
     if inplaces:
+        if is_url(inplaces[0].args[0]):
+            raise ConflictingSource("INPLACE cannot edit a URL; use FROM <url> with TO",
+                                    origin=inplaces[0].origin)
         locator = _anchor(inplaces[0].args[0], base_dir)
         kind = classify_source(locator, probe)
         partition_index = DEFAULT_PARTITION_INDEX

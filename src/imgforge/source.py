@@ -12,6 +12,8 @@ Cache layout, under the directory given by --cache, $PIMOD_CACHE, or a
     <key>/image     the downloaded bytes, moved into place atomically
     <key>/meta      url=..., fetched_at=..., size=... (one per line)
     <key>.lock      advisory lock serializing concurrent invocations
+    <key>/<name>    an unpacked image; ``.<name>.source`` stamps its archive's
+                    size, mtime and inode (a local archive's key hashes its path)
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ FETCH_TIMEOUT_S = 60  # per blocking socket operation, not for the whole downloa
 
 _PACKED_SUFFIXES = frozenset({".gz", ".xz", ".zst", ".zip"})
 _REJECTED_SUFFIXES = frozenset({".bz2", ".tar", ".tgz", ".txz", ".tbz2", ".lz4", ".7z", ".rar"})
-DECOMPRESS_ERRORS = (gzip.BadGzipFile, lzma.LZMAError, zlib.error, EOFError)
+_DECOMPRESS_ERRORS = (gzip.BadGzipFile, lzma.LZMAError, zlib.error, EOFError)
 
 # unit of every image read and write; one buffer of it is the most any of them holds
 CHUNK = 1024 * 1024
@@ -230,6 +232,9 @@ def _zst_open(path: Path, mode: str) -> BinaryIO:
     return zstandard.ZstdDecompressor().stream_reader(open(path, "rb"), closefd=True)
 
 
+_STREAM_OPENERS = {".gz": gzip.open, ".xz": lzma.open, ".zst": _zst_open}
+
+
 def _single_image_member(archive: zipfile.ZipFile) -> str:
     members = [m for m in archive.namelist()
                if m.lower().endswith(".img") and not m.endswith("/")]
@@ -240,41 +245,6 @@ def _single_image_member(archive: zipfile.ZipFile) -> str:
     if not members:
         raise UnsupportedArchive("archive contains no .img member")
     return members[0]
-
-
-def open_image_stream(path: str | Path, name_hint: str | None = None) -> BinaryIO:
-    """Open a read stream of the image bytes behind ``path``.
-
-    Compressed sources are decompressed on the fly, which lets a dry run
-    inspect the partition table without unpacking anything to disk.  The
-    suffix is taken from ``name_hint`` when given (cache entries are stored
-    under a fixed name, so the URL's basename carries the real suffix).
-    """
-    path = Path(path)
-    packing = _packing(name_hint or path.name)
-    try:
-        if packing == ".zip":
-            archive = zipfile.ZipFile(path)
-            return archive.open(_single_image_member(archive))
-        opener = {".gz": gzip.open, ".xz": lzma.open, ".zst": _zst_open}.get(packing, open)
-        return opener(path, "rb")
-    except zipfile.BadZipFile as exc:
-        raise CorruptArchive(f"{path} is not a valid zip archive: {exc}") from exc
-    except OSError as exc:
-        raise IoFailure(f"cannot open image {path}: {exc}") from exc
-
-
-def unpacked_length(archive: str | Path, name_hint: str | None = None) -> int:
-    """Length of the image packed in ``archive``: it is decompressed once and nothing written.
-
-    A corrupt archive raises one of ``DECOMPRESS_ERRORS``, which the caller maps.
-    """
-    buf = bytearray(CHUNK)
-    total = 0
-    with open_image_stream(archive, name_hint) as src:
-        while n := src.readinto(buf):
-            total += n
-    return total
 
 
 def extract_image(archive: str | Path, workspace: str | Path, *,
@@ -294,18 +264,23 @@ def extract_image(archive: str | Path, workspace: str | Path, *,
     packing = _packing(name)
     if packing is None:
         return archive
-    workspace.mkdir(parents=True, exist_ok=True)
+    try:
+        workspace.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CacheUnwritable(f"cannot create cache directory {workspace}: {exc}") from exc
     try:
         if packing != ".zip":
             out = workspace / Path(name).stem
             if out == archive:  # a download of ".../image.gz" is itself stored as <key>/image
                 out = out.with_name(f"{out.name}.unpacked")
-            return _unpack(archive, out, lambda: open_image_stream(archive, name))
+            return _unpack(archive, out, lambda: _STREAM_OPENERS[packing](archive, "rb"))
         with zipfile.ZipFile(archive) as zf:
             member = _single_image_member(zf)
             return _unpack(archive, workspace / Path(member).name, lambda: zf.open(member))
     except zipfile.BadZipFile as exc:
         raise CorruptArchive(f"{archive} is not a valid zip archive: {exc}") from exc
+    except OSError as exc:  # reading the archive, or writing the image into a full cache
+        raise IoFailure(f"cannot unpack {archive}: {exc}") from exc
 
 
 def _unpack(archive: Path, out: Path, open_stream: Callable[[], BinaryIO]) -> Path:
@@ -319,7 +294,7 @@ def _unpack(archive: Path, out: Path, open_stream: Callable[[], BinaryIO]) -> Pa
     try:
         with open_stream() as src, open(tmp, "wb") as dst:
             _write_sparse(src, dst)
-    except DECOMPRESS_ERRORS as exc:
+    except _DECOMPRESS_ERRORS as exc:
         tmp.unlink(missing_ok=True)
         raise CorruptArchive(f"cannot decompress {archive}: {exc}") from exc
     except BaseException:

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import lzma
 import random
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import imgforge.plan as plan_mod
+import imgforge.source as source_mod
 import mbr_oracle
 from imgforge.cli import main, render_log
 from imgforge.errors import ChrootUnavailable
@@ -59,6 +61,15 @@ def write_fixture(tmp_path, name="example.Pifile",
     mbr_oracle.write_image(tmp_path / "base.img")
     pifile = tmp_path / name
     pifile.write_text(text)
+    return pifile
+
+
+def write_xz_fixture(tmp_path):
+    """A 1 MiB ``base.img`` packed as ``base.img.xz``, and a Pifile that copies it out."""
+    raw = mbr_oracle.write_image(tmp_path / "base.img", 1024 * 1024)
+    (tmp_path / "base.img.xz").write_bytes(lzma.compress(raw.read_bytes()))
+    pifile = tmp_path / "xz.Pifile"
+    pifile.write_text("FROM base.img.xz\nTO out.img\nHOST true\n")
     return pifile
 
 
@@ -235,6 +246,59 @@ class TestDryRun:
         assert main(["--dry-run", str(tmp_path / "plan.log"), str(pifile)], ENV) == 2
         dry_err = capsys.readouterr().err
         assert dry_err == real_err and "Traceback" not in dry_err
+        assert not (tmp_path / "out.img").exists()
+
+    @pytest.mark.parametrize("source", ["bad.img.xz", "base.tar.gz", "z.img.zst"])
+    def test_source_refusal_is_the_same_in_both_modes(self, tmp_path, capsys, monkeypatch,
+                                                      source):
+        monkeypatch.setitem(sys.modules, "zstandard", None)  # import fails as if absent
+        (tmp_path / source).write_bytes(random.Random(0).randbytes(4096))
+        pifile = tmp_path / "src.Pifile"
+        pifile.write_text(f"FROM {source}\nTO out.img\nHOST true\n")
+        assert main([str(pifile)], ENV) == 2
+        real_err = capsys.readouterr().err
+        assert error_line(real_err).startswith("[setup] ")
+        assert not (tmp_path / "out.img").exists()
+        if source == "base.tar.gz":  # refused by its name, before a cache entry is made
+            assert not (tmp_path / ".pimod-cache").exists()
+        assert main(["--dry-run", str(tmp_path / "plan.log"), str(pifile)], ENV) == 2
+        assert capsys.readouterr().err == real_err
+
+    def test_dry_run_unpacks_the_archive_the_real_build_reuses(self, tmp_path):
+        pifile = write_xz_fixture(tmp_path)
+        assert main(["--dry-run", str(tmp_path / "plan.log"), str(pifile)], ENV) == 0
+        [unpacked] = (tmp_path / ".pimod-cache").glob("*/base.img")
+        stamp = unpacked.with_name(".base.img.source")
+        before = [(p.stat().st_ino, p.stat().st_mtime_ns) for p in (unpacked, stamp)]
+        assert f"COPY_IMAGE\tsrc={unpacked}\t" in (tmp_path / "plan.log").read_text()
+        assert main([str(pifile)], ENV) == 0
+        assert [(p.stat().st_ino, p.stat().st_mtime_ns) for p in (unpacked, stamp)] == before
+        assert (tmp_path / "out.img").read_bytes() == (tmp_path / "base.img").read_bytes()
+
+    def test_full_cache_while_unpacking_is_a_setup_failure(self, tmp_path, capsys,
+                                                           monkeypatch):
+        def no_space(src, dst):
+            dst.write(b"partial")
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(source_mod, "_write_sparse", no_space)
+        pifile = write_xz_fixture(tmp_path)
+        assert main([str(pifile)], ENV) == 2
+        assert error_line(capsys.readouterr().err).startswith(
+            f"[setup] cannot unpack {tmp_path / 'base.img.xz'}: [Errno 28]")
+        assert list(tmp_path.rglob(".extract.*")) == []
+        assert not (tmp_path / "out.img").exists()
+
+    @pytest.mark.parametrize("dry_run", [False, True])
+    def test_unusable_cache_for_a_local_archive_is_exit_3(self, tmp_path, capsys, dry_run):
+        pifile = write_xz_fixture(tmp_path)
+        (tmp_path / "file").write_text("")
+        args = ["--cache", str(tmp_path / "file" / "sub"), str(pifile)]
+        if dry_run:
+            args = ["--dry-run", str(tmp_path / "plan.log"), *args]
+        assert main(args, ENV) == 3
+        assert error_line(capsys.readouterr().err).startswith(
+            f"[setup] cannot create cache directory {tmp_path / 'file' / 'sub'}")
         assert not (tmp_path / "out.img").exists()
 
     def test_env_flag_feeds_substitution(self, tmp_path):

@@ -1,5 +1,6 @@
 import errno
 import hashlib
+import lzma
 import os
 import shutil
 import tempfile
@@ -656,7 +657,6 @@ def root_dirs_left():
 
 class TestRealBuildLog:
     LISTING = (
-        "FROM base.img\n"
         "TO out.img\n"
         "PUMP 1M\n"
         "RUN tee /etc/issue << EOF\nwelcome\nEOF\n"
@@ -666,18 +666,22 @@ class TestRealBuildLog:
         "RUN true\n"
     )
 
-    def test_real_build_records_the_dry_run_log(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("source", ["base.img", "base.img.xz"])
+    def test_real_build_records_the_dry_run_log(self, tmp_path, monkeypatch, source):
         monkeypatch.chdir(tmp_path)
-        mbr_oracle.write_image(tmp_path / "base.img")
+        raw = mbr_oracle.write_image(tmp_path / "base.img")
+        if source.endswith(".xz"):
+            (tmp_path / source).write_bytes(lzma.compress(raw.read_bytes(), preset=0))
         (tmp_path / "motd").write_text("hi\n")
         emulator = tmp_path / "qemu-arm-static"
         emulator.write_bytes(b"\x7fELF")
         options = RunOptions(env=FIXED_ENV, emulators=[str(emulator)])
+        listing = f"FROM {source}\n{self.LISTING}"
         dry = DryRunExecutor()
-        execute(make_plan(tmp_path, self.LISTING), dry, options)
+        execute(make_plan(tmp_path, listing), dry, options)
         runner = GuestRunner()
         real = LocalExecutor(runner=runner)
-        report = execute(make_plan(tmp_path, self.LISTING), real, options)
+        report = execute(make_plan(tmp_path, listing), real, options)
         assert real.render_log() == dry.render_log()
         assert report.image_digest is not None
         chroots = [argv for argv, _ in runner.calls if argv[0] == "chroot"]

@@ -131,6 +131,12 @@ class TestBuildPlan:
         with pytest.raises(ConflictingSource):
             build_plan(pifile)
 
+    def test_inplace_url_refused_at_its_line(self, tmp_path):
+        pifile = pifile_at(tmp_path, "RUN x\nINPLACE https://host/base.img\n")
+        with pytest.raises(ConflictingSource, match="FROM <url> with TO") as info:
+            build_plan(pifile, files_probe())
+        assert info.value.origin.line_no == 2
+
     def test_multiple_to_last_wins_with_warning(self, tmp_path, caplog):
         pifile = pifile_at(tmp_path, "FROM a.img\nTO first.img\nTO second.img\n")
         with caplog.at_level(logging.WARNING, logger="imgforge.plan"):
