@@ -15,10 +15,10 @@ action's payload is all a backend needs to perform it:
 The pipeline in :func:`execute` is the same for both.  Each RUN, HOST and
 INSTALL command becomes its action in :func:`command_action`, and a
 nonzero status from a RUN or HOST aborts the build.  The backends differ
-in :meth:`Executor.read_guest_file`, a file inside the mounted guest, and
-in ``performs_effects``: a dry run neither checks that an emulator is a
-file nor hashes the output.  Both fetch and unpack the source into the
-cache, so both copy the same file to the destination.
+only in ``performs_effects``: a dry run neither checks that an emulator is
+a file nor hashes the output.  Both fetch and unpack the source into the
+cache, so both copy the same file to the destination, and both read the
+guest's /etc/fstab from that file in setup, so both plan the same mounts.
 
 The loop device and the chroot directory only exist once the build has
 made them, so actions name them through the ``<loop>`` and ``<root>``
@@ -143,10 +143,6 @@ class Executor:
     def render_log(self) -> str:
         return serialize_actions(self.actions)
 
-    def read_guest_file(self, path: str) -> str | None:
-        """Text of ``path`` inside the mounted guest; None when unavailable."""
-        return None
-
 
 class DryRunExecutor(Executor):
     """Records every would-be effect; performs none of them."""
@@ -199,10 +195,6 @@ class LocalExecutor(Executor):
 
     def _perform(self, action: Action) -> int:
         return self._handlers[action.kind](action)
-
-    def read_guest_file(self, path: str) -> str | None:
-        guest_path = Path(self._sub(mounts_mod.ROOT_TOKEN)) / path.lstrip("/")
-        return guest_path.read_text() if guest_path.is_file() else None
 
     # -- helpers ------------------------------------------------------------
 
@@ -454,6 +446,8 @@ def execute(plan: ExecutionPlan, backend: Executor,
     reads the image's partition table and length once, if PUMP or the guest
     needs them, and :func:`~imgforge.image.check_partition` refuses a plan
     it cannot serve before the destination is written, in a dry run too.
+    When the guest is entered, setup also reads its /etc/fstab from the
+    source, so the chroot stage plans the same mounts in both backends.
     """
     opts = options or RunOptions()
     env = dict(opts.env) if opts.env is not None else dict(os.environ)
@@ -493,6 +487,8 @@ def execute(plan: ExecutionPlan, backend: Executor,
             except OSError as exc:
                 raise IoFailure(f"cannot read the partition table of {src_image}: {exc}") from exc
             image_mod.check_partition(plan, table, image_bytes)
+        if needs_guest:
+            fstab_text = mounts_mod.read_guest_fstab(src_image, table, plan.partition_index)
         dest = source_mod.materialize_destination(plan, backend, resolved_source=src_image)
         durations[Stage.SETUP.label] = time.monotonic() - started
 
@@ -511,17 +507,12 @@ def execute(plan: ExecutionPlan, backend: Executor,
         stage_label = Stage.CHROOT.label
         log(stage_label, None, "begin")
         if needs_guest:
-            for action in mounts_mod.base_mount_actions(plan, emulators=emulators):
+            base = mounts_mod.base_mount_actions(plan, emulators=emulators)
+            mounted = {a.payload["target"] for a in base}
+            for action in base + mounts_mod.fstab_mount_actions(plan, table, fstab_text,
+                                                                already_mounted=mounted):
                 backend.emit(action)
                 applied_mounts.append(action)
-            fstab_text = backend.read_guest_file("etc/fstab")
-            if fstab_text is not None:
-                mounted = {a.payload["target"] for a in applied_mounts
-                           if a.kind is not ActionKind.LOOP_ATTACH}
-                for action in mounts_mod.fstab_mount_actions(plan, table, fstab_text,
-                                                             already_mounted=mounted):
-                    backend.emit(action)
-                    applied_mounts.append(action)
 
         host_path = env.get("PATH", "").split(os.pathsep)
         extensions: list[str] = []

@@ -12,7 +12,9 @@ Setup order: loop attach, root partition mount, bind mounts for /dev,
 /sys, /proc and /dev/pts, a bind of the host's resolv.conf for DNS, one
 copy per static emulator binary, then any additional partitions named by
 the guest's /etc/fstab, shallowest mount point first.  Teardown undoes
-exactly the setup actions applied, last first.
+exactly the setup actions applied, last first.  Setup reads that fstab
+from an ext2/3/4 root of the source with :func:`read_guest_fstab`, so a
+dry run plans the same mounts as a real build; other roots add none.
 """
 
 from __future__ import annotations
@@ -20,12 +22,14 @@ from __future__ import annotations
 import logging
 import os
 import re
+import subprocess
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 from .actions import Action, ActionKind
-from .image import PartitionTable
+from .errors import ShellUnavailable
+from .image import SECTOR_SIZE, PartitionTable
 from .plan import ExecutionPlan
 from .source import TargetKind
 
@@ -119,6 +123,26 @@ def map_fstab_device(spec: str, table: PartitionTable) -> int | None:
         return None
     logger.warning("fstab device %s cannot be mapped to a partition, skipped", spec)
     return None
+
+
+def read_guest_fstab(image: str | Path, table: PartitionTable, index: int) -> str:
+    """Text of ``/etc/fstab`` on partition ``index`` of ``image``, read with ``debugfs``.
+
+    A missing file, or a symlink, which debugfs does not follow, reads as
+    empty.  A partition that holds no ext2/3/4 filesystem reads as empty
+    with a warning.  Invalid UTF-8 becomes U+FFFD.
+    """
+    offset = table.entries[index - 1].lba_start * SECTOR_SIZE
+    argv = ["debugfs", "-R", "cat /etc/fstab", f"{image}?offset={offset}"]
+    try:
+        proc = subprocess.run(argv, stdin=subprocess.DEVNULL, capture_output=True)
+    except OSError as exc:
+        raise ShellUnavailable(f"cannot execute debugfs to read the guest fstab: {exc}") from exc
+    if proc.returncode != 0:
+        logger.warning("partition %d of %s holds no ext2/3/4 filesystem; "
+                       "its /etc/fstab adds no mounts", index, image)
+        return ""
+    return proc.stdout.decode("utf-8", errors="replace")
 
 
 def discover_emulators(path_var: str) -> list[str]:

@@ -33,7 +33,7 @@ import urllib.parse
 import urllib.request
 import zipfile
 import zlib
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -256,7 +256,7 @@ def extract_image(archive: str | Path, workspace: str | Path, *,
     and a re-download or a rewritten local archive is unpacked again.
     All-zero chunks are left as holes.  Unsupported container formats
     (tarballs and friends) are rejected rather than silently treated as raw
-    images.
+    images.  A failed unpack removes ``workspace`` again if it made it.
     """
     archive = Path(archive)
     workspace = Path(workspace)
@@ -264,10 +264,22 @@ def extract_image(archive: str | Path, workspace: str | Path, *,
     packing = _packing(name)
     if packing is None:
         return archive
+    created = not workspace.is_dir()
     try:
         workspace.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise CacheUnwritable(f"cannot create cache directory {workspace}: {exc}") from exc
+    try:
+        return _unpack_into(archive, workspace, name, packing)
+    except BaseException:
+        if created:
+            with suppress(OSError):  # kept if a concurrent build filled it meanwhile
+                workspace.rmdir()
+        raise
+
+
+def _unpack_into(archive: Path, workspace: Path, name: str, packing: str) -> Path:
+    """The one image of ``archive``, unpacked into ``workspace``."""
     try:
         if packing != ".zip":
             out = workspace / Path(name).stem

@@ -118,7 +118,7 @@ def test_criterion_4_mount_plan_golden(tmp_path):
         "proc /proc proc defaults 0 0\n"
     )
     setup = base_mount_actions(plan, emulators=[EMULATOR])
-    mounted = {a.payload["target"] for a in setup if a.kind is not ActionKind.LOOP_ATTACH}
+    mounted = {a.payload["target"] for a in setup}
     setup += fstab_mount_actions(plan, table, fstab, already_mounted=mounted)
     backend = DryRunExecutor()
     for action in setup + teardown_actions(setup):

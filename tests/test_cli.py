@@ -5,6 +5,7 @@ import random
 import shutil
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import pytest
@@ -263,6 +264,24 @@ class TestDryRun:
             assert not (tmp_path / ".pimod-cache").exists()
         assert main(["--dry-run", str(tmp_path / "plan.log"), str(pifile)], ENV) == 2
         assert capsys.readouterr().err == real_err
+
+    @pytest.mark.parametrize("dry_run", [False, True])
+    @pytest.mark.parametrize("source", ["bad.img.xz", "none.zip"])
+    def test_failed_unpack_leaves_no_cache_entry(self, tmp_path, capsys, source, dry_run):
+        if source.endswith(".zip"):
+            with zipfile.ZipFile(tmp_path / source, "w") as zf:
+                zf.writestr("README", "no image in here")
+        else:
+            (tmp_path / source).write_bytes(random.Random(0).randbytes(4096))
+        pifile = tmp_path / "src.Pifile"
+        pifile.write_text(f"FROM {source}\nTO out.img\nHOST true\n")
+        args = [str(pifile)]
+        if dry_run:
+            args = ["--dry-run", str(tmp_path / "plan.log"), *args]
+        assert main(args, ENV) == 2
+        assert error_line(capsys.readouterr().err).startswith("[setup] ")
+        assert list((tmp_path / ".pimod-cache").iterdir()) == []
+        assert not (tmp_path / "out.img").exists()
 
     def test_dry_run_unpacks_the_archive_the_real_build_reuses(self, tmp_path):
         pifile = write_xz_fixture(tmp_path)

@@ -3,6 +3,7 @@ import hashlib
 import lzma
 import os
 import shutil
+import subprocess
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import mbr_oracle
+from imgforge.cli import main
 from imgforge.errors import CommandFailed, IoFailure, SourceMissing
 from imgforge.executor import (
     Action,
@@ -579,19 +581,6 @@ class TestExecutePipeline:
         host = next(a for a in backend.actions if a.kind is ActionKind.HOST_EXEC)
         assert host.payload["cwd"] == str(tmp_path)
 
-    def test_fstab_override_adds_boot_mount(self, tmp_path, monkeypatch):
-        class GuestWithFstab(DryRunExecutor):
-            def read_guest_file(self, path):
-                assert path == "etc/fstab"
-                return "PARTUUID=deadbeef-01 /boot vfat defaults 0 2\n"
-
-        self._fixture(tmp_path, monkeypatch)
-        plan = make_plan(tmp_path, "FROM base.img\nRUN x\n")
-        backend = GuestWithFstab()
-        execute(plan, backend, RunOptions(env=FIXED_ENV, emulators=[]))
-        targets = [a.payload.get("target") for a in backend.actions]
-        assert "<root>/boot" in targets
-
     def test_url_source_fetches_into_cache(self, tmp_path, monkeypatch):
         self._fixture(tmp_path, monkeypatch)
         image_bytes = (tmp_path / "base.img").read_bytes()
@@ -703,6 +692,95 @@ class TestRealBuildLog:
         assert [a.kind for a in backend.actions][-2:] == [
             ActionKind.MOUNT_PARTITION, ActionKind.LOOP_DETACH]
         assert backend.root_dir is None and root_dirs_left() == []
+
+
+def write_ext4_root(image, files):
+    """Put an ext4 filesystem holding ``files`` (guest path: text) on partition 2 of
+    the fixture ``image``; partition 1 stays unformatted."""
+    tree = image.parent / "guest-tree"
+    tree.mkdir()
+    for name, text in files.items():
+        (tree / name).parent.mkdir(parents=True, exist_ok=True)
+        (tree / name).write_text(text)
+    root = mbr_oracle.FIXTURE_PARTITIONS[1]
+    subprocess.run(["mkfs.ext4", "-q", "-F", "-E", f"offset={root['start'] * 512}",
+                    "-d", str(tree), str(image), f"{root['size'] // 2}k"],
+                   check=True, capture_output=True, stdin=subprocess.DEVNULL)
+
+
+class TestGuestFstab:
+    """The guest's /etc/fstab is read from the source in setup, in both modes."""
+
+    BOOT_FSTAB = (f"PARTUUID={mbr_oracle.FIXTURE_DISK_ID:08x}-01 /boot vfat defaults 0 2\n"
+                  f"PARTUUID={mbr_oracle.FIXTURE_DISK_ID:08x}-02 / ext4 defaults 0 1\n")
+
+    def _build(self, tmp_path, dry_run):
+        """Dry run or real build (with a stub runner) of ``RUN true``; (exit, log, runner)."""
+        emulator = tmp_path / "qemu-arm-static"
+        emulator.write_bytes(b"\x7fELF")
+        pifile = tmp_path / "fstab.Pifile"
+        pifile.write_text("FROM base.img\nTO out.img\nRUN true\n")
+        args = ["--emulator", str(emulator), str(pifile)]
+        if dry_run:
+            log = tmp_path / "plan.log"
+            code = main(["--dry-run", str(log), *args], FIXED_ENV)
+            return code, log.read_text() if log.exists() else "", None
+        runner = GuestRunner()
+        real = LocalExecutor(runner=runner)
+        code = main(args, FIXED_ENV, executor_factory=lambda config: real)
+        return code, real.render_log(), runner
+
+    def test_real_build_mounts_the_boot_partition_of_the_dry_run_log(self, tmp_path,
+                                                                    monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_ext4_root(mbr_oracle.write_image(tmp_path / "base.img"),
+                        {"etc/fstab": self.BOOT_FSTAB})
+        code, dry_log, _ = self._build(tmp_path, dry_run=True)
+        assert code == 0
+        assert "MOUNT_PARTITION\tsource=<loop>p1\ttarget=<root>/boot" in dry_log
+        assert "UNMOUNT\tsource=<loop>p1\ttarget=<root>/boot" in dry_log
+        code, real_log, runner = self._build(tmp_path, dry_run=False)
+        assert code == 0
+        assert real_log == dry_log
+        mounts = [argv for argv, _ in runner.calls if argv[:2] == ["mount", "/dev/loop7p1"]]
+        assert len(mounts) == 1 and mounts[0][2].endswith("/boot")
+        assert root_dirs_left() == []
+
+    @pytest.mark.parametrize("dry_run", [True, False])
+    def test_root_without_a_filesystem_warns_once_and_mounts_only_the_base(
+            self, tmp_path, monkeypatch, caplog, dry_run):
+        monkeypatch.chdir(tmp_path)
+        mbr_oracle.write_image(tmp_path / "base.img")
+        code, log, _ = self._build(tmp_path, dry_run)
+        assert code == 0
+        warnings = [r for r in caplog.records if r.name == "imgforge.mounts"]
+        assert len(warnings) == 1
+        assert "holds no ext2/3/4 filesystem" in warnings[0].getMessage()
+        assert log.count("MOUNT_PARTITION") == 1
+
+    @pytest.mark.parametrize("dry_run", [True, False])
+    def test_ext_root_without_fstab_mounts_only_the_base(self, tmp_path, monkeypatch, caplog,
+                                                          dry_run):
+        monkeypatch.chdir(tmp_path)
+        write_ext4_root(mbr_oracle.write_image(tmp_path / "base.img"),
+                        {"etc/hostname": "guest\n"})
+        code, log, _ = self._build(tmp_path, dry_run)
+        assert code == 0
+        assert [r for r in caplog.records if r.name == "imgforge.mounts"] == []
+        assert log.count("MOUNT_PARTITION") == 1
+
+    @pytest.mark.parametrize("dry_run", [True, False])
+    def test_missing_debugfs_is_exit_3_in_setup_before_to_is_written(
+            self, tmp_path, monkeypatch, capsys, dry_run):
+        monkeypatch.chdir(tmp_path)
+        mbr_oracle.write_image(tmp_path / "base.img")
+        (tmp_path / "no-debugfs").mkdir()
+        monkeypatch.setenv("PATH", str(tmp_path / "no-debugfs"))
+        code, log, _ = self._build(tmp_path, dry_run)
+        assert code == 3
+        assert capsys.readouterr().err.startswith("[setup] cannot execute debugfs")
+        assert not (tmp_path / "out.img").exists()
+        assert "COPY_IMAGE" not in log
 
 
 MiB = 1024 * 1024

@@ -50,7 +50,7 @@ def compose_mount_plan(plan, table, guest_fstab=None, *, emulators):
     """Setup actions composed the way execute() composes them."""
     actions = base_mount_actions(plan, emulators=emulators)
     if guest_fstab is not None:
-        mounted = {a.payload["target"] for a in actions if a.kind is not ActionKind.LOOP_ATTACH}
+        mounted = {a.payload["target"] for a in actions}
         actions += fstab_mount_actions(plan, table, guest_fstab, already_mounted=mounted)
     return actions
 

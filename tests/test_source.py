@@ -258,6 +258,13 @@ class TestExtractImage:
             out = extract_image(fetched, fetched.parent, name_hint="raspbian.img.xz")
             assert out.read_bytes() == payload
 
+    def test_failed_unpack_keeps_the_download_entry(self, tmp_path):
+        url = "https://host/bad.img.xz"
+        fetched = fetch_to_cache(url, tmp_path, CountingFetcher(b"not xz at all"))
+        with pytest.raises(CorruptArchive):
+            extract_image(fetched, fetched.parent, name_hint="bad.img.xz")
+        assert sorted(p.name for p in fetched.parent.iterdir()) == ["image", "meta"]
+
     def test_download_named_like_the_cache_entry_keeps_its_archive(self, tmp_path):
         # the URL basename "image.gz" unpacks to "image", the name the download is stored under
         fetcher = CountingFetcher(gzip.compress(b"payload"))
