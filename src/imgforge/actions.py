@@ -71,6 +71,4 @@ def render_action(action: Action) -> str:
 
 
 def serialize_actions(actions: Sequence[Action]) -> str:
-    if not actions:
-        return ""
-    return "\n".join(render_action(a) for a in actions) + "\n"
+    return "".join(f"{render_action(a)}\n" for a in actions)

@@ -383,19 +383,20 @@ def _check_binfmt() -> None:
 # --- the high-level operations ------------------------------------------------
 
 
-def command_action(command: Command, guest_path: Sequence[str]) -> Action:
+def command_action(command: Command, guest_path: str) -> Action:
     """The action a RUN, HOST or INSTALL command becomes.
 
-    RUN executes in the guest with ``guest_path`` as its PATH,
-    HOST executes in the Pifile's directory, and a relative INSTALL source
-    is anchored there.  A here-document body is the command's standard input.
+    RUN executes in the guest with ``guest_path``, the composed PATH text
+    (entries joined with ":"), as its PATH, HOST executes in the Pifile's
+    directory, and a relative INSTALL source is anchored there.  A
+    here-document body is the command's standard input.
     """
     here = command.origin.file.parent
     if command.kind is CommandKind.RUN:
         return Action(ActionKind.GUEST_EXEC, {
             "command": command.args[0],
             "root": mounts_mod.ROOT_TOKEN,
-            "path": ":".join(guest_path),
+            "path": guest_path,
             "stdin": command.heredoc or "",
         })
     if command.kind is CommandKind.HOST:
@@ -516,12 +517,13 @@ def execute(plan: ExecutionPlan, backend: Executor,
 
         host_path = env.get("PATH", "").split(os.pathsep)
         extensions: list[str] = []
-        guest_path = compose_guest_path(extensions, host_path)
+        # joined once per PATH line: every RUN until the next one shares the text
+        guest_path = ":".join(compose_guest_path(extensions, host_path))
         for command in chroot_commands:
             log(stage_label, command.origin, render_command(command).split("\n")[0])
             if command.kind is CommandKind.PATH:
                 extensions.append(command.args[0])
-                guest_path = compose_guest_path(extensions, host_path)
+                guest_path = ":".join(compose_guest_path(extensions, host_path))
                 continue
             status = backend.emit(command_action(command, guest_path))
             if status != 0:

@@ -28,14 +28,13 @@ import os
 import shutil
 import stat as stat_module
 import time
-import urllib.error
 import urllib.parse
-import urllib.request
 import zipfile
 import zlib
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from enum import Enum
+from itertools import takewhile
 from pathlib import Path
 from typing import TYPE_CHECKING, BinaryIO, Callable, Iterator
 
@@ -145,7 +144,27 @@ def _entry_lock(cache_dir: Path, key: str) -> Iterator[None]:
             fcntl.flock(fh, fcntl.LOCK_UN)
 
 
+@contextmanager
+def _new_dirs(path: Path) -> Iterator[None]:
+    """Make ``path`` and its missing parents; if the body fails, remove those still empty."""
+    made = list(takewhile(lambda d: not d.is_dir(), (path, *path.parents)))
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CacheUnwritable(f"cannot create cache directory {path}: {exc}") from exc
+    try:
+        yield
+    except BaseException:
+        for d in made:  # deepest first; kept if a concurrent build filled it meanwhile
+            with suppress(OSError):
+                d.rmdir()
+        raise
+
+
 def _urllib_fetcher(url: str, dest: Path) -> None:
+    import urllib.error  # the HTTP/TLS stack loads only when a URL misses the cache
+    import urllib.request
+
     try:
         with urllib.request.urlopen(url, timeout=FETCH_TIMEOUT_S) as response, \
                 open(dest, "wb") as out:
@@ -185,14 +204,14 @@ def fetch_to_cache(url: str, cache_dir: str | Path, fetcher: Fetcher | None = No
             return image
         if offline:
             raise FetchFailed(f"offline mode: {url} is not in the cache")
-        entry_dir.mkdir(exist_ok=True)
         tmp = entry_dir / f".partial.{os.getpid()}"
-        try:
-            fetcher(url, tmp)
-            os.replace(tmp, image)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+        with _new_dirs(entry_dir):
+            try:
+                fetcher(url, tmp)
+                os.replace(tmp, image)
+            except BaseException:
+                tmp.unlink(missing_ok=True)
+                raise
         fetched_at = time.time()
         (entry_dir / "meta").write_text(
             f"url={url}\nfetched_at={int(fetched_at)}\nsize={image.stat().st_size}\n"
@@ -256,7 +275,8 @@ def extract_image(archive: str | Path, workspace: str | Path, *,
     and a re-download or a rewritten local archive is unpacked again.
     All-zero chunks are left as holes.  Unsupported container formats
     (tarballs and friends) are rejected rather than silently treated as raw
-    images.  A failed unpack removes ``workspace`` again if it made it.
+    images.  A failed unpack removes the directories it made for
+    ``workspace`` again, as far as they are still empty.
     """
     archive = Path(archive)
     workspace = Path(workspace)
@@ -264,18 +284,8 @@ def extract_image(archive: str | Path, workspace: str | Path, *,
     packing = _packing(name)
     if packing is None:
         return archive
-    created = not workspace.is_dir()
-    try:
-        workspace.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise CacheUnwritable(f"cannot create cache directory {workspace}: {exc}") from exc
-    try:
+    with _new_dirs(workspace):
         return _unpack_into(archive, workspace, name, packing)
-    except BaseException:
-        if created:
-            with suppress(OSError):  # kept if a concurrent build filled it meanwhile
-                workspace.rmdir()
-        raise
 
 
 def _unpack_into(archive: Path, workspace: Path, name: str, packing: str) -> Path:

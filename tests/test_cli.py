@@ -280,7 +280,7 @@ class TestDryRun:
             args = ["--dry-run", str(tmp_path / "plan.log"), *args]
         assert main(args, ENV) == 2
         assert error_line(capsys.readouterr().err).startswith("[setup] ")
-        assert list((tmp_path / ".pimod-cache").iterdir()) == []
+        assert not (tmp_path / ".pimod-cache").exists()
         assert not (tmp_path / "out.img").exists()
 
     def test_dry_run_unpacks_the_archive_the_real_build_reuses(self, tmp_path):
@@ -442,6 +442,18 @@ class TestLogging:
         out = capsys.readouterr().out
         digest = hashlib.sha256((tmp_path / "out.img").read_bytes()).hexdigest()
         assert f"sha256={digest}" in out
+
+
+def test_local_dry_run_loads_no_network_stack(tmp_path):
+    """The HTTP/TLS modules load only when a URL source misses the cache."""
+    pifile = write_fixture(tmp_path)
+    argv = ["--dry-run", str(tmp_path / "plan.log"), str(pifile)]
+    script = (f"import sys\nfrom imgforge.cli import main\nassert main({argv!r}, {ENV!r}) == 0\n"
+              "print([m for m in ('urllib.request', 'http.client', 'ssl') if m in sys.modules])")
+    src = Path(__file__).parent.parent / "src"
+    result = subprocess.run([sys.executable, "-c", script], env={**ENV, "PYTHONPATH": str(src)},
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.splitlines()[-1] == "[]"
 
 
 DEMO_DIR = Path(__file__).parent.parent / "demo"

@@ -49,7 +49,7 @@ def emit_command(backend, text, *, pifile=Path("x.Pifile"), root=None, extension
     ``root`` is where a local backend finds the mounted guest.
     """
     command = parse_pifile_text(text, {}, source_path=pifile).commands[0]
-    guest_path = compose_guest_path(list(extensions), list(host))
+    guest_path = ":".join(compose_guest_path(list(extensions), list(host)))
     if root is not None:
         backend.root_dir = root
     return backend.emit(command_action(command, guest_path))

@@ -22,6 +22,7 @@ from imgforge.pifile import parse_pifile_text
 from imgforge.plan import build_plan
 from imgforge.source import (
     SourceKind,
+    _urllib_fetcher,
     cache_key,
     classify_source,
     extract_image,
@@ -45,6 +46,20 @@ class CountingFetcher:
     def __call__(self, url, dest):
         self.calls += 1
         Path(dest).write_bytes(self.payload)
+
+
+class TestUrllibFetcher:
+    """The real fetcher, run offline on file:// URLs."""
+
+    def test_copies_the_bytes(self, tmp_path):
+        src = tmp_path / "base.img"
+        src.write_bytes(os.urandom(MiB + 17))  # more than one copy chunk
+        _urllib_fetcher(src.as_uri(), tmp_path / "got.img")
+        assert (tmp_path / "got.img").read_bytes() == src.read_bytes()
+
+    def test_missing_file_is_a_fetch_failure(self, tmp_path):
+        with pytest.raises(FetchFailed, match="gone.img"):
+            _urllib_fetcher((tmp_path / "gone.img").as_uri(), tmp_path / "got.img")
 
 
 class TestClassifySource:
@@ -88,7 +103,7 @@ class TestFetchToCache:
 
         with pytest.raises(FetchFailed):
             fetch_to_cache("https://host/base.img", tmp_path, failing)
-        assert not (tmp_path / cache_key("https://host/base.img") / "image").exists()
+        assert not (tmp_path / cache_key("https://host/base.img")).exists()
         leftovers = [p for p in tmp_path.rglob("*") if p.is_file() and p.suffix != ".lock"]
         assert leftovers == []
 
