@@ -17,8 +17,9 @@ INSTALL command becomes its action in :func:`command_action`, and a
 nonzero status from a RUN or HOST aborts the build.  The backends differ
 only in ``performs_effects``: a dry run neither checks that an emulator is
 a file nor hashes the output.  Both fetch and unpack the source into the
-cache, so both copy the same file to the destination, and both read the
-guest's /etc/fstab from that file in setup, so both plan the same mounts.
+cache, whose layout :mod:`~imgforge.source` owns, so both copy the same
+file to the destination, and both read the guest's /etc/fstab from that
+file in setup, so both plan the same mounts.
 
 The loop device and the chroot directory only exist once the build has
 made them, so actions name them through the ``<loop>`` and ``<root>``
@@ -37,7 +38,6 @@ import subprocess
 import tempfile
 import threading
 import time
-import urllib.parse
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -221,12 +221,6 @@ class LocalExecutor(Executor):
             raise IoFailure(f"{what} failed with status {status}: {out}")
         return out
 
-    def _run_best_effort(self, argv: list[str]) -> None:
-        status, out = self.runner(argv)
-        if status != 0:
-            # teardown is best effort; a stuck mount must not mask the real error
-            logger.warning("%s failed with status %d: %s", " ".join(argv), status, out)
-
     def _exec(self, argv: list[str], action: Action, **kw) -> int:
         """Run a HOST or guest command, streaming its output unkept; returns its status."""
         status, _ = self.runner(argv, stdin_text=action.payload.get("stdin") or None,
@@ -280,8 +274,10 @@ class LocalExecutor(Executor):
         try:
             partition = mounts_mod.partition_device(device, int(action.payload["partition"]))
             self._run_checked(["resize2fs", partition], f"resize2fs {partition}")
-        finally:
-            self._run_best_effort(["losetup", "-d", device])
+        except BaseException:
+            self.runner(["losetup", "-d", device])  # unchecked: the resize2fs failure wins
+            raise
+        self._run_checked(["losetup", "-d", device], f"losetup -d {device}")
         return 0
 
     def _loop_attach(self, action: Action) -> int:
@@ -325,9 +321,10 @@ class LocalExecutor(Executor):
         return 0
 
     def _unmount(self, action: Action) -> int:
-        self._run_best_effort(["umount", self._sub(action.payload["target"])])
+        target = self._sub(action.payload["target"])
+        self._run_checked(["umount", target], f"umount {target}")  # a busy root stays
         if action.payload["target"] == mounts_mod.ROOT_TOKEN:
-            with contextlib.suppress(OSError):  # left behind for inspection when still busy
+            with contextlib.suppress(OSError):  # left behind for inspection when not empty
                 os.rmdir(self.root_dir)
             self.root_dir = None
         return 0
@@ -338,7 +335,8 @@ class LocalExecutor(Executor):
 
     def _loop_detach(self, action: Action) -> int:
         if self.loop_device is not None:
-            self._run_best_effort(["losetup", "-d", self.loop_device])
+            self._run_checked(["losetup", "-d", self.loop_device],
+                              f"losetup -d {self.loop_device}")
             self.loop_device = None
         return 0
 
@@ -469,16 +467,20 @@ def execute(plan: ExecutionPlan, backend: Executor,
 
     applied_mounts: list[Action] = []
     try:
-        # --- setup: resolve source, read its table, materialize destination --
+        # --- setup: fetch, unpack, read the table, materialize destination --
         started = time.monotonic()
         log(Stage.SETUP.label, None, "begin")
-        resolved, name_hint = _resolve_source(plan, opts, backend, env, log)
-        src_image = resolved
-        if source_mod.is_archive(name_hint):
+        spec = plan.source
+        cache_dir = source_mod.resolve_cache_dir(opts.cache_dir, env, plan.pifile_path)
+        src_image = Path(spec.locator)
+        if spec.kind is source_mod.SourceKind.URL:
+            src_image = source_mod.fetch_to_cache(spec.locator, cache_dir, opts.fetcher,
+                                                  refresh=opts.refresh, offline=opts.offline)
+            backend.emit(Action(ActionKind.FETCH, {"url": spec.locator, "dest": str(src_image)}))
+            log(Stage.SETUP.label, None, f"fetched {spec.locator}")
+        if source_mod.is_archive(spec.name):
             src_image = source_mod.extract_image(
-                resolved, _extraction_workspace(plan, opts, env, resolved),
-                name_hint=name_hint,
-            )
+                src_image, source_mod.cache_entry(cache_dir, spec), name_hint=spec.name)
         if plan.pump_bytes > 0 or needs_guest:
             try:
                 with open(src_image, "rb") as image:
@@ -538,8 +540,16 @@ def execute(plan: ExecutionPlan, backend: Executor,
             log(stage_label, exc.origin, f"failed: {exc.args[0]}")
         raise
     finally:
+        teardown_failures: list[ImgforgeError] = []
         for action in mounts_mod.teardown_actions(applied_mounts):
-            backend.emit(action)
+            try:
+                backend.emit(action)
+            except ImgforgeError as exc:
+                logger.warning("teardown: %s", exc.args[0])
+                teardown_failures.append(exc)
+    if teardown_failures:  # reached only when no other error is propagating
+        teardown_failures[0].stage = Stage.CHROOT.label
+        raise teardown_failures[0]
 
     digest = None
     if backend.performs_effects and dest.is_file():  # a device destination is no file
@@ -548,49 +558,6 @@ def execute(plan: ExecutionPlan, backend: Executor,
         stage_durations=durations,
         image_digest=digest,
     )
-
-
-def _resolve_source(plan: ExecutionPlan, opts: RunOptions, backend: Executor,
-                    env: Mapping[str, str],
-                    log: Callable[[str, SourceLine | None, str], None]) -> tuple[Path, str]:
-    """Fetch URL sources into the cache; local sources resolve to themselves.
-
-    Downloads happen in both backends — a dry run still needs the real
-    bytes to inspect partition tables — so the FETCH action in the log
-    records work the pipeline has already done.
-    """
-    spec = plan.source
-    if spec.kind is source_mod.SourceKind.URL:
-        cache_dir = resolve_cache_dir(opts.cache_dir, env, plan.pifile_path)
-        fetched = source_mod.fetch_to_cache(
-            spec.locator, cache_dir, opts.fetcher,
-            refresh=opts.refresh, offline=opts.offline,
-        )
-        backend.emit(Action(ActionKind.FETCH, {"url": spec.locator, "dest": str(fetched)}))
-        log(Stage.SETUP.label, None, f"fetched {spec.locator}")
-        name_hint = Path(urllib.parse.urlsplit(spec.locator).path).name or "image"
-        return fetched, name_hint
-    path = Path(spec.locator)
-    return path, path.name
-
-
-def _extraction_workspace(plan: ExecutionPlan, opts: RunOptions,
-                          env: Mapping[str, str], resolved: Path) -> Path:
-    """Directory where an archive unpacks: its cache entry, keyed by locator."""
-    if plan.source.kind is source_mod.SourceKind.URL:
-        return resolved.parent
-    cache_dir = resolve_cache_dir(opts.cache_dir, env, plan.pifile_path)
-    return Path(cache_dir) / source_mod.cache_key(f"file://{resolved.resolve()}")
-
-
-def resolve_cache_dir(explicit: str | Path | None, env: Mapping[str, str],
-                      pifile_path: Path) -> Path:
-    """--cache flag wins, then $PIMOD_CACHE, then .pimod-cache beside the Pifile."""
-    if explicit is not None:
-        return Path(explicit)
-    if env.get("PIMOD_CACHE"):
-        return Path(env["PIMOD_CACHE"])
-    return pifile_path.parent / ".pimod-cache"
 
 
 def _sha256_file(path: Path) -> str:

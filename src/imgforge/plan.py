@@ -32,6 +32,7 @@ from .source import (
     TargetSpec,
     classify_source,
     default_probe,
+    is_archive,
     is_url,
 )
 
@@ -66,7 +67,6 @@ _STAGE_BY_KIND: dict[CommandKind, Stage] = {
 class ExecutionPlan:
     source: SourceSpec
     destination: TargetSpec
-    inplace: bool
     pump_bytes: int
     partition_index: int
     staged: dict[Stage, list[Command]]
@@ -118,6 +118,10 @@ def build_plan(pifile: Pifile,
         if is_url(inplaces[0].args[0]):
             raise ConflictingSource("INPLACE cannot edit a URL; use FROM <url> with TO",
                                     origin=inplaces[0].origin)
+        if is_archive(inplaces[0].args[0]):
+            raise ConflictingSource(
+                "INPLACE cannot edit a packed image; use FROM <archive> with TO",
+                origin=inplaces[0].origin)
         locator = _anchor(inplaces[0].args[0], base_dir)
         kind = classify_source(locator, probe)
         partition_index = DEFAULT_PARTITION_INDEX
@@ -125,7 +129,6 @@ def build_plan(pifile: Pifile,
         target_kind = (TargetKind.BLOCK_DEVICE if kind is SourceKind.BLOCK_DEVICE
                        else TargetKind.LOCAL_FILE)
         destination = TargetSpec(kind=target_kind, path=locator)
-        inplace = True
     else:
         from_cmd = froms[0]
         partition_index = _partition_index(from_cmd)
@@ -146,7 +149,6 @@ def build_plan(pifile: Pifile,
                        if probe(dest_path) is SourceKind.BLOCK_DEVICE
                        else TargetKind.LOCAL_FILE)
         destination = TargetSpec(kind=target_kind, path=dest_path)
-        inplace = False
 
     pump_bytes = sum(parse_size(c.args[0]) for c in staged[Stage.PREPARE])
     if pump_bytes > 0 and destination.kind is TargetKind.BLOCK_DEVICE:
@@ -162,7 +164,6 @@ def build_plan(pifile: Pifile,
     return ExecutionPlan(
         source=source,
         destination=destination,
-        inplace=inplace,
         pump_bytes=pump_bytes,
         partition_index=partition_index,
         staged=staged,

@@ -6,8 +6,9 @@ or a local file.  URLs are downloaded once into a content-keyed cache
 single time.  Compressed sources (.zip/.gz/.xz/.zst) are unpacked before
 use; an archive must contain exactly one image.
 
-Cache layout, under the directory given by --cache, $PIMOD_CACHE, or a
-`.pimod-cache` directory beside the Pifile::
+This module alone owns the cache layout, under the directory given by
+--cache, $PIMOD_CACHE, or a `.pimod-cache` directory beside the Pifile; a
+raw local source never touches it::
 
     <key>/image     the downloaded bytes, moved into place atomically
     <key>/meta      url=..., fetched_at=..., size=... (one per line)
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import takewhile
 from pathlib import Path
-from typing import TYPE_CHECKING, BinaryIO, Callable, Iterator
+from typing import TYPE_CHECKING, BinaryIO, Callable, Iterator, Mapping
 
 from .actions import Action, ActionKind
 from .errors import (
@@ -87,6 +88,13 @@ class SourceSpec:
     kind: SourceKind
     locator: str
 
+    @property
+    def name(self) -> str:
+        """A URL path's last component ("image" if it has none), or a local file name."""
+        if self.kind is SourceKind.URL:
+            return Path(urllib.parse.urlsplit(self.locator).path).name or "image"
+        return Path(self.locator).name
+
 
 @dataclass(frozen=True)
 class TargetSpec:
@@ -131,6 +139,22 @@ def classify_source(locator: str,
 
 def cache_key(url: str) -> str:
     return hashlib.sha256(url.encode("utf-8")).hexdigest()
+
+
+def resolve_cache_dir(explicit: str | Path | None, env: Mapping[str, str],
+                      pifile_path: Path) -> Path:
+    """--cache flag wins, then $PIMOD_CACHE, then .pimod-cache beside the Pifile."""
+    if explicit is not None:
+        return Path(explicit)
+    if env.get("PIMOD_CACHE"):
+        return Path(env["PIMOD_CACHE"])
+    return pifile_path.parent / ".pimod-cache"
+
+
+def cache_entry(cache_dir: str | Path, spec: SourceSpec) -> Path:
+    """``<key>/`` of ``spec``: a download and its unpacked image share it."""
+    url = spec.locator if spec.kind is SourceKind.URL else f"file://{Path(spec.locator).resolve()}"
+    return Path(cache_dir) / cache_key(url)
 
 
 @contextmanager
@@ -412,20 +436,18 @@ def materialize_destination(plan: "ExecutionPlan", executor: "Executor", *,
                             resolved_source: str | Path | None = None) -> Path:
     """Emit the action that puts the source bytes at the destination.
 
-    In-place plans and identical source/destination paths need no copy at
-    all.  A block-device destination becomes a device-write action; a file
+    A destination that is the source itself, in place or by name, needs no
+    copy.  A block-device destination becomes a device-write action; a file
     destination becomes an image copy.  Returns the destination path.
     """
     src = Path(resolved_source) if resolved_source is not None else Path(plan.source.locator)
     dest = Path(plan.destination.path)
-    if plan.inplace:
+    if os.path.abspath(src) == os.path.abspath(dest):
         return dest
     if plan.destination.kind is TargetKind.BLOCK_DEVICE:
         executor.emit(Action(ActionKind.DEVICE_WRITE, {"src": str(src), "dst": str(dest)}))
         return dest
     if dest.is_dir():
         raise DestinationIsDirectory(f"destination {dest} is a directory")
-    if os.path.abspath(src) == os.path.abspath(dest):
-        return dest
     executor.emit(Action(ActionKind.COPY_IMAGE, {"src": str(src), "dst": str(dest)}))
     return dest

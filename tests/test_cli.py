@@ -283,6 +283,23 @@ class TestDryRun:
         assert not (tmp_path / ".pimod-cache").exists()
         assert not (tmp_path / "out.img").exists()
 
+    @pytest.mark.parametrize("dry_run", [False, True])
+    def test_inplace_packed_image_is_exit_1_before_any_write(self, tmp_path, capsys, dry_run):
+        write_xz_fixture(tmp_path)
+        archive = (tmp_path / "base.img.xz").read_bytes()
+        pifile = tmp_path / "inplace.Pifile"
+        pifile.write_text("INPLACE base.img.xz\nPUMP 1M\n")
+        args = [str(pifile)]
+        if dry_run:
+            args = ["--dry-run", str(tmp_path / "plan.log"), *args]
+        # a real build gets a runner that does nothing; a dry run keeps its own backend
+        factory = None if dry_run else (
+            lambda cfg: LocalExecutor(runner=lambda argv, **kw: (0, "")))
+        assert main(args, ENV, executor_factory=factory) == 1
+        assert f"{pifile}:1: INPLACE cannot edit a packed image" in capsys.readouterr().err
+        assert (tmp_path / "base.img.xz").read_bytes() == archive
+        assert not (tmp_path / ".pimod-cache").exists()
+
     def test_dry_run_unpacks_the_archive_the_real_build_reuses(self, tmp_path):
         pifile = write_xz_fixture(tmp_path)
         assert main(["--dry-run", str(tmp_path / "plan.log"), str(pifile)], ENV) == 0

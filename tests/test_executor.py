@@ -2,6 +2,7 @@ import errno
 import hashlib
 import lzma
 import os
+import re
 import shutil
 import subprocess
 import tempfile
@@ -383,14 +384,34 @@ class TestLocalBackendCommands:
         with pytest.raises(ShellUnavailable):
             emit_command(backend, "RUN true", root=str(root))
 
-    def test_unmount_failure_is_best_effort(self, tmp_path):
-        def failing_umount(argv, **kwargs):
-            return (32, "target is busy") if argv[0] == "umount" else (0, "")
+    @pytest.mark.parametrize("kind, target", [(ActionKind.UNMOUNT, "/somewhere"),
+                                              (ActionKind.LOOP_DETACH, "<loop>")])
+    def test_teardown_failure_raises(self, kind, target):
+        def stuck(argv, **kwargs):
+            return (32, "target is busy") if argv[0] in ("umount", "losetup") else (0, "")
 
-        backend = LocalExecutor(runner=failing_umount)
-        status = backend.emit(Action(ActionKind.UNMOUNT,
-                                     {"source": "x", "target": "/somewhere"}))
-        assert status == 0  # teardown soldiers on
+        backend = LocalExecutor(runner=stuck)
+        backend.loop_device = "/dev/loop7"
+        with pytest.raises(IoFailure, match="failed with status 32: target is busy"):
+            backend.emit(Action(kind, {"source": "disk.img", "target": target}))
+
+    @pytest.mark.parametrize("fails, reported", [
+        ({"losetup -d /dev/loop7"}, "losetup -d /dev/loop7 failed"),
+        ({"resize2fs /dev/loop7p2", "losetup -d /dev/loop7"}, "resize2fs /dev/loop7p2 failed"),
+    ])
+    def test_fs_resize_always_detaches_and_a_resize_failure_wins(self, fails, reported):
+        runner = RecordingRunner()
+
+        def failing(argv, **kwargs):
+            status, out = runner(argv, **kwargs)
+            return (1, "busy") if " ".join(argv) in fails else (status, out)
+
+        backend = LocalExecutor(runner=failing)
+        with pytest.raises(IoFailure, match=f"^{reported}"):
+            backend.emit(Action(ActionKind.FS_RESIZE, {
+                "image": "out.img", "partition": "2", "command": "resize2fs <loop>p2",
+            }))
+        assert runner.calls[-1][0] == ["losetup", "-d", "/dev/loop7"]
 
     def test_device_write_does_not_truncate_target(self, tmp_path):
         src = tmp_path / "src.img"
@@ -644,6 +665,30 @@ def root_dirs_left():
     return sorted(Path(tempfile.gettempdir()).glob("imgforge-root-*"))
 
 
+_UNESCAPE = {"\\\\": "\\", "\\t": "\t", "\\n": "\n"}
+
+
+def parse_log(text):
+    """The actions a dry-run log records: the inverse of ``render_action``."""
+    actions = []
+    for ordinal, line in enumerate(text.split("\n")[:-1]):
+        number, kind, *fields = line.split("\t")
+        assert number == str(ordinal)
+        payload = {}
+        for field in fields:
+            key, _, value = field.partition("=")
+            payload[key] = re.sub(r"\\[\\tn]", lambda m: _UNESCAPE[m.group()], value)
+        actions.append(Action(ActionKind[kind], payload))
+    return actions
+
+
+def test_parse_log_inverts_render_action():
+    action = Action(ActionKind.HOST_EXEC, {"command": "a\tb\\n\nc", "cwd": "x=y", "stdin": ""})
+    action.ordinal = 0
+    [parsed] = parse_log(serialize_actions([action]))
+    assert (parsed.kind, parsed.payload) == (action.kind, action.payload)
+
+
 class TestRealBuildLog:
     LISTING = (
         "TO out.img\n"
@@ -677,6 +722,15 @@ class TestRealBuildLog:
         assert len(chroots) == 2 and chroots[0][1] in runner.partitions
         assert real.root_dir is None and root_dirs_left() == []
 
+        # replay: the logged payloads alone rebuild the same image
+        (tmp_path / "out.img").unlink()
+        replay = LocalExecutor(runner=GuestRunner())
+        for action in parse_log(dry.render_log()):
+            assert replay.emit(action) == 0
+        assert replay.render_log() == dry.render_log()
+        assert _sha256_file(tmp_path / "out.img") == report.image_digest
+        assert replay.root_dir is None and root_dirs_left() == []
+
     def test_failed_root_mount_removes_root_directory(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         mbr_oracle.write_image(tmp_path / "base.img")
@@ -692,6 +746,67 @@ class TestRealBuildLog:
         assert [a.kind for a in backend.actions][-2:] == [
             ActionKind.MOUNT_PARTITION, ActionKind.LOOP_DETACH]
         assert backend.root_dir is None and root_dirs_left() == []
+
+
+class StuckRunner(GuestRunner):
+    """A guest runner whose unmounts and loop detaches fail, as for a busy guest;
+    HOST commands run for real."""
+
+    def __call__(self, argv, **kwargs):
+        if argv[0] == "umount" or argv[:2] == ["losetup", "-d"]:
+            self.calls.append((list(argv), kwargs))
+            return 1, "target is busy"
+        if argv[:2] == ["/bin/sh", "-c"]:
+            return run_command(argv, **kwargs)
+        return super().__call__(argv, **kwargs)
+
+
+class TestTeardownFailure:
+    LISTING = "FROM base.img\nTO out.img\nINSTALL file.txt /etc/x\n"
+
+    @pytest.fixture(autouse=True)
+    def _fixture(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        mbr_oracle.write_image(tmp_path / "base.img")
+        (tmp_path / "file.txt").write_text("x\n")
+        yield
+        for root in root_dirs_left():  # a busy root stays for inspection
+            shutil.rmtree(root)
+
+    def test_every_teardown_action_is_tried_then_the_first_failure_raised(
+            self, tmp_path, caplog):
+        runner = StuckRunner()
+        with pytest.raises(IoFailure) as err:
+            execute(make_plan(tmp_path, self.LISTING), LocalExecutor(runner=runner),
+                    RunOptions(env=FIXED_ENV, emulators=[]))
+        argvs = [argv for argv, _ in runner.calls]
+        mounted = [argv[-1] for argv in argvs if argv[0] == "mount"]
+        assert [argv[1] for argv in argvs if argv[0] == "umount"] == mounted[::-1]
+        assert argvs[-1] == ["losetup", "-d", "/dev/loop7"]
+        [root] = root_dirs_left()
+        assert err.value.stage == "chroot"
+        assert err.value.args[0].startswith(f"umount {root}/etc/resolv.conf failed")
+        failures = [r for r in caplog.records if r.getMessage().startswith("teardown: ")]
+        assert len(failures) == len(mounted) + 1
+
+    def test_cli_exits_2_with_no_digest(self, tmp_path, capsys):
+        (tmp_path / "t.Pifile").write_text(self.LISTING)
+        code = main(["--emulator", str(tmp_path / "file.txt"), str(tmp_path / "t.Pifile")],
+                    FIXED_ENV, executor_factory=lambda cfg: LocalExecutor(runner=StuckRunner()))
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert "sha256=" not in out
+        assert err.splitlines()[-1].startswith("[chroot] umount ")
+
+    def test_a_command_failure_in_flight_wins(self, tmp_path):
+        listing = "FROM base.img\nTO out.img\nRUN true\nHOST false\nRUN never\n"
+        runner = StuckRunner()
+        with pytest.raises(CommandFailed) as err:
+            execute(make_plan(tmp_path, listing), LocalExecutor(runner=runner),
+                    RunOptions(env=FIXED_ENV, emulators=[]))
+        assert err.value.args[0] == "HOST command failed with status 1: false"
+        assert err.value.origin.line_no == 4
+        assert runner.calls[-1][0] == ["losetup", "-d", "/dev/loop7"]
 
 
 def write_ext4_root(image, files):

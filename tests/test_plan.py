@@ -84,7 +84,7 @@ class TestBuildPlan:
         plan = build_plan(pifile, files_probe(tmp_path / "base.img"))
         assert plan.destination.path == str(tmp_path / "example.img")
         assert plan.destination.kind is TargetKind.LOCAL_FILE
-        assert plan.inplace is False
+        assert plan.destination.path != plan.source.locator
         assert plan.partition_index == 2
 
     def test_inplace(self, tmp_path):
@@ -92,7 +92,7 @@ class TestBuildPlan:
         plan = build_plan(pifile, files_probe(tmp_path / "x.img"))
         assert plan.source.locator == str(tmp_path / "x.img")
         assert plan.destination.path == plan.source.locator
-        assert plan.inplace is True
+        assert Path(plan.destination.path) == Path(plan.source.locator)
 
     def test_from_partition_and_to(self, tmp_path):
         pifile = pifile_at(tmp_path, "FROM a.img 1\nTO b.img\n")
@@ -135,6 +135,14 @@ class TestBuildPlan:
         pifile = pifile_at(tmp_path, "RUN x\nINPLACE https://host/base.img\n")
         with pytest.raises(ConflictingSource, match="FROM <url> with TO") as info:
             build_plan(pifile, files_probe())
+        assert info.value.origin.line_no == 2
+
+    @pytest.mark.parametrize("image", ["base.img.xz", "base.tar.gz"])
+    def test_inplace_packed_image_refused_at_its_line(self, tmp_path, image):
+        # refused by its name, before the source is classified
+        pifile = pifile_at(tmp_path, f"RUN x\nINPLACE {image}\nPUMP 1M\n")
+        with pytest.raises(ConflictingSource, match="FROM <archive> with TO") as info:
+            build_plan(pifile, files_probe(tmp_path / image))
         assert info.value.origin.line_no == 2
 
     def test_multiple_to_last_wins_with_warning(self, tmp_path, caplog):

@@ -22,12 +22,15 @@ from imgforge.pifile import parse_pifile_text
 from imgforge.plan import build_plan
 from imgforge.source import (
     SourceKind,
+    SourceSpec,
     _urllib_fetcher,
+    cache_entry,
     cache_key,
     classify_source,
     extract_image,
     fetch_to_cache,
     materialize_destination,
+    resolve_cache_dir,
     write_to_device,
 )
 
@@ -153,6 +156,35 @@ class TestFetchToCache:
         }
         assert fetcher.calls == 1
         assert len(digests) == 1
+
+
+class TestCacheEntry:
+    @pytest.mark.parametrize("kind, locator, name", [
+        (SourceKind.URL, "https://host/images/raspbian.img.xz?v=2", "raspbian.img.xz"),
+        (SourceKind.URL, "https://host/", "image"),
+        (SourceKind.LOCAL_FILE, "/srv/images/base.img.gz", "base.img.gz"),
+        (SourceKind.BLOCK_DEVICE, "/dev/sdz", "sdz"),
+    ])
+    def test_name(self, kind, locator, name):
+        assert SourceSpec(kind, locator).name == name
+
+    def test_download_and_its_unpacked_image_share_the_entry(self, tmp_path):
+        url = "https://host/base.img.gz"
+        image = fetch_to_cache(url, tmp_path, CountingFetcher(gzip.compress(b"raw")))
+        entry = cache_entry(tmp_path, SourceSpec(SourceKind.URL, url))
+        assert image.parent == entry == tmp_path / cache_key(url)
+
+    def test_local_archive_is_keyed_by_its_absolute_path(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        entry = cache_entry("cache", SourceSpec(SourceKind.LOCAL_FILE, "d/../base.img.xz"))
+        assert entry == Path("cache") / cache_key(f"file://{tmp_path / 'base.img.xz'}")
+
+    def test_cache_dir_flag_then_env_then_beside_the_pifile(self, tmp_path):
+        pifile = tmp_path / "a.Pifile"
+        env = {"PIMOD_CACHE": "/env/cache"}
+        assert resolve_cache_dir("/flag", env, pifile) == Path("/flag")
+        assert resolve_cache_dir(None, env, pifile) == Path("/env/cache")
+        assert resolve_cache_dir(None, {"PIMOD_CACHE": ""}, pifile) == tmp_path / ".pimod-cache"
 
 
 class TestExtractImage:
@@ -354,6 +386,14 @@ class TestMaterializeDestination:
                           lambda loc: SourceKind.LOCAL_FILE)
         backend = DryRunExecutor()
         materialize_destination(plan, backend)
+        assert backend.actions == []
+
+    @pytest.mark.parametrize("text", ["FROM /dev/sdz\nTO /dev/sdz\n", "INPLACE /dev/sdz\n"])
+    def test_device_onto_itself_emits_nothing(self, tmp_path, text):
+        plan = self._plan(tmp_path, text,
+                          lambda loc: SourceKind.BLOCK_DEVICE if loc == "/dev/sdz" else None)
+        backend = DryRunExecutor()
+        assert str(materialize_destination(plan, backend)) == "/dev/sdz"
         assert backend.actions == []
 
     def test_device_destination_emits_device_write(self, tmp_path):
