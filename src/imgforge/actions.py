@@ -26,13 +26,13 @@ class ActionKind(Enum):
     GROW_FILE = "grow-file"
     TABLE_WRITE = "table-write"
     FS_RESIZE = "fs-resize"
-    LOOP_ATTACH = "loop-attach"
+    LOOP_ATTACH = "loop-attach"  # never emitted; kept while the benchmark names it
     MOUNT_PARTITION = "mount-partition"
     BIND_MOUNT = "bind-mount"
     COPY_EMULATOR = "copy-emulator"
     UNMOUNT = "unmount"
     REMOVE_EMULATOR = "remove-emulator"
-    LOOP_DETACH = "loop-detach"
+    LOOP_DETACH = "loop-detach"  # never emitted; kept while the benchmark names it
     HOST_EXEC = "host-exec"
     GUEST_EXEC = "guest-exec"
     COPY_IN = "copy-in"
@@ -44,7 +44,6 @@ class ActionKind(Enum):
 
 
 _UNDO = {
-    ActionKind.LOOP_ATTACH: ActionKind.LOOP_DETACH,
     ActionKind.MOUNT_PARTITION: ActionKind.UNMOUNT,
     ActionKind.BIND_MOUNT: ActionKind.UNMOUNT,
     ActionKind.COPY_EMULATOR: ActionKind.REMOVE_EMULATOR,

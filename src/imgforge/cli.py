@@ -11,8 +11,9 @@ stage and the originating Pifile line::
     [chroot] example.Pifile:8 RUN raspi-config nonint do_serial 0
 
 Errors go to stderr with file:line context.  Exit codes partition the
-outcomes: 0 success, 1 static Pifile/plan errors, 2 execution failures,
-3 environment problems (missing privileges, unusable cache, no chroot).
+outcomes: 0 success, 1 static Pifile/plan errors, 2 execution failures
+(SIGTERM and SIGHUP among them), 3 environment problems (missing
+privileges, unusable cache, no chroot).
 """
 
 from __future__ import annotations
@@ -20,7 +21,9 @@ from __future__ import annotations
 import argparse
 import logging
 import os
+import signal
 import sys
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -29,6 +32,7 @@ from .errors import (
     CommandFailed,
     EnvironmentProblem,
     ImgforgeError,
+    Interrupted,
     PifileError,
 )
 from .executor import DryRunExecutor, Executor, LocalExecutor, RunOptions, execute
@@ -107,13 +111,30 @@ def _parse_env_overrides(pairs: Sequence[str]) -> dict[str, str]:
     return overrides
 
 
+def _interrupt(signum: int, frame: object) -> None:
+    raise Interrupted(f"interrupted by {signal.Signals(signum).name}")
+
+
 def main(argv: Sequence[str] | None = None, env: Mapping[str, str] | None = None, *,
          executor_factory: Callable[[CliConfig], Executor] | None = None) -> int:
     """Parse, plan, execute; returns the process exit code.
 
     ``executor_factory`` overrides backend construction, which is how tests
-    exercise failure paths without touching the system.
+    exercise failure paths without touching the system.  Called on the main
+    thread, it turns SIGTERM and SIGHUP into :class:`Interrupted` until it
+    returns, so an interrupted build still tears down, and exits 2.
     """
+    previous = ({sig: signal.signal(sig, _interrupt) for sig in (signal.SIGTERM, signal.SIGHUP)}
+                if threading.current_thread() is threading.main_thread() else {})
+    try:
+        return _main(argv, env, executor_factory)
+    finally:
+        for sig, handler in previous.items():
+            signal.signal(sig, handler or signal.SIG_DFL)  # None: not set from Python
+
+
+def _main(argv: Sequence[str] | None, env: Mapping[str, str] | None,
+          executor_factory: Callable[[CliConfig], Executor] | None) -> int:
     parser = _build_arg_parser()
     try:
         ns = parser.parse_args(list(argv) if argv is not None else None)

@@ -157,6 +157,10 @@ class CommandFailed(ExecutionFailure):
         self.status = status
 
 
+class Interrupted(ExecutionFailure):
+    """SIGTERM or SIGHUP reached the build."""
+
+
 class CacheUnwritable(EnvironmentProblem):
     pass
 

@@ -8,9 +8,9 @@ action's payload is all a backend needs to perform it:
 
 * :class:`DryRunExecutor` records every action and performs nothing.
 * :class:`LocalExecutor` records every action and performs it, shelling
-  out to mount/umount/losetup/chroot/resize2fs where system state is
-  involved.  The command runner is injectable, which is how tests drive
-  the privileged paths without privileges.
+  out to mount/umount/chroot/resize2fs where system state is involved.
+  The command runner is injectable, which is how tests drive the
+  privileged paths without privileges.
 
 The pipeline in :func:`execute` is the same for both.  Each RUN, HOST and
 INSTALL command becomes its action in :func:`command_action`, and a
@@ -21,10 +21,12 @@ cache, whose layout :mod:`~imgforge.source` owns, so both copy the same
 file to the destination, and both read the guest's /etc/fstab from that
 file in setup, so both plan the same mounts.
 
-The loop device and the chroot directory only exist once the build has
-made them, so actions name them through the ``<loop>`` and ``<root>``
-placeholders in both backends; the local backend resolves them when it
-performs an action, and so records exactly the log a dry run predicts.
+The chroot directory only exists once the build has mounted the guest
+root, so actions name it through the ``<root>`` placeholder in both
+backends; the local backend resolves it when it performs an action, and so
+records exactly the log a dry run predicts.  It refuses a guest path that,
+with its symlinks followed, leaves that directory.  Only FS_RESIZE attaches
+a loop device itself, and detaches it again before it returns.
 """
 
 from __future__ import annotations
@@ -86,7 +88,8 @@ def run_command(argv: Sequence[str], *, stdin_text: str | None = None,
     empty; without ``on_output`` the output is collected and returned.  It
     is decoded as UTF-8, an invalid byte becoming U+FFFD.  Standard input is
     fed from a helper thread so a command that writes output while reading a
-    large here-document cannot deadlock the pipes.
+    large here-document cannot deadlock the pipes.  An exception that leaves
+    this function, a signal's for one, kills the command first.
     """
     try:
         proc = subprocess.Popen(
@@ -114,9 +117,13 @@ def run_command(argv: Sequence[str], *, stdin_text: str | None = None,
         collected: list[str] = []
         sink = on_output or collected.append
         assert proc.stdout is not None
-        for line in proc.stdout:
-            sink(line.rstrip("\n"))
-        status = proc.wait()
+        try:
+            for line in proc.stdout:
+                sink(line.rstrip("\n"))
+            status = proc.wait()
+        except BaseException:
+            proc.kill()
+            raise
         if feeder is not None:
             feeder.join(timeout=10)
     return status, "\n".join(collected)
@@ -159,9 +166,9 @@ class LocalExecutor(Executor):
     ``runner`` and needs root when the default runner is used.  Injecting a
     runner replaces that boundary wholesale, privilege checks included.
 
-    ``loop_device`` and ``root_dir`` resolve ``<loop>`` and ``<root>``.  A
-    mount at ``<root>`` makes ``root_dir``, a temporary directory, and its
-    unmount removes it again unless the mount is still busy.
+    ``root_dir`` resolves ``<root>``.  A mount at ``<root>`` makes it, a
+    temporary directory, and its unmount removes it again unless the mount
+    is still busy.
     """
 
     performs_effects = True
@@ -172,7 +179,6 @@ class LocalExecutor(Executor):
         self._default_runner = runner is None
         self.runner: Runner = runner if runner is not None else run_command
         self.on_output = on_output
-        self.loop_device: str | None = None
         self.root_dir: str | None = None
         self._handlers: dict[ActionKind, Callable[[Action], int]] = {
             ActionKind.FETCH: lambda action: 0,  # the pipeline fetches before emitting
@@ -181,13 +187,11 @@ class LocalExecutor(Executor):
             ActionKind.GROW_FILE: self._grow_file,
             ActionKind.TABLE_WRITE: self._table_write,
             ActionKind.FS_RESIZE: self._fs_resize,
-            ActionKind.LOOP_ATTACH: self._loop_attach,
             ActionKind.MOUNT_PARTITION: self._mount,
             ActionKind.BIND_MOUNT: self._bind_mount,
             ActionKind.COPY_EMULATOR: self._copy_emulator,
             ActionKind.UNMOUNT: self._unmount,
             ActionKind.REMOVE_EMULATOR: self._remove_emulator,
-            ActionKind.LOOP_DETACH: self._loop_detach,
             ActionKind.HOST_EXEC: self._host_exec,
             ActionKind.GUEST_EXEC: self._guest_exec,
             ActionKind.COPY_IN: self._copy_in,
@@ -199,14 +203,25 @@ class LocalExecutor(Executor):
     # -- helpers ------------------------------------------------------------
 
     def _sub(self, text: str) -> str:
-        """``text`` with the ``<loop>`` and ``<root>`` placeholders resolved."""
-        for token, value in ((mounts_mod.LOOP_TOKEN, self.loop_device),
-                             (mounts_mod.ROOT_TOKEN, self.root_dir)):
-            if token in text:
-                if value is None:
-                    raise IoFailure(f"nothing is attached to satisfy {token} in {text!r}")
-                text = text.replace(token, value)
+        """``text`` with the ``<root>`` placeholder resolved."""
+        if mounts_mod.ROOT_TOKEN in text:
+            if self.root_dir is None:
+                raise IoFailure(f"no guest root is mounted to satisfy {text!r}")
+            text = text.replace(mounts_mod.ROOT_TOKEN, self.root_dir)
         return text
+
+    def _in_root(self, text: str | Path) -> Path:
+        """``text`` resolved: ``<root>`` substituted and every symlink followed.
+
+        While a guest root is mounted, a path that then leaves it, through an
+        absolute symlink of the guest for one, raises IoFailure.
+        """
+        path = os.path.realpath(self._sub(str(text)))
+        if self.root_dir is not None:
+            root = os.path.realpath(self.root_dir)
+            if os.path.commonpath([root, path]) != root:
+                raise IoFailure(f"{text} leaves the guest root: it resolves to {path}")
+        return Path(path)
 
     def _require_root(self, what: str,
                       error: type[ImgforgeError] = PrivilegeRequired) -> None:
@@ -226,11 +241,6 @@ class LocalExecutor(Executor):
         status, _ = self.runner(argv, stdin_text=action.payload.get("stdin") or None,
                                 on_output=self.on_output or (lambda line: None), **kw)
         return status
-
-    def _attach(self, image: str) -> str:
-        """Attach ``image`` to a free loop device with partition scanning; returns it."""
-        return self._run_checked(["losetup", "--find", "--show", "-P", image],
-                                 f"losetup {image}").strip()
 
     # -- file-level actions ---------------------------------------------------
 
@@ -255,7 +265,15 @@ class LocalExecutor(Executor):
         src = Path(action.payload["src"])
         if not src.exists():
             raise SourceMissing(f"INSTALL source does not exist: {src}")
-        dst = Path(self._sub(action.payload["root"])) / action.payload["dst"].lstrip("/")
+        dst = self._in_root(f"{action.payload['root']}/{action.payload['dst'].lstrip('/')}")
+        if not src.is_dir() and dst.is_dir():
+            dst = self._in_root(dst / src.name)  # where copy2 would write
+        # every path the copy writes, each checked before anything is written
+        written = [dst]
+        if src.is_dir():
+            for folder, dirs, files in os.walk(src, followlinks=True):
+                written += (self._in_root(dst / os.path.relpath(folder, src) / name)
+                            for name in (*dirs, *files))
         dst.parent.mkdir(parents=True, exist_ok=True)
         if src.is_dir():
             shutil.copytree(src, dst, dirs_exist_ok=True)
@@ -263,14 +281,17 @@ class LocalExecutor(Executor):
             shutil.copy2(src, dst)
         mode = action.payload.get("mode", "")
         if mode:
-            _chmod_recursive(dst, int(mode, 8))
+            for path in written:
+                path.chmod(int(mode, 8))
         return 0
 
     # -- privileged actions ---------------------------------------------------
 
     def _fs_resize(self, action: Action) -> int:
         self._require_root("resizing a filesystem")
-        device = self._attach(action.payload["image"])
+        image = action.payload["image"]
+        device = self._run_checked(["losetup", "--find", "--show", "-P", image],
+                                   f"losetup {image}").strip()
         try:
             partition = mounts_mod.partition_device(device, int(action.payload["partition"]))
             self._run_checked(["resize2fs", partition], f"resize2fs {partition}")
@@ -280,20 +301,17 @@ class LocalExecutor(Executor):
         self._run_checked(["losetup", "-d", device], f"losetup -d {device}")
         return 0
 
-    def _loop_attach(self, action: Action) -> int:
-        self._require_root("attaching a loop device")
-        self.loop_device = self._attach(action.payload["source"])
-        return 0
-
     def _mount(self, action: Action) -> int:
         self._require_root("mounting a partition")
         if action.payload["target"] == mounts_mod.ROOT_TOKEN:
-            self.root_dir = tempfile.mkdtemp(prefix="imgforge-root-")
-        target = self._sub(action.payload["target"])
+            self.root_dir = target = tempfile.mkdtemp(prefix="imgforge-root-")
+        else:
+            target = str(self._in_root(action.payload["target"]))
         os.makedirs(target, exist_ok=True)
+        options = action.payload.get("options")
         try:
-            self._run_checked(["mount", self._sub(action.payload["source"]), target],
-                              f"mount {target}")
+            self._run_checked(["mount", *(["-o", options] if options else []),
+                               action.payload["source"], target], f"mount {target}")
         except BaseException:
             if target == self.root_dir:
                 os.rmdir(target)
@@ -304,7 +322,7 @@ class LocalExecutor(Executor):
     def _bind_mount(self, action: Action) -> int:
         self._require_root("bind mounting")
         source = action.payload["source"]
-        target = Path(self._sub(action.payload["target"]))
+        target = self._in_root(action.payload["target"])
         if Path(source).is_dir():
             target.mkdir(parents=True, exist_ok=True)
         else:
@@ -314,7 +332,7 @@ class LocalExecutor(Executor):
         return 0
 
     def _copy_emulator(self, action: Action) -> int:
-        target = Path(self._sub(action.payload["target"]))
+        target = self._in_root(action.payload["target"])
         target.parent.mkdir(parents=True, exist_ok=True)
         shutil.copy2(action.payload["source"], target)
         target.chmod(0o755)
@@ -330,14 +348,7 @@ class LocalExecutor(Executor):
         return 0
 
     def _remove_emulator(self, action: Action) -> int:
-        Path(self._sub(action.payload["target"])).unlink(missing_ok=True)
-        return 0
-
-    def _loop_detach(self, action: Action) -> int:
-        if self.loop_device is not None:
-            self._run_checked(["losetup", "-d", self.loop_device],
-                              f"losetup -d {self.loop_device}")
-            self.loop_device = None
+        self._in_root(action.payload["target"]).unlink(missing_ok=True)
         return 0
 
     # -- command actions --------------------------------------------------------
@@ -353,13 +364,6 @@ class LocalExecutor(Executor):
         _check_binfmt()
         return self._exec(["chroot", root, shell, "-c", action.payload["command"]], action,
                           env={"PATH": action.payload["path"]})
-
-
-def _chmod_recursive(path: Path, mode: int) -> None:
-    path.chmod(mode)
-    if path.is_dir():
-        for child in path.rglob("*"):
-            child.chmod(mode)
 
 
 def _guest_shell(root: str) -> str:
@@ -502,7 +506,7 @@ def execute(plan: ExecutionPlan, backend: Executor,
         if plan.pump_bytes > 0:
             for command in plan.staged[Stage.PREPARE]:
                 log(stage_label, command.origin, render_command(command))
-            image_mod.pump(plan, backend, table)
+            table = image_mod.pump(plan, backend, table)
         durations[stage_label] = time.monotonic() - started
 
         # --- chroot: mounts, commands, installs ------------------------------
@@ -510,7 +514,7 @@ def execute(plan: ExecutionPlan, backend: Executor,
         stage_label = Stage.CHROOT.label
         log(stage_label, None, "begin")
         if needs_guest:
-            base = mounts_mod.base_mount_actions(plan, emulators=emulators)
+            base = mounts_mod.base_mount_actions(plan, table, emulators=emulators)
             mounted = {a.payload["target"] for a in base}
             for action in base + mounts_mod.fstab_mount_actions(plan, table, fstab_text,
                                                                 already_mounted=mounted):

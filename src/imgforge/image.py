@@ -296,8 +296,8 @@ def check_partition(plan: "ExecutionPlan", table: PartitionTable, image_bytes: i
         )
 
 
-def pump(plan: "ExecutionPlan", executor: "Executor", table: PartitionTable) -> None:
-    """Emit the growth sequence for the plan's destination image.
+def pump(plan: "ExecutionPlan", executor: "Executor", table: PartitionTable) -> PartitionTable:
+    """Emit the growth sequence for the plan's destination image; returns the grown table.
 
     Three actions go through the executor, in order: grow the file by the
     requested bytes rounded up to a whole number of sectors, rewrite the
@@ -309,6 +309,8 @@ def pump(plan: "ExecutionPlan", executor: "Executor", table: PartitionTable) -> 
     dest = str(Path(plan.destination.path))
     index = plan.partition_index
     sectors = -(-plan.pump_bytes // SECTOR_SIZE)  # rounded up to a whole sector
+    entry = table.entries[index - 1]
+    grown = table.with_entry(replace(entry, lba_size=entry.lba_size + sectors))
     executor.emit(Action(ActionKind.GROW_FILE, {
         "path": dest, "bytes": str(sectors * SECTOR_SIZE),
     }))
@@ -316,10 +318,11 @@ def pump(plan: "ExecutionPlan", executor: "Executor", table: PartitionTable) -> 
         "path": dest,
         "partition": str(index),
         "added_sectors": str(sectors),
-        "lba_size": str(table.entries[index - 1].lba_size + sectors),
+        "lba_size": str(grown.entries[index - 1].lba_size),
     }))
     executor.emit(Action(ActionKind.FS_RESIZE, {
         "image": dest,
         "partition": str(index),
         "command": f"resize2fs <loop>p{index}",
     }))
+    return grown

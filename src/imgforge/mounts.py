@@ -1,20 +1,20 @@
 """Mount planning for the chroot stage.
 
-Builds the ordered attach/mount/bind/copy actions that turn a raw image
-into a usable chroot, and the exact reverse teardown.  The actions are
-plain :class:`~imgforge.actions.Action` values with a ``source`` and a
-``target`` in the payload, emitted as they are.  Neither the loop device
-nor the chroot directory exists until the build makes it, so actions name
-them through the ``<loop>`` and ``<root>`` placeholders, which the local
-backend resolves; the action log is the same for every backend and run.
+Builds the ordered mount/bind/copy actions that turn a raw image into a
+usable chroot, and the exact reverse teardown.  The actions are plain
+:class:`~imgforge.actions.Action` values with a ``source`` and a
+``target`` in the payload, emitted as they are.  The chroot directory
+does not exist until the build makes it, so actions name it through the
+``<root>`` placeholder, which the local backend resolves; the action log
+is the same for every backend and run.
 
-Setup order: loop attach, root partition mount, bind mounts for /dev,
-/sys, /proc and /dev/pts, a bind of the host's resolv.conf for DNS, one
-copy per static emulator binary, then any additional partitions named by
-the guest's /etc/fstab, shallowest mount point first.  Teardown undoes
-exactly the setup actions applied, last first.  Setup reads that fstab
-from an ext2/3/4 root of the source with :func:`read_guest_fstab`, so a
-dry run plans the same mounts as a real build; other roots add none.
+Setup order: root partition mount, bind mounts for /dev, /sys, /proc and
+/dev/pts, a bind of the host's resolv.conf for DNS, one copy per static
+emulator binary, then any additional partitions named by the guest's
+/etc/fstab, shallowest mount point first.  Teardown undoes exactly the
+setup actions applied, last first.  Setup reads that fstab from an
+ext2/3/4 root of the source with :func:`read_guest_fstab`, so a dry run
+plans the same mounts as a real build; other roots add none.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .source import TargetKind
 
 logger = logging.getLogger(__name__)
 
-LOOP_TOKEN = "<loop>"
 ROOT_TOKEN = "<root>"
 
 BIND_SOURCES = ("/dev", "/sys", "/proc", "/dev/pts")
@@ -164,35 +163,41 @@ def discover_emulators(path_var: str) -> list[str]:
 
 
 def partition_device(base: str, index: int) -> str:
-    """Partition node name for a disk device: sda -> sda2, mmcblk0 -> mmcblk0p2.
-
-    The loop placeholder follows the loop-device convention (loop3p1), so a
-    substituted real device keeps the right separator.
-    """
-    if base == LOOP_TOKEN or (base and base[-1].isdigit()):
+    """Partition node name for a disk device: sda -> sda2, mmcblk0 -> mmcblk0p2."""
+    if base and base[-1].isdigit():
         return f"{base}p{index}"
     return f"{base}{index}"
 
 
-def base_mount_actions(plan: ExecutionPlan, *, emulators: Sequence[str]) -> list[Action]:
-    """Loop attach, root mount, system binds, resolv.conf, emulator copies.
+def partition_mount(plan: ExecutionPlan, table: PartitionTable, slot: int,
+                    target: str) -> Action:
+    """The mount of partition ``slot`` of the destination at ``target``.
 
-    Setup's :func:`~imgforge.image.check_partition` has refused an empty slot.
+    An image file's partition is mounted through a loop device over its
+    bytes that mount(8) sets up and ``umount`` frees.  A device's partition
+    is mounted through its node: a loop over the device would be a second
+    block device for a filesystem the host may have mounted from the node.
     """
-    index = plan.partition_index
-    actions: list[Action] = []
+    image, entry = plan.destination.path, table.entries[slot - 1]
+    if plan.destination.kind is TargetKind.BLOCK_DEVICE:
+        return Action(ActionKind.MOUNT_PARTITION,
+                      {"source": partition_device(image, slot), "target": target})
+    return Action(ActionKind.MOUNT_PARTITION, {"source": image, "target": target, "options":
+        f"loop,offset={entry.lba_start * SECTOR_SIZE},sizelimit={entry.lba_size * SECTOR_SIZE}"})
+
+
+def base_mount_actions(plan: ExecutionPlan, table: PartitionTable, *,
+                       emulators: Sequence[str]) -> list[Action]:
+    """Root mount, system binds, resolv.conf, emulator copies.
+
+    ``table`` is the destination's, grown by PUMP.  Setup's
+    :func:`~imgforge.image.check_partition` has refused an empty slot.
+    """
+    actions = [partition_mount(plan, table, plan.partition_index, ROOT_TOKEN)]
 
     def add(kind: ActionKind, source: str, target: str) -> None:
         actions.append(Action(kind, {"source": source, "target": target}))
 
-    image = plan.destination.path
-    if plan.destination.kind is TargetKind.BLOCK_DEVICE:
-        # a real device already exposes partition nodes; no loop indirection
-        root_source = partition_device(image, index)
-    else:
-        add(ActionKind.LOOP_ATTACH, image, LOOP_TOKEN)
-        root_source = f"{LOOP_TOKEN}p{index}"
-    add(ActionKind.MOUNT_PARTITION, root_source, ROOT_TOKEN)
     for bind in BIND_SOURCES:
         add(ActionKind.BIND_MOUNT, bind, ROOT_TOKEN + bind)
     add(ActionKind.BIND_MOUNT, RESOLV_CONF, ROOT_TOKEN + RESOLV_CONF)
@@ -210,8 +215,6 @@ def fstab_mount_actions(plan: ExecutionPlan, table: PartitionTable, fstab_text: 
     plan's partition index) and a mismatch only warns, since FROM may
     legitimately override the root partition.
     """
-    device_base = (plan.destination.path
-                   if plan.destination.kind is TargetKind.BLOCK_DEVICE else LOOP_TOKEN)
     occupied = set(already_mounted or ())
     pending: list[tuple[int, int, int]] = []  # (depth, position, slot) per mount point
     targets: dict[int, str] = {}
@@ -228,8 +231,9 @@ def fstab_mount_actions(plan: ExecutionPlan, table: PartitionTable, fstab_text: 
                     slot, plan.partition_index,
                 )
             continue
-        if not entry.mount_point.startswith("/"):
-            logger.warning("fstab mount point %s is not absolute, skipped", entry.mount_point)
+        if not entry.mount_point.startswith("/") or ".." in entry.mount_point.split("/"):
+            logger.warning("fstab mount point %s is not absolute or has a '..' component, "
+                           "skipped", entry.mount_point)
             continue
         if table.entries[slot - 1].empty:
             logger.warning("fstab names partition %d, which is an empty slot", slot)
@@ -242,9 +246,8 @@ def fstab_mount_actions(plan: ExecutionPlan, table: PartitionTable, fstab_text: 
         pending.append((depth, position, slot))
         targets[position] = target
 
-    return [Action(ActionKind.MOUNT_PARTITION, {
-        "source": partition_device(device_base, slot), "target": targets[position],
-    }) for _, position, slot in sorted(pending)]
+    return [partition_mount(plan, table, slot, targets[position])
+            for _, position, slot in sorted(pending)]
 
 
 def teardown_actions(setup: Sequence[Action]) -> list[Action]:

@@ -21,6 +21,7 @@ from .errors import (
     ConflictingSource,
     InvalidMode,
     InvalidPartitionIndex,
+    MalformedArgs,
     MissingSource,
 )
 from .image import parse_size
@@ -89,9 +90,10 @@ def build_plan(pifile: Pifile,
     TO) or INPLACE.  A missing TO defaults the destination to
     ``<pifile stem>.img`` next to the Pifile.  Relative source and
     destination paths are anchored at the Pifile's directory.  INSTALL
-    modes are checked here, so a bad one stops the build before any copy,
-    and so is a PUMP onto a block device, which cannot grow.  ``probe``
-    replaces the filesystem probe that classifies paths.
+    modes and destinations are checked here, so a bad mode or a destination
+    with a ``..`` component stops the build before any copy, and so is a
+    PUMP onto a block device, which cannot grow.  ``probe`` replaces the
+    filesystem probe that classifies paths.
     """
     probe = probe or default_probe
     staged = assign_stages(pifile)
@@ -155,6 +157,9 @@ def build_plan(pifile: Pifile,
         raise ConflictingSource(f"PUMP cannot grow the fixed-size device {destination.path}",
                                 origin=staged[Stage.PREPARE][0].origin)
     for command in staged[Stage.CHROOT]:
+        if command.kind is CommandKind.INSTALL and ".." in command.args[-1].split("/"):
+            raise MalformedArgs(f"INSTALL destination {command.args[-1]} has a '..' component",
+                                origin=command.origin)
         if command.kind is CommandKind.INSTALL and len(command.args) == 3:
             mode = command.args[0]
             if not (mode.isdigit() and all(c in "01234567" for c in mode) and len(mode) <= 4):

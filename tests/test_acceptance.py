@@ -117,7 +117,7 @@ def test_criterion_4_mount_plan_golden(tmp_path):
         "PARTUUID=deadbeef-02 / ext4 defaults 0 1\n"
         "proc /proc proc defaults 0 0\n"
     )
-    setup = base_mount_actions(plan, emulators=[EMULATOR])
+    setup = base_mount_actions(plan, table, emulators=[EMULATOR])
     mounted = {a.payload["target"] for a in setup}
     setup += fstab_mount_actions(plan, table, fstab, already_mounted=mounted)
     backend = DryRunExecutor()
@@ -224,7 +224,6 @@ def test_criterion_7_failure_semantics(tmp_path):
         ActionKind.REMOVE_EMULATOR,
         ActionKind.UNMOUNT, ActionKind.UNMOUNT, ActionKind.UNMOUNT,
         ActionKind.UNMOUNT, ActionKind.UNMOUNT, ActionKind.UNMOUNT,
-        ActionKind.LOOP_DETACH,
     ]
     assert log_path.read_text() == serialize_actions(backend.actions)
 

@@ -1,10 +1,13 @@
 import errno
 import hashlib
 import lzma
+import os
 import random
 import shutil
+import signal
 import subprocess
 import sys
+import time
 import zipfile
 from pathlib import Path
 
@@ -15,7 +18,8 @@ import imgforge.source as source_mod
 import mbr_oracle
 from imgforge.cli import main, render_log
 from imgforge.errors import ChrootUnavailable
-from imgforge.executor import ActionKind, DryRunExecutor, LocalExecutor
+from imgforge.executor import Action, ActionKind, DryRunExecutor, LocalExecutor
+from imgforge.mounts import teardown_actions
 from imgforge.source import SourceKind
 
 ENV = {"PATH": "/usr/bin:/bin"}
@@ -106,6 +110,21 @@ class TestExitCodes:
         assert code == 1
         assert "octal" in capsys.readouterr().err
         assert not (tmp_path / "out.img").exists()
+
+    @pytest.mark.parametrize("dry_run", [True, False])
+    def test_install_climbing_out_of_the_guest_is_exit_1_before_any_copy(
+            self, tmp_path, capsys, private_tempdir, dry_run):
+        pifile = write_fixture(
+            tmp_path, text="FROM base.img\nTO out.img\nINSTALL motd ../../dotdot.conf\n")
+        (tmp_path / "motd").write_text("hi\n")
+        log = ["--dry-run", str(tmp_path / "plan.log")] if dry_run else []
+        code = main([*log, str(pifile)], ENV,
+                    executor_factory=lambda cfg: LocalExecutor(runner=lambda argv, **kw: (0, "")))
+        assert code == 1
+        assert error_line(capsys.readouterr().err).startswith(f"[error] {pifile}:3: INSTALL ")
+        assert not (tmp_path / "out.img").exists()
+        # where the copy would land: two levels above a root made in the temporary directory
+        assert not (private_tempdir.parent / "dotdot.conf").exists()
 
     def test_missing_emulator_is_exit_3_before_any_copy(self, tmp_path, capsys):
         pifile = write_fixture(
@@ -200,7 +219,7 @@ class TestDryRun:
                      str(pifile)], ENV, executor_factory=lambda cfg: FailingSecondRun())
         assert code == 2
         content = log.read_text()
-        assert "LOOP_DETACH" in content  # teardown made it into the log
+        assert "\tUNMOUNT\tsource=/dev\t" in content  # teardown made it into the log
         assert "COPY_IN" not in content  # aborted commands did not
 
     def test_missing_log_directory_is_exit_1_before_parsing(self, tmp_path, capsys):
@@ -489,3 +508,99 @@ def test_demo_dry_run_matches_golden(demo, tmp_path, monkeypatch):
                  "--env", "NODE=alpha", f"{demo}.Pifile"], ENV)
     assert code == 0
     assert (work / "plan.log").read_text() == (DATA_DIR / f"demo-{demo}.log").read_text()
+
+
+# A HOST command that records its shell's pid, then would write late.txt about 3 s on
+SLOW_HOST = ("HOST echo $$ > child.pid; for i in $(seq 30); do sleep 0.1; done; "
+             "echo late > late.txt\n")
+
+# a real build whose mounts and chroot are faked, and whose HOST commands run for real
+GUEST_BUILD = """
+import shutil, sys
+from pathlib import Path
+from imgforge.cli import main
+from imgforge.executor import LocalExecutor, run_command
+
+partitions = set()
+
+def runner(argv, **kwargs):
+    if argv[:2] == ["/bin/sh", "-c"]:
+        return run_command(argv, **kwargs)
+    if argv[0] == "mount" and argv[1] != "--bind":
+        partitions.add(argv[-1])
+        (Path(argv[-1]) / "bin").mkdir(parents=True)
+        (Path(argv[-1]) / "bin" / "sh").write_text("")
+    elif argv[0] == "umount" and argv[1] in partitions:
+        shutil.rmtree(argv[1])
+        Path(argv[1]).mkdir()
+    return 0, ""
+
+backend = LocalExecutor(runner=runner)
+code = main(sys.argv[1:], executor_factory=lambda config: backend)
+Path("actions.log").write_text(backend.render_log())
+sys.exit(code)
+"""
+
+
+def _interrupted_build(tmp_path, text, signum, script):
+    """Run ``script`` on a Pifile of ``text`` in a subprocess, send ``signum`` once
+    the HOST command has started, and return (process, stderr, HOST shell pid)."""
+    pifile = write_fixture(tmp_path, text=text)
+    (tmp_path / "emulator").write_bytes(b"\x7fELF")
+    (tmp_path / "tmp").mkdir()
+    src = Path(__file__).parent.parent / "src"
+    env = {"PATH": os.environ["PATH"], "PYTHONPATH": str(src), "TMPDIR": str(tmp_path / "tmp")}
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script, "--emulator", str(tmp_path / "emulator"), str(pifile)],
+        cwd=tmp_path, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    try:
+        pid_file = tmp_path / "child.pid"
+        deadline = time.monotonic() + 20
+        while not pid_file.is_file() or not pid_file.read_text().endswith("\n"):
+            assert time.monotonic() < deadline and proc.poll() is None, proc.stderr.read()
+            time.sleep(0.05)
+        proc.send_signal(signum)
+        _, stderr = proc.communicate(timeout=20)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    child = int(pid_file.read_text())
+    return proc, stderr, child
+
+
+def _gone(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("signame", ["SIGTERM", "SIGHUP"])
+def test_signal_kills_the_host_command_and_exits_2(tmp_path, signame):
+    script = "import sys\nfrom imgforge.cli import main\nsys.exit(main())\n"
+    proc, stderr, child = _interrupted_build(
+        tmp_path, "FROM base.img\nTO out.img\n" + SLOW_HOST, getattr(signal, signame), script)
+    assert proc.returncode == 2
+    assert stderr.splitlines()[-1] == f"[chroot] interrupted by {signame}"
+    assert _gone(child)
+    assert not (tmp_path / "late.txt").exists()
+
+
+def test_signal_tears_down_the_guest(tmp_path):
+    proc, stderr, child = _interrupted_build(
+        tmp_path, "FROM base.img\nTO out.img\nRUN true\n" + SLOW_HOST, signal.SIGTERM,
+        GUEST_BUILD)
+    assert proc.returncode == 2
+    assert stderr.splitlines()[-1] == "[chroot] interrupted by SIGTERM"
+    assert _gone(child)
+    # no payload in this build holds an escaped character, so a plain split decodes it
+    actions = [Action(ActionKind[kind], dict(f.split("=", 1) for f in fields))
+               for _, kind, *fields in (line.split("\t") for line in
+                                        (tmp_path / "actions.log").read_text().splitlines())]
+    host = [a.kind for a in actions].index(ActionKind.HOST_EXEC)
+    setup = [a for a in actions[:host] if a.kind.undo is not None]
+    assert len(setup) == 7  # root mount, 5 binds, emulator copy
+    assert actions[host + 1:] == teardown_actions(setup)
+    assert list((tmp_path / "tmp").glob("imgforge-root-*")) == []

@@ -29,6 +29,7 @@ from imgforge.executor import (
     run_command,
     serialize_actions,
 )
+from imgforge.mounts import teardown_actions
 from imgforge.pifile import parse_pifile_text
 from imgforge.plan import build_plan
 
@@ -281,6 +282,112 @@ class TestInstallFile:
         assert backend.actions[0].payload["src"] == "built-later"
 
 
+class TestGuestConfinement:
+    """A guest path that leaves the guest root through a symlink is refused before
+    anything is written; ``outside`` stands for the host."""
+
+    @pytest.fixture
+    def guest(self, tmp_path):
+        root, outside = tmp_path / "root", tmp_path / "outside"
+        (root / "var").mkdir(parents=True)
+        (root / "etc").mkdir()
+        outside.mkdir()
+        os.symlink(outside, root / "var" / "run")  # like Debian's absolute /var/run -> /run
+        runner = RecordingRunner()
+        backend = LocalExecutor(runner=runner)
+        backend.root_dir = str(root)
+        return backend, runner, root, outside
+
+    def test_install_through_an_absolute_symlink_is_refused(self, tmp_path, guest):
+        backend, _, root, outside = guest
+        (tmp_path / "motd").write_text("hi\n")
+        with pytest.raises(IoFailure, match="leaves the guest root"):
+            emit_command(backend, f"INSTALL {tmp_path / 'motd'} /var/run/x.conf", root=str(root))
+        assert list(outside.iterdir()) == []
+
+    def test_directory_install_checks_every_path_before_writing_any(self, tmp_path, guest):
+        backend, _, root, outside = guest
+        src = tmp_path / "tree"
+        (src / "a").mkdir(parents=True)
+        (src / "a" / "first").write_text("1")
+        (src / "run" / "sub").mkdir(parents=True)
+        (src / "run" / "sub" / "x").write_text("2")
+        with pytest.raises(IoFailure, match="leaves the guest root"):
+            emit_command(backend, f"INSTALL {src} /var", root=str(root))
+        assert list(outside.iterdir()) == []
+        assert sorted(p.name for p in (root / "var").iterdir()) == ["run"]  # nothing copied
+
+    def test_relative_symlink_inside_the_guest_is_followed(self, tmp_path, guest):
+        backend, _, root, _ = guest
+        (root / "run").mkdir()
+        os.symlink("../run/motd", root / "etc" / "motd")
+        (tmp_path / "motd").write_text("hi\n")
+        emit_command(backend, f"INSTALL {tmp_path / 'motd'} /etc/motd", root=str(root))
+        assert (root / "run" / "motd").read_text() == "hi\n"
+
+    def test_install_mode_reaches_only_the_copied_files(self, tmp_path, guest):
+        backend, _, root, _ = guest
+        (root / "etc" / "passwd").write_text("root:x:0:0\n")
+        (root / "etc" / "passwd").chmod(0o644)
+        src = tmp_path / "etc"
+        src.mkdir()
+        (src / "key").write_text("k\n")
+        emit_command(backend, f"INSTALL 600 {src} /etc", root=str(root))
+        assert (root / "etc" / "key").stat().st_mode & 0o777 == 0o600
+        assert (root / "etc" / "passwd").stat().st_mode & 0o777 == 0o644
+
+    def test_file_installed_into_an_existing_directory_gets_the_mode(self, tmp_path, guest):
+        backend, _, root, _ = guest
+        (root / "etc").chmod(0o755)
+        (tmp_path / "motd").write_text("hi\n")
+        emit_command(backend, f"INSTALL 600 {tmp_path / 'motd'} /etc", root=str(root))
+        assert (root / "etc" / "motd").stat().st_mode & 0o777 == 0o600
+        assert (root / "etc").stat().st_mode & 0o777 == 0o755
+
+    @pytest.mark.parametrize("kind, source, target", [
+        (ActionKind.BIND_MOUNT, "/etc/resolv.conf", "<root>/etc/resolv.conf"),
+        (ActionKind.COPY_EMULATOR, "emulator", "<root>/usr/bin/qemu-arm-static"),
+        (ActionKind.MOUNT_PARTITION, "/dev/sdz1", "<root>/boot"),
+    ])
+    def test_setup_target_through_an_absolute_symlink_is_refused(
+            self, tmp_path, guest, kind, source, target):
+        backend, runner, root, outside = guest
+        (tmp_path / "emulator").write_bytes(b"\x7fELF")
+        for link in ("etc/resolv.conf", "usr", "boot"):
+            (root / link).parent.mkdir(parents=True, exist_ok=True)
+            os.symlink(outside, root / link)
+        with pytest.raises(IoFailure, match="leaves the guest root"):
+            backend.emit(Action(kind, {"source": str(tmp_path / source), "target": target}))
+        assert runner.calls == []
+        assert list(outside.iterdir()) == []
+
+    def test_cli_reports_the_escape_in_chroot_with_exit_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        outside = tmp_path / "outside"
+        outside.mkdir()
+
+        class DebianRunner(GuestRunner):
+            def __call__(self, argv, **kwargs):
+                status = super().__call__(argv, **kwargs)
+                if argv[0] == "mount" and argv[1] != "--bind":
+                    (Path(argv[-1]) / "var").mkdir()
+                    os.symlink(outside, Path(argv[-1]) / "var" / "run")
+                return status
+
+        mbr_oracle.write_image(tmp_path / "base.img")
+        (tmp_path / "motd").write_text("hi\n")
+        pifile = tmp_path / "t.Pifile"
+        pifile.write_text("FROM base.img\nTO out.img\nINSTALL motd /var/run/x.conf\n")
+        real = LocalExecutor(runner=DebianRunner())
+        code = main(["--emulator", str(tmp_path / "motd"), str(pifile)], FIXED_ENV,
+                    executor_factory=lambda cfg: real)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("[chroot] <root>/var/run/x.conf leaves")
+        assert list(outside.iterdir()) == []
+        assert real.actions[-1].payload["target"] == "<root>"  # the teardown ran
+        assert root_dirs_left() == []
+
+
 class TestActionLog:
     def test_multiline_payload_stays_one_line(self):
         action = Action(ActionKind.GUEST_EXEC, {
@@ -309,7 +416,9 @@ class TestActionLog:
 
     def test_both_backends_cover_every_kind(self):
         local = LocalExecutor(runner=lambda argv, **kw: (0, ""))
-        assert set(local._handlers) == set(ActionKind)
+        # the two loop kinds stay in the vocabulary, but nothing emits them
+        assert set(local._handlers) == set(ActionKind) - {ActionKind.LOOP_ATTACH,
+                                                          ActionKind.LOOP_DETACH}
         dry = DryRunExecutor()
         for kind in ActionKind:
             assert dry._perform(Action(kind, {})) == 0
@@ -330,15 +439,21 @@ class RecordingRunner:
 
 
 class TestLocalBackendCommands:
-    def test_loop_attach_then_mount_substitutes_device(self, tmp_path):
+    def test_mount_passes_options_before_source_and_target(self, tmp_path):
         runner = RecordingRunner()
         backend = LocalExecutor(runner=runner)
-        backend.emit(Action(ActionKind.LOOP_ATTACH,
-                            {"source": "disk.img", "target": "<loop>"}))
+        backend.emit(Action(ActionKind.MOUNT_PARTITION, {
+            "source": "disk.img", "target": "<root>",
+            "options": "loop,offset=9437184,sizelimit=57671680"}))
         backend.emit(Action(ActionKind.MOUNT_PARTITION,
-                            {"source": "<loop>p2", "target": str(tmp_path / "root")}))
-        assert runner.calls[0][0] == ["losetup", "--find", "--show", "-P", "disk.img"]
-        assert runner.calls[1][0] == ["mount", "/dev/loop7p2", str(tmp_path / "root")]
+                            {"source": "/dev/sdz1", "target": "<root>/boot"}))
+        root = backend.root_dir
+        assert [argv for argv, _ in runner.calls] == [
+            ["mount", "-o", "loop,offset=9437184,sizelimit=57671680", "disk.img", root],
+            ["mount", "/dev/sdz1", f"{root}/boot"],  # a device partition: no -o
+        ]
+        os.rmdir(f"{root}/boot")
+        os.rmdir(root)
 
     def test_fs_resize_attaches_resizes_detaches(self, tmp_path):
         runner = RecordingRunner()
@@ -384,14 +499,12 @@ class TestLocalBackendCommands:
         with pytest.raises(ShellUnavailable):
             emit_command(backend, "RUN true", root=str(root))
 
-    @pytest.mark.parametrize("kind, target", [(ActionKind.UNMOUNT, "/somewhere"),
-                                              (ActionKind.LOOP_DETACH, "<loop>")])
+    @pytest.mark.parametrize("kind, target", [(ActionKind.UNMOUNT, "/somewhere")])
     def test_teardown_failure_raises(self, kind, target):
         def stuck(argv, **kwargs):
-            return (32, "target is busy") if argv[0] in ("umount", "losetup") else (0, "")
+            return (32, "target is busy") if argv[0] == "umount" else (0, "")
 
         backend = LocalExecutor(runner=stuck)
-        backend.loop_device = "/dev/loop7"
         with pytest.raises(IoFailure, match="failed with status 32: target is busy"):
             backend.emit(Action(kind, {"source": "disk.img", "target": target}))
 
@@ -479,7 +592,6 @@ class TestExecutePipeline:
             ActionKind.GROW_FILE,
             ActionKind.TABLE_WRITE,
             ActionKind.FS_RESIZE,
-            ActionKind.LOOP_ATTACH,
             ActionKind.MOUNT_PARTITION,
             ActionKind.BIND_MOUNT,  # /dev
             ActionKind.BIND_MOUNT,  # /sys
@@ -497,8 +609,17 @@ class TestExecutePipeline:
             ActionKind.UNMOUNT,  # /sys
             ActionKind.UNMOUNT,  # /dev
             ActionKind.UNMOUNT,  # root
-            ActionKind.LOOP_DETACH,
         ]
+
+    def test_pumped_root_is_mounted_at_its_grown_size(self, tmp_path, monkeypatch):
+        self._fixture(tmp_path, monkeypatch)
+        backend = DryRunExecutor()
+        execute(make_plan(tmp_path, self.LISTING), backend,
+                RunOptions(env=FIXED_ENV, emulators=[EMULATOR]))
+        mounts = [a.payload for a in backend.actions if a.kind is ActionKind.MOUNT_PARTITION]
+        assert mounts == [{"source": str(tmp_path / "out.img"), "target": "<root>",
+                           "options": f"loop,offset={18432 * 512},"
+                                      f"sizelimit={(112640 + 32768) * 512}"}]
 
     def test_dry_run_touches_nothing(self, tmp_path, monkeypatch):
         self._fixture(tmp_path, monkeypatch)
@@ -563,7 +684,6 @@ class TestExecutePipeline:
             ActionKind.REMOVE_EMULATOR,
             ActionKind.UNMOUNT, ActionKind.UNMOUNT, ActionKind.UNMOUNT,
             ActionKind.UNMOUNT, ActionKind.UNMOUNT, ActionKind.UNMOUNT,
-            ActionKind.LOOP_DETACH,
         ]
 
     def test_failing_host_aborts_but_tears_down(self, tmp_path, monkeypatch):
@@ -582,7 +702,7 @@ class TestExecutePipeline:
         assert err.value.args[0] == "HOST command failed with status 1: false"
         kinds = [a.kind for a in backend.actions]
         assert kinds.count(ActionKind.GUEST_EXEC) == 1  # the RUN after HOST aborted
-        assert kinds[-1] is ActionKind.LOOP_DETACH  # teardown still ran
+        assert backend.actions[-1].payload["target"] == "<root>"  # teardown still ran
 
     def test_progressive_path_extensions(self, tmp_path, monkeypatch):
         self._fixture(tmp_path, monkeypatch)
@@ -652,9 +772,10 @@ class GuestRunner(RecordingRunner):
 
     def __call__(self, argv, **kwargs):
         if argv[0] == "mount" and argv[1] != "--bind":
-            self.partitions.add(argv[2])
-            (Path(argv[2]) / "bin").mkdir(parents=True)
-            (Path(argv[2]) / "bin" / "sh").write_text("")
+            target = argv[-1]  # after any "-o <options>" and the source
+            self.partitions.add(target)
+            (Path(target) / "bin").mkdir(parents=True)
+            (Path(target) / "bin" / "sh").write_text("")
         elif argv[0] == "umount" and argv[1] in self.partitions:
             shutil.rmtree(argv[1])  # the guest's files leave with the partition
             os.mkdir(argv[1])
@@ -744,16 +865,16 @@ class TestRealBuildLog:
             execute(make_plan(tmp_path, "FROM base.img\nTO out.img\nRUN true\n"), backend,
                     RunOptions(env=FIXED_ENV, emulators=[]))
         assert [a.kind for a in backend.actions][-2:] == [
-            ActionKind.MOUNT_PARTITION, ActionKind.LOOP_DETACH]
+            ActionKind.COPY_IMAGE, ActionKind.MOUNT_PARTITION]  # nothing to tear down
         assert backend.root_dir is None and root_dirs_left() == []
 
 
 class StuckRunner(GuestRunner):
-    """A guest runner whose unmounts and loop detaches fail, as for a busy guest;
-    HOST commands run for real."""
+    """A guest runner whose unmounts fail, as for a busy guest; HOST commands
+    run for real."""
 
     def __call__(self, argv, **kwargs):
-        if argv[0] == "umount" or argv[:2] == ["losetup", "-d"]:
+        if argv[0] == "umount":
             self.calls.append((list(argv), kwargs))
             return 1, "target is busy"
         if argv[:2] == ["/bin/sh", "-c"]:
@@ -782,12 +903,12 @@ class TestTeardownFailure:
         argvs = [argv for argv, _ in runner.calls]
         mounted = [argv[-1] for argv in argvs if argv[0] == "mount"]
         assert [argv[1] for argv in argvs if argv[0] == "umount"] == mounted[::-1]
-        assert argvs[-1] == ["losetup", "-d", "/dev/loop7"]
         [root] = root_dirs_left()
+        assert argvs[-1] == ["umount", str(root)]
         assert err.value.stage == "chroot"
         assert err.value.args[0].startswith(f"umount {root}/etc/resolv.conf failed")
         failures = [r for r in caplog.records if r.getMessage().startswith("teardown: ")]
-        assert len(failures) == len(mounted) + 1
+        assert len(failures) == len(mounted)
 
     def test_cli_exits_2_with_no_digest(self, tmp_path, capsys):
         (tmp_path / "t.Pifile").write_text(self.LISTING)
@@ -806,7 +927,7 @@ class TestTeardownFailure:
                     RunOptions(env=FIXED_ENV, emulators=[]))
         assert err.value.args[0] == "HOST command failed with status 1: false"
         assert err.value.origin.line_no == 4
-        assert runner.calls[-1][0] == ["losetup", "-d", "/dev/loop7"]
+        assert runner.calls[-1][0] == ["umount", str(root_dirs_left()[0])]
 
 
 def write_ext4_root(image, files):
@@ -828,6 +949,9 @@ class TestGuestFstab:
 
     BOOT_FSTAB = (f"PARTUUID={mbr_oracle.FIXTURE_DISK_ID:08x}-01 /boot vfat defaults 0 2\n"
                   f"PARTUUID={mbr_oracle.FIXTURE_DISK_ID:08x}-02 / ext4 defaults 0 1\n")
+    # the fixture's partitions as byte ranges of the image
+    BOOT_OPTIONS = f"options=loop,offset={2048 * 512},sizelimit={16384 * 512}"
+    ROOT_OPTIONS = f"options=loop,offset={18432 * 512},sizelimit={112640 * 512}"
 
     def _build(self, tmp_path, dry_run):
         """Dry run or real build (with a stub runner) of ``RUN true``; (exit, log, runner)."""
@@ -852,13 +976,17 @@ class TestGuestFstab:
                         {"etc/fstab": self.BOOT_FSTAB})
         code, dry_log, _ = self._build(tmp_path, dry_run=True)
         assert code == 0
-        assert "MOUNT_PARTITION\tsource=<loop>p1\ttarget=<root>/boot" in dry_log
-        assert "UNMOUNT\tsource=<loop>p1\ttarget=<root>/boot" in dry_log
+        boot = f"source={tmp_path}/out.img\ttarget=<root>/boot\t{self.BOOT_OPTIONS}"
+        assert f"MOUNT_PARTITION\t{boot}\n" in dry_log
+        assert f"UNMOUNT\t{boot}\n" in dry_log
         code, real_log, runner = self._build(tmp_path, dry_run=False)
         assert code == 0
         assert real_log == dry_log
-        mounts = [argv for argv, _ in runner.calls if argv[:2] == ["mount", "/dev/loop7p1"]]
-        assert len(mounts) == 1 and mounts[0][2].endswith("/boot")
+        mounts = [argv for argv, _ in runner.calls if argv[:2] == ["mount", "-o"]]
+        assert [argv[2:4] for argv in mounts] == [
+            [self.ROOT_OPTIONS.removeprefix("options="), f"{tmp_path}/out.img"],
+            [self.BOOT_OPTIONS.removeprefix("options="), f"{tmp_path}/out.img"]]
+        assert mounts[1][4].endswith("/boot")
         assert root_dirs_left() == []
 
     @pytest.mark.parametrize("dry_run", [True, False])
@@ -896,6 +1024,62 @@ class TestGuestFstab:
         assert capsys.readouterr().err.startswith("[setup] cannot execute debugfs")
         assert not (tmp_path / "out.img").exists()
         assert "COPY_IMAGE" not in log
+
+
+class FailingAt(LocalExecutor):
+    """A real backend with a stub guest runner whose action ``k`` fails."""
+
+    def __init__(self, k):
+        super().__init__(runner=GuestRunner())
+        self.k = k
+
+    def _perform(self, action):
+        if action.ordinal == self.k:
+            raise IoFailure(f"injected failure of action {self.k}")
+        return super()._perform(action)
+
+
+def test_fault_injection_sweep(tmp_path, monkeypatch):
+    """Whichever action of a real build fails, the build exits 2 and undoes exactly
+    the chroot setup it applied.  Nothing is asserted about TO: a failed build still
+    leaves it until builds publish through a ``.partial`` file."""
+    monkeypatch.chdir(tmp_path)
+    image = mbr_oracle.write_image(tmp_path / "base.img")
+    write_ext4_root(image, {"etc/fstab": TestGuestFstab.BOOT_FSTAB})
+    (tmp_path / "base.img.xz").write_bytes(lzma.compress(image.read_bytes(), preset=0))
+    (tmp_path / "motd").write_text("hi\n")
+    (tmp_path / "qemu-arm-static").write_bytes(b"\x7fELF")
+    pifile = tmp_path / "sweep.Pifile"
+    pifile.write_text("FROM base.img.xz\nTO out.img\nPUMP 8M\nHOST true\n"
+                      "INSTALL 644 motd /etc/motd\n")
+    cache = tmp_path / "cache"
+    argv = ["--cache", str(cache), "--emulator", str(tmp_path / "qemu-arm-static"), str(pifile)]
+
+    def build(backend):
+        return main(argv, FIXED_ENV, executor_factory=lambda config: backend), backend.actions
+
+    code, full = build(FailingAt(-1))
+    assert code == 0
+    kinds = [a.kind for a in full]
+    assert kinds.count(ActionKind.MOUNT_PARTITION) == 2  # the root and the fstab's /boot
+    teardown_from = len(full) - sum(1 for a in full if a.kind.undo is not None)
+    for k in range(len(full)):
+        code, actions = build(FailingAt(k))
+        assert code == 2
+        assert actions[:k + 1] == full[:k + 1]
+        if k < teardown_from:
+            applied = [a for a in actions[:k] if a.kind.undo is not None]
+            assert [(a.kind, a.payload) for a in actions[k + 1:]] == [
+                (a.kind, a.payload) for a in teardown_actions(applied)]
+        else:  # a failed teardown action: every other one is still tried
+            assert actions == full
+        left = root_dirs_left()
+        if full[k].payload.get("target") == "<root>" and k >= teardown_from:
+            [root] = left  # a root whose unmount failed stays for inspection
+            shutil.rmtree(root)
+        else:
+            assert left == []
+        assert [d for d in cache.rglob("*") if d.is_dir() and not any(d.iterdir())] == []
 
 
 MiB = 1024 * 1024

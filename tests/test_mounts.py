@@ -8,7 +8,6 @@ from imgforge.errors import EmptyPartitionSlot
 from imgforge.executor import Action, ActionKind, DryRunExecutor
 from imgforge.image import PartitionEntry, PartitionTable, check_partition
 from imgforge.mounts import (
-    LOOP_TOKEN,
     ROOT_TOKEN,
     FstabEntry,
     base_mount_actions,
@@ -48,7 +47,7 @@ def make_plan(partition=2, image="disk.img", block_device=False):
 
 def compose_mount_plan(plan, table, guest_fstab=None, *, emulators):
     """Setup actions composed the way execute() composes them."""
-    actions = base_mount_actions(plan, emulators=emulators)
+    actions = base_mount_actions(plan, table, emulators=emulators)
     if guest_fstab is not None:
         mounted = {a.payload["target"] for a in actions}
         actions += fstab_mount_actions(plan, table, guest_fstab, already_mounted=mounted)
@@ -57,6 +56,11 @@ def compose_mount_plan(plan, table, guest_fstab=None, *, emulators):
 
 def mount_action(kind, source, target):
     return Action(kind, {"source": source, "target": target})
+
+
+# FIXTURE_TABLE's partitions as mount(8) options, offsets and sizes in bytes
+P1_OPTIONS = "loop,offset=1048576,sizelimit=8388608"
+P2_OPTIONS = "loop,offset=9437184,sizelimit=57671680"
 
 
 class TestParseFstab:
@@ -132,7 +136,7 @@ class TestMapFstabDevice:
 class TestPartitionDevice:
     def test_trailing_digit_gets_p(self):
         assert partition_device("/dev/mmcblk0", 2) == "/dev/mmcblk0p2"
-        assert partition_device("<loop>", 1) == "<loop>p1"
+        assert partition_device("/dev/loop7", 1) == "/dev/loop7p1"
 
     def test_letter_base_concatenates(self):
         assert partition_device("/dev/sdc", 2) == "/dev/sdc2"
@@ -141,9 +145,10 @@ class TestPartitionDevice:
 class TestBuildMountPlan:
     def test_base_plan_shape(self):
         actions = compose_mount_plan(make_plan(), FIXTURE_TABLE, emulators=[EMULATOR])
+        assert actions[0].payload == {"source": "disk.img", "target": ROOT_TOKEN,
+                                      "options": P2_OPTIONS}
         assert [(a.kind, a.payload["source"], a.payload["target"]) for a in actions] == [
-            (ActionKind.LOOP_ATTACH, "disk.img", LOOP_TOKEN),
-            (ActionKind.MOUNT_PARTITION, "<loop>p2", ROOT_TOKEN),
+            (ActionKind.MOUNT_PARTITION, "disk.img", ROOT_TOKEN),
             (ActionKind.BIND_MOUNT, "/dev", "<root>/dev"),
             (ActionKind.BIND_MOUNT, "/sys", "<root>/sys"),
             (ActionKind.BIND_MOUNT, "/proc", "<root>/proc"),
@@ -157,7 +162,8 @@ class TestBuildMountPlan:
                                    emulators=[EMULATOR])
         kinds = [a.kind for a in actions]
         boot = next(a for a in actions if a.payload["target"] == "<root>/boot")
-        assert boot.payload["source"] == "<loop>p1"
+        assert boot.payload == {"source": "disk.img", "target": "<root>/boot",
+                                "options": P1_OPTIONS}
         assert kinds.index(ActionKind.COPY_EMULATOR) < actions.index(boot)
         assert actions.index(boot) == len(actions) - 1
 
@@ -177,11 +183,11 @@ class TestBuildMountPlan:
         assert any("mounted as root" in r.message for r in caplog.records)
         # still only the plan's root partition is mounted at <root>
         roots = [a for a in actions if a.payload["target"] == ROOT_TOKEN]
-        assert len(roots) == 1 and roots[0].payload["source"] == "<loop>p2"
+        assert len(roots) == 1 and roots[0].payload["options"] == P2_OPTIONS
 
     def test_no_fstab_means_base_only(self):
         actions = compose_mount_plan(make_plan(), FIXTURE_TABLE, None, emulators=[EMULATOR])
-        assert len(actions) == 8
+        assert len(actions) == 7
 
     def test_mount_point_depth_ordering(self):
         table = PartitionTable(disk_id=0xDEADBEEF, entries=(
@@ -229,6 +235,14 @@ class TestBuildMountPlan:
         assert sum(1 for a in actions if a.kind is ActionKind.MOUNT_PARTITION) == 1
         assert any("not absolute" in r.message for r in caplog.records)
 
+    @pytest.mark.parametrize("mount_point", ["/../boot", "/boot/../../etc", "/boot/.."])
+    def test_mount_point_with_dotdot_skipped(self, caplog, mount_point):
+        fstab = f"PARTUUID=deadbeef-01 {mount_point} vfat defaults 0 2\n"
+        with caplog.at_level(logging.WARNING, logger="imgforge.mounts"):
+            actions = compose_mount_plan(make_plan(), FIXTURE_TABLE, fstab, emulators=[])
+        assert sum(1 for a in actions if a.kind is ActionKind.MOUNT_PARTITION) == 1
+        assert any("'..'" in r.message for r in caplog.records)
+
     def test_missing_root_partition_raises(self):
         assert FIXTURE_TABLE.entries[2].empty
         with pytest.raises(EmptyPartitionSlot):
@@ -236,17 +250,17 @@ class TestBuildMountPlan:
 
     def test_block_device_destination_skips_loop(self):
         plan = make_plan(image="/dev/sdc", block_device=True)
-        actions = compose_mount_plan(plan, FIXTURE_TABLE, emulators=[])
-        assert actions[0].kind is ActionKind.MOUNT_PARTITION
-        assert actions[0].payload["source"] == "/dev/sdc2"
-        assert not any(a.kind is ActionKind.LOOP_ATTACH for a in actions)
+        actions = compose_mount_plan(plan, FIXTURE_TABLE, FIXTURE_FSTAB, emulators=[])
+        mounts = [a.payload for a in actions if a.kind is ActionKind.MOUNT_PARTITION]
+        # the partition nodes themselves, never a loop over the device
+        assert mounts == [{"source": "/dev/sdc2", "target": ROOT_TOKEN},
+                          {"source": "/dev/sdc1", "target": "<root>/boot"}]
 
     def test_all_targets_inside_root_except_attach(self):
+        # no action attaches anything any more, so every target is inside the root
         actions = compose_mount_plan(make_plan(), FIXTURE_TABLE, FIXTURE_FSTAB,
                                    emulators=[EMULATOR])
         for action in actions:
-            if action.kind is ActionKind.LOOP_ATTACH:
-                continue
             assert action.payload["target"] == ROOT_TOKEN or action.payload["target"].startswith(ROOT_TOKEN + "/")
 
 
@@ -278,8 +292,7 @@ class TestDiscoverEmulators:
 # --- teardown properties -----------------------------------------------------
 
 _setup_kind = st.sampled_from([
-    ActionKind.LOOP_ATTACH, ActionKind.MOUNT_PARTITION,
-    ActionKind.BIND_MOUNT, ActionKind.COPY_EMULATOR,
+    ActionKind.MOUNT_PARTITION, ActionKind.BIND_MOUNT, ActionKind.COPY_EMULATOR,
 ])
 _name = st.text(alphabet="abcdefghij/-", min_size=1, max_size=10)
 
@@ -291,7 +304,6 @@ def setup_plans(draw):
 
 
 _SWAP = {
-    ActionKind.LOOP_ATTACH: ActionKind.LOOP_DETACH,
     ActionKind.MOUNT_PARTITION: ActionKind.UNMOUNT,
     ActionKind.BIND_MOUNT: ActionKind.UNMOUNT,
     ActionKind.COPY_EMULATOR: ActionKind.REMOVE_EMULATOR,
@@ -318,9 +330,9 @@ def test_every_setup_action_has_one_counterpart(setup):
 
 
 def test_teardown_rejects_non_setup_kinds():
-    action = mount_action(ActionKind.UNMOUNT, "x", "y")
-    with pytest.raises(ValueError):
-        teardown_actions([action])
+    for kind in (ActionKind.UNMOUNT, ActionKind.LOOP_ATTACH):  # nothing emits LOOP_ATTACH now
+        with pytest.raises(ValueError):
+            teardown_actions([mount_action(kind, "x", "y")])
 
 
 def test_golden_mount_plan_log():

@@ -8,6 +8,7 @@ from imgforge.errors import (
     ConflictingSource,
     InvalidMode,
     InvalidPartitionIndex,
+    MalformedArgs,
     MalformedSize,
     MissingSource,
     SourceNotFound,
@@ -179,6 +180,18 @@ class TestBuildPlan:
         with pytest.raises(InvalidMode) as err:
             build_plan(pifile, files_probe(tmp_path / "a.img"))
         assert err.value.origin.line_no == 2
+
+    @pytest.mark.parametrize("dst", ["../../dotdot.conf", "/etc/../../x", "/etc/.."])
+    def test_install_destination_with_dotdot_refused_at_its_line(self, tmp_path, dst):
+        pifile = pifile_at(tmp_path, f"FROM a.img\nINSTALL 644 x {dst}\n")
+        with pytest.raises(MalformedArgs, match="'..' component") as err:
+            build_plan(pifile, files_probe(tmp_path / "a.img"))
+        assert err.value.origin.line_no == 2
+
+    @pytest.mark.parametrize("dst", ["/etc/..d/x", "/etc/a..b", "/etc/./x"])
+    def test_install_destination_with_dots_in_names_accepted(self, tmp_path, dst):
+        pifile = pifile_at(tmp_path, f"FROM a.img\nINSTALL x {dst}\n")
+        build_plan(pifile, files_probe(tmp_path / "a.img"))
 
     def test_to_block_device_flag(self, tmp_path):
         def probe(locator):
