@@ -15,11 +15,11 @@ action's payload is all a backend needs to perform it:
 The pipeline in :func:`execute` is the same for both.  Each RUN, HOST and
 INSTALL command becomes its action in :func:`command_action`, and a
 nonzero status from a RUN or HOST aborts the build.  The backends differ
-only in ``performs_effects``: a dry run neither checks that an emulator is
-a file nor hashes the output.  Both fetch and unpack the source into the
-cache, whose layout :mod:`~imgforge.source` owns, so both copy the same
-file to the destination, and both read the guest's /etc/fstab from that
-file in setup, so both plan the same mounts.
+only in ``performs_effects``: a dry run neither checks the host (emulator
+files, root, binfmt_misc) nor hashes the output.  Both fetch and unpack the
+source into the cache, whose layout :mod:`~imgforge.source` owns, so both
+copy the same file to the destination, and both read the guest's
+/etc/fstab from that file in setup, so both plan the same mounts.
 
 The chroot directory only exists once the build has mounted the guest
 root, so actions name it through the ``<root>`` placeholder in both
@@ -62,6 +62,8 @@ from .pifile import Command, CommandKind, SourceLine, render_command
 from .plan import ExecutionPlan, Stage
 
 logger = logging.getLogger(__name__)
+
+BINFMT_MISC = "/proc/sys/fs/binfmt_misc"
 
 
 def compose_guest_path(extensions: Sequence[str], host_path: Sequence[str]) -> tuple[str, ...]:
@@ -163,8 +165,10 @@ class LocalExecutor(Executor):
 
     File-level actions (copy, grow, table write, install) are direct I/O;
     anything touching mounts, loop devices, or the chroot shells out via
-    ``runner`` and needs root when the default runner is used.  Injecting a
-    runner replaces that boundary wholesale, privilege checks included.
+    ``runner`` and needs root when the default runner is used, which
+    :func:`execute` checks in setup.  Injecting a runner replaces that
+    boundary wholesale, the root check included.  An action kind with no
+    handler raises IoFailure.
 
     ``root_dir`` resolves ``<root>``.  A mount at ``<root>`` makes it, a
     temporary directory, and its unmount removes it again unless the mount
@@ -176,7 +180,6 @@ class LocalExecutor(Executor):
     def __init__(self, runner: Runner | None = None,
                  on_output: Callable[[str], None] | None = None) -> None:
         super().__init__()
-        self._default_runner = runner is None
         self.runner: Runner = runner if runner is not None else run_command
         self.on_output = on_output
         self.root_dir: str | None = None
@@ -198,7 +201,10 @@ class LocalExecutor(Executor):
         }
 
     def _perform(self, action: Action) -> int:
-        return self._handlers[action.kind](action)
+        handler = self._handlers.get(action.kind)
+        if handler is None:
+            raise IoFailure(f"the local backend cannot perform {action.kind.name}")
+        return handler(action)
 
     # -- helpers ------------------------------------------------------------
 
@@ -222,12 +228,6 @@ class LocalExecutor(Executor):
             if os.path.commonpath([root, path]) != root:
                 raise IoFailure(f"{text} leaves the guest root: it resolves to {path}")
         return Path(path)
-
-    def _require_root(self, what: str,
-                      error: type[ImgforgeError] = PrivilegeRequired) -> None:
-        # an injected runner owns the privilege boundary; only gate the real one
-        if self._default_runner and os.geteuid() != 0:
-            raise error(f"{what} requires root; re-run with sudo")
 
     def _run_checked(self, argv: list[str], what: str) -> str:
         """Run ``argv``; a nonzero status raises IoFailure.  Returns the output."""
@@ -288,7 +288,6 @@ class LocalExecutor(Executor):
     # -- privileged actions ---------------------------------------------------
 
     def _fs_resize(self, action: Action) -> int:
-        self._require_root("resizing a filesystem")
         image = action.payload["image"]
         device = self._run_checked(["losetup", "--find", "--show", "-P", image],
                                    f"losetup {image}").strip()
@@ -302,7 +301,6 @@ class LocalExecutor(Executor):
         return 0
 
     def _mount(self, action: Action) -> int:
-        self._require_root("mounting a partition")
         if action.payload["target"] == mounts_mod.ROOT_TOKEN:
             self.root_dir = target = tempfile.mkdtemp(prefix="imgforge-root-")
         else:
@@ -320,7 +318,6 @@ class LocalExecutor(Executor):
         return 0
 
     def _bind_mount(self, action: Action) -> int:
-        self._require_root("bind mounting")
         source = action.payload["source"]
         target = self._in_root(action.payload["target"])
         if Path(source).is_dir():
@@ -358,10 +355,8 @@ class LocalExecutor(Executor):
                           cwd=action.payload.get("cwd") or None)
 
     def _guest_exec(self, action: Action) -> int:
-        self._require_root("running guest commands in a chroot", ChrootUnavailable)
         root = self._sub(action.payload["root"])
         shell = _guest_shell(root)
-        _check_binfmt()
         return self._exec(["chroot", root, shell, "-c", action.payload["command"]], action,
                           env={"PATH": action.payload["path"]})
 
@@ -371,15 +366,6 @@ def _guest_shell(root: str) -> str:
         if (Path(root) / shell.lstrip("/")).exists():
             return shell
     raise ShellUnavailable(f"guest at {root} has neither /bin/sh nor /bin/bash")
-
-
-def _check_binfmt() -> None:
-    binfmt = Path("/proc/sys/fs/binfmt_misc")
-    if not binfmt.is_dir():
-        logger.warning(
-            "binfmt_misc is not mounted; foreign-architecture guest binaries will not run "
-            "(mount binfmt_misc and register qemu-user-static handlers)"
-        )
 
 
 # --- the high-level operations ------------------------------------------------
@@ -443,11 +429,14 @@ def execute(plan: ExecutionPlan, backend: Executor,
     from.  On success the report holds per-stage durations and the SHA-256
     of the final image (real backends only).  Emulators are resolved once,
     up front: ``opts.emulators``, else the qemu-*-static binaries on the
-    build environment's PATH; a real build that will enter the guest
-    refuses a named emulator that is not a file before copying anything.
-    Setup unpacks an archive source into the cache in both backends, then
-    reads the image's partition table and length once, if PUMP or the guest
-    needs them, and :func:`~imgforge.image.check_partition` refuses a plan
+    build environment's PATH.  A real build that grows the image or enters
+    the guest first checks the host, before anything is fetched or
+    written: it refuses an emulator that is not a file and, with the
+    default runner, a process that is not root, and it warns once when
+    binfmt_misc is not mounted and the guest will be entered.  Setup then
+    unpacks an archive source into the cache in both backends, reads the
+    image's partition table and length once, if PUMP or the guest needs
+    them, and :func:`~imgforge.image.check_partition` refuses a plan
     it cannot serve before the destination is written, in a dry run too.
     When the guest is entered, setup also reads its /etc/fstab from the
     source, so the chroot stage plans the same mounts in both backends.
@@ -462,18 +451,25 @@ def execute(plan: ExecutionPlan, backend: Executor,
                       for c in chroot_commands)
     emulators = (list(opts.emulators) if opts.emulators is not None
                  else mounts_mod.discover_emulators(env.get("PATH", "")))
-    if backend.performs_effects and needs_guest:
-        missing = [e for e in emulators if not os.path.isfile(e)]
-        if missing:
-            raise ChrootUnavailable(f"emulator is not a file: {', '.join(missing)}")
     durations: dict[str, float] = {}
     stage_label = Stage.SETUP.label
 
     applied_mounts: list[Action] = []
     try:
-        # --- setup: fetch, unpack, read the table, materialize destination --
+        # --- setup: check the host, fetch, unpack, read the table, materialize destination
         started = time.monotonic()
         log(Stage.SETUP.label, None, "begin")
+        if backend.performs_effects and (needs_guest or plan.pump_bytes > 0):
+            missing = [e for e in emulators if not os.path.isfile(e)]
+            if needs_guest and missing:
+                raise ChrootUnavailable(f"emulator is not a file: {', '.join(missing)}")
+            # an injected runner owns the privilege boundary; only gate the real one
+            if getattr(backend, "runner", None) is run_command and os.geteuid() != 0:
+                raise PrivilegeRequired("PUMP, RUN and INSTALL require root; re-run with sudo")
+            if needs_guest and not os.path.isdir(BINFMT_MISC):
+                logger.warning(
+                    "binfmt_misc is not mounted; foreign-architecture guest binaries will not "
+                    "run (mount binfmt_misc and register qemu-user-static handlers)")
         spec = plan.source
         cache_dir = source_mod.resolve_cache_dir(opts.cache_dir, env, plan.pifile_path)
         src_image = Path(spec.locator)

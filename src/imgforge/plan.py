@@ -87,7 +87,8 @@ def build_plan(pifile: Pifile,
     """Resolve source, destination, growth, and PATH semantics into a plan.
 
     Exactly one resolution root is required: FROM (optionally paired with
-    TO) or INPLACE.  A missing TO defaults the destination to
+    TO) or INPLACE, and ``INPLACE <image>`` plans as ``FROM <image>`` with
+    ``TO <image>``.  A missing TO defaults the destination to
     ``<pifile stem>.img`` next to the Pifile.  Relative source and
     destination paths are anchored at the Pifile's directory.  INSTALL
     modes and destinations are checked here, so a bad mode or a destination
@@ -116,41 +117,31 @@ def build_plan(pifile: Pifile,
 
     base_dir = pifile.source_path.parent
 
+    root = (froms or inplaces)[0]
+    raw = root.args[0]
+    if inplaces and is_url(raw):
+        raise ConflictingSource("INPLACE cannot edit a URL; use FROM <url> with TO",
+                                origin=root.origin)
+    if inplaces and is_archive(raw):
+        raise ConflictingSource("INPLACE cannot edit a packed image; use FROM <archive> with TO",
+                                origin=root.origin)
+    partition_index = _partition_index(root)  # INPLACE takes none: the default
+    locator = raw if is_url(raw) else _anchor(raw, base_dir)
+    source = SourceSpec(kind=classify_source(locator, probe), locator=locator)
     if inplaces:
-        if is_url(inplaces[0].args[0]):
-            raise ConflictingSource("INPLACE cannot edit a URL; use FROM <url> with TO",
-                                    origin=inplaces[0].origin)
-        if is_archive(inplaces[0].args[0]):
-            raise ConflictingSource(
-                "INPLACE cannot edit a packed image; use FROM <archive> with TO",
-                origin=inplaces[0].origin)
-        locator = _anchor(inplaces[0].args[0], base_dir)
-        kind = classify_source(locator, probe)
-        partition_index = DEFAULT_PARTITION_INDEX
-        source = SourceSpec(kind=kind, locator=locator)
-        target_kind = (TargetKind.BLOCK_DEVICE if kind is SourceKind.BLOCK_DEVICE
-                       else TargetKind.LOCAL_FILE)
-        destination = TargetSpec(kind=target_kind, path=locator)
+        dest_path = locator
+    elif tos:
+        if len(tos) > 1:
+            logger.warning(
+                "multiple TO directives; using the last one (%s:%d)",
+                tos[-1].origin.file, tos[-1].origin.line_no,
+            )
+        dest_path = _anchor(tos[-1].args[0], base_dir)
     else:
-        from_cmd = froms[0]
-        partition_index = _partition_index(from_cmd)
-        raw = from_cmd.args[0]
-        locator = raw if is_url(raw) else _anchor(raw, base_dir)
-        kind = classify_source(locator, probe)
-        source = SourceSpec(kind=kind, locator=locator)
-        if tos:
-            if len(tos) > 1:
-                logger.warning(
-                    "multiple TO directives; using the last one (%s:%d)",
-                    tos[-1].origin.file, tos[-1].origin.line_no,
-                )
-            dest_path = _anchor(tos[-1].args[0], base_dir)
-        else:
-            dest_path = str(base_dir / f"{pifile.source_path.stem}.img")
-        target_kind = (TargetKind.BLOCK_DEVICE
-                       if probe(dest_path) is SourceKind.BLOCK_DEVICE
-                       else TargetKind.LOCAL_FILE)
-        destination = TargetSpec(kind=target_kind, path=dest_path)
+        dest_path = str(base_dir / f"{pifile.source_path.stem}.img")
+    target_kind = (TargetKind.BLOCK_DEVICE if probe(dest_path) is SourceKind.BLOCK_DEVICE
+                   else TargetKind.LOCAL_FILE)
+    destination = TargetSpec(kind=target_kind, path=dest_path)
 
     pump_bytes = sum(parse_size(c.args[0]) for c in staged[Stage.PREPARE])
     if pump_bytes > 0 and destination.kind is TargetKind.BLOCK_DEVICE:

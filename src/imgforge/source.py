@@ -436,13 +436,16 @@ def materialize_destination(plan: "ExecutionPlan", executor: "Executor", *,
                             resolved_source: str | Path | None = None) -> Path:
     """Emit the action that puts the source bytes at the destination.
 
-    A destination that is the source itself, in place or by name, needs no
-    copy.  A block-device destination becomes a device-write action; a file
-    destination becomes an image copy.  Returns the destination path.
+    A destination that is the source itself needs no copy: one spelled with
+    the same path, or an existing one that is the same file, through a
+    symlink or a hard link.  A block-device destination becomes a
+    device-write action; a file destination becomes an image copy.  Returns
+    the destination path.
     """
     src = Path(resolved_source) if resolved_source is not None else Path(plan.source.locator)
     dest = Path(plan.destination.path)
-    if os.path.abspath(src) == os.path.abspath(dest):
+    if (os.path.abspath(src) == os.path.abspath(dest)
+            or dest.exists() and os.path.samefile(src, dest)):
         return dest
     if plan.destination.kind is TargetKind.BLOCK_DEVICE:
         executor.emit(Action(ActionKind.DEVICE_WRITE, {"src": str(src), "dst": str(dest)}))

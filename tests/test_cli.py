@@ -87,6 +87,21 @@ class TestExitCodes:
         assert (hashlib.sha256(out_img.read_bytes()).hexdigest()
                 == hashlib.sha256((tmp_path / "base.img").read_bytes()).hexdigest())
 
+    @pytest.mark.parametrize("dry_run", [True, False])
+    @pytest.mark.parametrize("link", [os.symlink, os.link])
+    def test_to_linked_to_the_source_edits_it_in_place(self, tmp_path, capsys, link, dry_run):
+        pifile = write_fixture(tmp_path, text="FROM base.img\nTO link.img\nHOST true\n")
+        source = tmp_path / "base.img"
+        before = hashlib.sha256(source.read_bytes()).hexdigest()
+        link(source, tmp_path / "link.img")
+        backend = DryRunExecutor() if dry_run else LocalExecutor()
+        log = ["--dry-run", str(tmp_path / "plan.log")] if dry_run else []
+        assert main([*log, str(pifile)], ENV, executor_factory=lambda cfg: backend) == 0
+        assert hashlib.sha256(source.read_bytes()).hexdigest() == before
+        assert ActionKind.COPY_IMAGE not in [a.kind for a in backend.actions]
+        if not dry_run:
+            assert f"sha256={before}" in capsys.readouterr().out
+
     def test_missing_pifile_is_exit_1_and_named(self, tmp_path, capsys):
         missing = tmp_path / "missing.Pifile"
         assert main([str(missing)], ENV) == 1
@@ -132,7 +147,8 @@ class TestExitCodes:
         code = main(["--emulator", str(tmp_path / "nonexistent"), str(pifile)], ENV,
                     executor_factory=lambda cfg: LocalExecutor(runner=lambda argv, **kw: (0, "")))
         assert code == 3
-        assert "nonexistent" in capsys.readouterr().err
+        assert error_line(capsys.readouterr().err).startswith(
+            f"[setup] emulator is not a file: {tmp_path / 'nonexistent'}")
         assert not (tmp_path / "out.img").exists()
 
     def test_command_failure_is_exit_2(self, tmp_path, capsys):
@@ -147,7 +163,9 @@ class TestExitCodes:
         ])
         pifile = tmp_path / "gpt.Pifile"
         pifile.write_text("FROM gpt.img\nTO out.img\nPUMP 1M\n")
-        assert main([str(pifile)], ENV) == 2
+        code = main([str(pifile)], ENV,
+                    executor_factory=lambda cfg: LocalExecutor(runner=lambda argv, **kw: (0, "")))
+        assert code == 2
         assert "[setup] protective MBR found" in capsys.readouterr().err
         assert not (tmp_path / "out.img").exists()
 
@@ -252,7 +270,9 @@ class TestDryRun:
         dry_err = capsys.readouterr().err
         assert "[setup]" in dry_err and "past the end of the image" in dry_err
         assert "TABLE_WRITE" not in log.read_text()
-        assert main([str(pifile)], ENV) == 2
+        code = main([str(pifile)], ENV,
+                    executor_factory=lambda cfg: LocalExecutor(runner=lambda argv, **kw: (0, "")))
+        assert code == 2
         assert capsys.readouterr().err == dry_err
         assert not (tmp_path / "out.img").exists()
 
@@ -260,7 +280,9 @@ class TestDryRun:
         (tmp_path / "bad.img.xz").write_bytes(random.Random(0).randbytes(4096))
         pifile = tmp_path / "bad.Pifile"
         pifile.write_text("FROM bad.img.xz\nTO out.img\nPUMP 1M\n")
-        assert main([str(pifile)], ENV) == 2
+        code = main([str(pifile)], ENV,
+                    executor_factory=lambda cfg: LocalExecutor(runner=lambda argv, **kw: (0, "")))
+        assert code == 2
         real_err = capsys.readouterr().err
         assert error_line(real_err).startswith("[setup] cannot decompress")
         assert main(["--dry-run", str(tmp_path / "plan.log"), str(pifile)], ENV) == 2

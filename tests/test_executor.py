@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+import imgforge.executor as executor_mod
 import mbr_oracle
 from imgforge.cli import main
 from imgforge.errors import CommandFailed, IoFailure, SourceMissing
@@ -422,6 +423,14 @@ class TestActionLog:
         dry = DryRunExecutor()
         for kind in ActionKind:
             assert dry._perform(Action(kind, {})) == 0
+
+    @pytest.mark.parametrize("kind", [ActionKind.LOOP_ATTACH, ActionKind.LOOP_DETACH])
+    def test_kind_without_handler_is_an_io_failure(self, kind):
+        calls = []
+        local = LocalExecutor(runner=lambda argv, **kw: calls.append(argv) or (0, ""))
+        with pytest.raises(IoFailure, match=f"cannot perform {kind.name}"):
+            local.emit(Action(kind, {"image": "out.img", "device": "/dev/loop7"}))
+        assert calls == []
 
 
 class RecordingRunner:
@@ -928,6 +937,72 @@ class TestTeardownFailure:
         assert err.value.args[0] == "HOST command failed with status 1: false"
         assert err.value.origin.line_no == 4
         assert runner.calls[-1][0] == ["umount", str(root_dirs_left()[0])]
+
+
+PRIVILEGED = {"losetup", "mount", "umount", "chroot", "resize2fs"}
+
+
+@pytest.fixture
+def non_root(monkeypatch):
+    """This process as uid 1000.  Every command started is recorded, and a privileged
+    one fails the test rather than run with the real uid."""
+    monkeypatch.setattr(os, "geteuid", lambda: 1000)
+    started = []
+    real_popen = subprocess.Popen
+
+    def popen(argv, *args, **kwargs):
+        started.append(list(argv))
+        if os.path.basename(argv[0]) in PRIVILEGED:
+            pytest.fail(f"a non-root build ran {argv}")
+        return real_popen(argv, *args, **kwargs)
+
+    monkeypatch.setattr(subprocess, "Popen", popen)
+    return started
+
+
+class TestHostGate:
+    """Setup refuses a real build that the host cannot run, before TO is written."""
+
+    GATED = ["FROM base.img\nTO out.img\nPUMP 1M\n", "FROM base.img\nTO out.img\nRUN true\n"]
+
+    @pytest.fixture(autouse=True)
+    def _fixture(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        mbr_oracle.write_image(tmp_path / "base.img")
+        (tmp_path / "qemu-arm-static").write_bytes(b"\x7fELF")
+
+    def build(self, tmp_path, text, *args, **kwargs):
+        (tmp_path / "t.Pifile").write_text(text)
+        return main([*args, "--emulator", str(tmp_path / "qemu-arm-static"),
+                     str(tmp_path / "t.Pifile")], FIXED_ENV, **kwargs)
+
+    @pytest.mark.parametrize("text", GATED)
+    def test_non_root_is_refused_before_anything_runs(self, tmp_path, capsys, non_root,
+                                                      text):
+        assert self.build(tmp_path, text) == 3
+        error = capsys.readouterr().err.splitlines()[-1]  # after any plan warning
+        assert error.startswith("[setup] ") and "require root" in error
+        assert not (tmp_path / "out.img").exists()
+        assert non_root == []  # not even the fstab read
+
+    @pytest.mark.parametrize("text", GATED)
+    def test_injected_runner_and_dry_run_are_not_refused(self, tmp_path, non_root, text):
+        assert self.build(tmp_path, text, "--dry-run", str(tmp_path / "plan.log")) == 0
+        assert self.build(tmp_path, text,
+                          executor_factory=lambda cfg: LocalExecutor(runner=GuestRunner())) == 0
+
+    def test_host_only_build_is_not_refused(self, tmp_path, non_root):
+        assert self.build(tmp_path, "FROM base.img\nTO out.img\nHOST true\n") == 0
+        assert (tmp_path / "out.img").is_file()
+
+    def test_missing_binfmt_misc_warns_once(self, tmp_path, monkeypatch, caplog):
+        monkeypatch.setattr(executor_mod, "BINFMT_MISC", str(tmp_path / "absent"))
+        runner = GuestRunner()
+        execute(make_plan(tmp_path, "FROM base.img\nTO out.img\n" + "RUN true\n" * 5),
+                LocalExecutor(runner=runner), RunOptions(env=FIXED_ENV, emulators=[]))
+        assert len([argv for argv, _ in runner.calls if argv[0] == "chroot"]) == 5
+        warnings = [r for r in caplog.records if "binfmt_misc is not" in r.getMessage()]
+        assert len(warnings) == 1 and warnings[0].levelname == "WARNING"
 
 
 def write_ext4_root(image, files):
