@@ -24,7 +24,6 @@ import os
 import signal
 import sys
 import threading
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -46,19 +45,6 @@ EXIT_OK = 0
 EXIT_PIFILE = 1
 EXIT_EXECUTION = 2
 EXIT_ENVIRONMENT = 3
-
-
-@dataclass
-class CliConfig:
-    pifile: Path
-    dry_run: Path | None = None
-    cache_dir: Path | None = None
-    env_overrides: dict[str, str] = field(default_factory=dict)
-    refresh: bool = False
-    offline: bool = False
-    inplace_device: bool = False
-    emulators: list[str] | None = None
-    verbosity: int = 0
 
 
 def render_log(stage: str, message: str, *, pifile: str | None = None,
@@ -116,13 +102,15 @@ def _interrupt(signum: int, frame: object) -> None:
 
 
 def main(argv: Sequence[str] | None = None, env: Mapping[str, str] | None = None, *,
-         executor_factory: Callable[[CliConfig], Executor] | None = None) -> int:
+         executor_factory: Callable[[argparse.Namespace], Executor] | None = None) -> int:
     """Parse, plan, execute; returns the process exit code.
 
     ``executor_factory`` overrides backend construction, which is how tests
-    exercise failure paths without touching the system.  Called on the main
-    thread, it turns SIGTERM and SIGHUP into :class:`Interrupted` until it
-    returns, so an interrupted build still tears down, and exits 2.
+    exercise failure paths without touching the system.  It receives the
+    parsed ``argparse.Namespace`` as it is: ``dry_run`` is the log path for
+    a dry run and None for a real build.  Called on the main thread, it
+    turns SIGTERM and SIGHUP into :class:`Interrupted` until it returns, so
+    an interrupted build still tears down, and exits 2.
     """
     previous = ({sig: signal.signal(sig, _interrupt) for sig in (signal.SIGTERM, signal.SIGHUP)}
                 if threading.current_thread() is threading.main_thread() else {})
@@ -134,7 +122,7 @@ def main(argv: Sequence[str] | None = None, env: Mapping[str, str] | None = None
 
 
 def _main(argv: Sequence[str] | None, env: Mapping[str, str] | None,
-          executor_factory: Callable[[CliConfig], Executor] | None) -> int:
+          executor_factory: Callable[[argparse.Namespace], Executor] | None) -> int:
     parser = _build_arg_parser()
     try:
         ns = parser.parse_args(list(argv) if argv is not None else None)
@@ -142,55 +130,45 @@ def _main(argv: Sequence[str] | None, env: Mapping[str, str] | None,
         return EXIT_OK if exc.code in (0, None) else EXIT_PIFILE
 
     environment = dict(os.environ if env is None else env)
+    dry_run = Path(ns.dry_run) if ns.dry_run else None
     try:
-        config = CliConfig(
-            pifile=Path(ns.pifile),
-            dry_run=Path(ns.dry_run) if ns.dry_run else None,
-            cache_dir=Path(ns.cache) if ns.cache else None,
-            env_overrides=_parse_env_overrides(ns.env),
-            refresh=ns.refresh,
-            offline=ns.offline,
-            inplace_device=ns.inplace_device,
-            emulators=ns.emulator,
-            verbosity=ns.verbose - ns.quiet,
-        )
-        _configure_logging(config.verbosity)
-        if config.dry_run is not None and not config.dry_run.parent.is_dir():
-            raise PifileError(f"directory of the dry-run log does not exist: {config.dry_run}")
-        environment.update(config.env_overrides)
+        environment.update(_parse_env_overrides(ns.env))
+        _configure_logging(ns.verbose - ns.quiet)
+        if dry_run is not None and not dry_run.parent.is_dir():
+            raise PifileError(f"directory of the dry-run log does not exist: {dry_run}")
 
-        pifile = parse_pifile(config.pifile, environment)
+        pifile = parse_pifile(Path(ns.pifile), environment)
         plan = build_plan(pifile)
         for warning in validate_plan(plan):
             print(f"warning: {warning}", file=sys.stderr)
 
         writes_device = plan.destination.kind is TargetKind.BLOCK_DEVICE
-        if writes_device and not config.inplace_device:
+        if writes_device and not ns.inplace_device:
             raise PifileError(
                 f"destination {plan.destination.path} is a block device; "
                 "pass --inplace-device to confirm overwriting it"
             )
 
         if executor_factory is not None:
-            backend = executor_factory(config)
-        elif config.dry_run is not None:
+            backend = executor_factory(ns)
+        elif dry_run is not None:
             backend = DryRunExecutor()
         else:
             backend = LocalExecutor(on_output=lambda line: print(f"  {line}"))
 
         options = RunOptions(
             env=environment,
-            cache_dir=config.cache_dir,
-            refresh=config.refresh,
-            offline=config.offline,
-            emulators=config.emulators,
+            cache_dir=ns.cache or None,
+            refresh=ns.refresh,
+            offline=ns.offline,
+            emulators=ns.emulator,
             on_log=_stdout_logger,
         )
         try:
             report = execute(plan, backend, options)
         finally:
-            if config.dry_run is not None:  # a write failure surfaces as the OSError below
-                config.dry_run.write_text(backend.render_log())
+            if dry_run is not None:  # a write failure surfaces as the OSError below
+                dry_run.write_text(backend.render_log())
         if report.image_digest is not None:
             print(render_log("done", f"{plan.destination.path} sha256={report.image_digest}"))
         else:
@@ -218,14 +196,8 @@ def _stdout_logger(stage: str, origin: SourceLine | None, message: str) -> None:
 
 
 def _report_error(exc: ImgforgeError) -> None:
-    stage = exc.stage or "error"
-    context = ""
-    if exc.origin is not None:
-        context = f"{exc.origin.file}:{exc.origin.line_no}: "
-    detail = f"{context}{exc.args[0]}"
-    if isinstance(exc, CommandFailed):
-        detail += f" (exit status {exc.status})"
-    print(f"[{stage}] {detail}", file=sys.stderr)
+    status = f" (exit status {exc.status})" if isinstance(exc, CommandFailed) else ""
+    print(f"[{exc.stage or 'error'}] {exc}{status}", file=sys.stderr)
 
 
 def _configure_logging(verbosity: int) -> None:

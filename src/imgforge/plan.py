@@ -35,6 +35,7 @@ from .source import (
     default_probe,
     is_archive,
     is_url,
+    same_file,
 )
 
 logger = logging.getLogger(__name__)
@@ -89,8 +90,10 @@ def build_plan(pifile: Pifile,
     Exactly one resolution root is required: FROM (optionally paired with
     TO) or INPLACE, and ``INPLACE <image>`` plans as ``FROM <image>`` with
     ``TO <image>``.  A missing TO defaults the destination to
-    ``<pifile stem>.img`` next to the Pifile.  Relative source and
-    destination paths are anchored at the Pifile's directory.  INSTALL
+    ``<pifile stem>.img`` next to the Pifile, and a TO that is a packed FROM
+    file, by path or through a link, is refused before the archive is
+    overwritten.  Relative source and destination paths are anchored at
+    the Pifile's directory.  INSTALL
     modes and destinations are checked here, so a bad mode or a destination
     with a ``..`` component stops the build before any copy, and so is a
     PUMP onto a block device, which cannot grow.  ``probe`` replaces the
@@ -137,6 +140,9 @@ def build_plan(pifile: Pifile,
                 tos[-1].origin.file, tos[-1].origin.line_no,
             )
         dest_path = _anchor(tos[-1].args[0], base_dir)
+        if not is_url(raw) and is_archive(raw) and same_file(locator, dest_path):
+            raise ConflictingSource(f"TO {tos[-1].args[0]} would overwrite the packed FROM image",
+                                    origin=tos[-1].origin)
     else:
         dest_path = str(base_dir / f"{pifile.source_path.stem}.img")
     target_kind = (TargetKind.BLOCK_DEVICE if probe(dest_path) is SourceKind.BLOCK_DEVICE

@@ -432,6 +432,12 @@ def write_to_device(src: str | Path, device: str | Path) -> None:
         raise IoFailure(f"writing {src} to device {device} failed: {exc}") from exc
 
 
+def same_file(a: str | Path, b: str | Path) -> bool:
+    """True when ``a`` and ``b`` spell one path, or ``b`` exists and is ``a`` through a link."""
+    return (os.path.abspath(a) == os.path.abspath(b)
+            or os.path.exists(b) and os.path.samefile(a, b))
+
+
 def materialize_destination(plan: "ExecutionPlan", executor: "Executor", *,
                             resolved_source: str | Path | None = None) -> Path:
     """Emit the action that puts the source bytes at the destination.
@@ -444,8 +450,7 @@ def materialize_destination(plan: "ExecutionPlan", executor: "Executor", *,
     """
     src = Path(resolved_source) if resolved_source is not None else Path(plan.source.locator)
     dest = Path(plan.destination.path)
-    if (os.path.abspath(src) == os.path.abspath(dest)
-            or dest.exists() and os.path.samefile(src, dest)):
+    if same_file(src, dest):
         return dest
     if plan.destination.kind is TargetKind.BLOCK_DEVICE:
         executor.emit(Action(ActionKind.DEVICE_WRITE, {"src": str(src), "dst": str(dest)}))

@@ -1,5 +1,6 @@
 import errno
 import hashlib
+import logging
 import lzma
 import os
 import random
@@ -16,7 +17,7 @@ import pytest
 import imgforge.plan as plan_mod
 import imgforge.source as source_mod
 import mbr_oracle
-from imgforge.cli import main, render_log
+from imgforge.cli import entrypoint, main, render_log
 from imgforge.errors import ChrootUnavailable
 from imgforge.executor import Action, ActionKind, DryRunExecutor, LocalExecutor
 from imgforge.mounts import teardown_actions
@@ -341,6 +342,28 @@ class TestDryRun:
         assert (tmp_path / "base.img.xz").read_bytes() == archive
         assert not (tmp_path / ".pimod-cache").exists()
 
+    @pytest.mark.parametrize("dry_run", [False, True])
+    @pytest.mark.parametrize("to", ["base.img.xz", "link.xz", "hard.xz"])
+    def test_to_naming_the_packed_source_is_exit_1_before_any_write(self, tmp_path, capsys,
+                                                                    to, dry_run):
+        write_xz_fixture(tmp_path)
+        archive = tmp_path / "base.img.xz"
+        before = hashlib.sha256(archive.read_bytes()).hexdigest()
+        (tmp_path / "link.xz").symlink_to(archive)
+        os.link(archive, tmp_path / "hard.xz")
+        pifile = tmp_path / "to.Pifile"
+        pifile.write_text(f"FROM base.img.xz\nTO {to}\nHOST true\n")
+        args = [str(pifile)]
+        if dry_run:
+            args = ["--dry-run", str(tmp_path / "plan.log"), *args]
+        factory = None if dry_run else (
+            lambda cfg: LocalExecutor(runner=lambda argv, **kw: (0, "")))
+        assert main(args, ENV, executor_factory=factory) == 1
+        assert error_line(capsys.readouterr().err) == (
+            f"[error] {pifile}:2: TO {to} would overwrite the packed FROM image")
+        assert hashlib.sha256(archive.read_bytes()).hexdigest() == before
+        assert not (tmp_path / ".pimod-cache").exists()
+
     def test_dry_run_unpacks_the_archive_the_real_build_reuses(self, tmp_path):
         pifile = write_xz_fixture(tmp_path)
         assert main(["--dry-run", str(tmp_path / "plan.log"), str(pifile)], ENV) == 0
@@ -500,6 +523,67 @@ class TestLogging:
         out = capsys.readouterr().out
         digest = hashlib.sha256((tmp_path / "out.img").read_bytes()).hexdigest()
         assert f"sha256={digest}" in out
+
+
+class TestCliBoundary:
+    @pytest.mark.parametrize("dry_run", [False, True])
+    def test_factory_sees_the_dry_run_log_path_or_none(self, tmp_path, capsys, dry_run):
+        pifile = write_fixture(tmp_path, text="FROM base.img\nHOST true\n")
+        log = tmp_path / "plan.log"
+        args = ["--dry-run", str(log), str(pifile)] if dry_run else [str(pifile)]
+        seen = []
+
+        def factory(cfg):
+            seen.append(cfg.dry_run)
+            return DryRunExecutor() if dry_run else LocalExecutor(
+                runner=lambda argv, **kw: (0, ""))
+
+        assert main(args, ENV, executor_factory=factory) == 0
+        assert [None if value is None else Path(value) for value in seen] == [
+            log if dry_run else None]
+
+    @pytest.mark.parametrize("flags, level", [
+        ([], logging.WARNING),
+        (["-v"], logging.INFO),
+        (["-vv"], logging.DEBUG),
+        (["-q"], logging.ERROR),
+    ])
+    def test_verbosity_flags_set_the_log_level(self, tmp_path, capsys, monkeypatch,
+                                               flags, level):
+        levels = []
+        # pytest's own handlers would turn a real basicConfig call into a no-op
+        monkeypatch.setattr(logging, "basicConfig", lambda **kw: levels.append(kw["level"]))
+        assert main([*flags, str(tmp_path / "missing.Pifile")], ENV) == 1
+        assert levels == [level]
+
+    def test_failed_run_is_one_stderr_line(self, tmp_path, capsys):
+        pifile = write_fixture(tmp_path, name="fail.Pifile",
+                               text="FROM base.img\nRUN ok\nRUN boom\n")
+        code = main(["--dry-run", str(tmp_path / "l.log"), "--emulator", "/x/qemu-arm-static",
+                     str(pifile)], ENV, executor_factory=lambda cfg: FailingSecondRun())
+        assert code == 2
+        assert error_line(capsys.readouterr().err) == (
+            f"[chroot] {pifile}:3: RUN command failed with status 1: boom (exit status 1)")
+
+    def test_plan_error_is_one_stderr_line(self, tmp_path, capsys):
+        pifile = write_fixture(tmp_path, name="both.Pifile",
+                               text="FROM base.img\nINPLACE base.img\n")
+        assert main([str(pifile)], ENV) == 1
+        assert capsys.readouterr().err == (
+            f"[error] {pifile}:2: FROM and INPLACE are mutually exclusive\n")
+
+    @pytest.mark.parametrize("text, code", [
+        ("FROM base.img\nHOST true\n", 0),
+        ("FROM base.img\nINPLACE base.img\n", 1),
+    ])
+    def test_entrypoint_exits_with_the_code_of_main(self, tmp_path, capsys, monkeypatch,
+                                                    text, code):
+        pifile = write_fixture(tmp_path, text=text)
+        monkeypatch.setattr(sys, "argv", ["imgforge", "--dry-run", str(tmp_path / "plan.log"),
+                                          str(pifile)])
+        with pytest.raises(SystemExit) as exit_info:
+            entrypoint()
+        assert exit_info.value.code == code
 
 
 def test_local_dry_run_loads_no_network_stack(tmp_path):
