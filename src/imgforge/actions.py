@@ -50,7 +50,7 @@ _UNDO = {
 }
 
 
-@dataclass
+@dataclass(slots=True)
 class Action:
     """One externally observable effect; ``ordinal`` is assigned when it is emitted."""
 
@@ -60,14 +60,15 @@ class Action:
 
 
 def _escape(value: str) -> str:
-    return value.replace("\\", "\\\\").replace("\t", "\\t").replace("\n", "\\n")
+    if "\\" in value or "\t" in value or "\n" in value:
+        return value.replace("\\", "\\\\").replace("\t", "\\t").replace("\n", "\\n")
+    return value
 
 
 def render_action(action: Action) -> str:
-    fields = "\t".join(f"{key}={_escape(value)}" for key, value in action.payload.items())
-    return f"{action.ordinal}\t{action.kind.name}\t{fields}" if fields else \
-        f"{action.ordinal}\t{action.kind.name}"
+    fields = "".join([f"\t{key}={_escape(value)}" for key, value in action.payload.items()])
+    return f"{action.ordinal}\t{action.kind.name}{fields}"
 
 
 def serialize_actions(actions: Sequence[Action]) -> str:
-    return "".join(f"{render_action(a)}\n" for a in actions)
+    return "".join([f"{render_action(a)}\n" for a in actions])

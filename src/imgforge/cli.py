@@ -55,6 +55,12 @@ def render_log(stage: str, message: str, *, pifile: str | None = None,
     return f"[{stage}] {message}"
 
 
+def _nonempty(value: str) -> str:
+    if not value:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return value
+
+
 def _build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="imgforge",
@@ -66,9 +72,9 @@ def _build_arg_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("pifile", help="the Pifile to execute")
-    parser.add_argument("--dry-run", metavar="FILE",
+    parser.add_argument("--dry-run", metavar="FILE", type=_nonempty,
                         help="perform nothing; write the action log to FILE")
-    parser.add_argument("--cache", metavar="DIR",
+    parser.add_argument("--cache", metavar="DIR", type=_nonempty,
                         help="download cache directory (default: $PIMOD_CACHE or "
                              ".pimod-cache beside the Pifile)")
     parser.add_argument("--env", action="append", default=[], metavar="NAME=VALUE",
@@ -130,7 +136,7 @@ def _main(argv: Sequence[str] | None, env: Mapping[str, str] | None,
         return EXIT_OK if exc.code in (0, None) else EXIT_PIFILE
 
     environment = dict(os.environ if env is None else env)
-    dry_run = Path(ns.dry_run) if ns.dry_run else None
+    dry_run = Path(ns.dry_run) if ns.dry_run is not None else None
     try:
         environment.update(_parse_env_overrides(ns.env))
         _configure_logging(ns.verbose - ns.quiet)
@@ -158,7 +164,7 @@ def _main(argv: Sequence[str] | None, env: Mapping[str, str] | None,
 
         options = RunOptions(
             env=environment,
-            cache_dir=ns.cache or None,
+            cache_dir=ns.cache,
             refresh=ns.refresh,
             offline=ns.offline,
             emulators=ns.emulator,

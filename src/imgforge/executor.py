@@ -32,6 +32,7 @@ a loop device itself, and detaches it again before it returns.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import logging
 import os
@@ -58,7 +59,7 @@ from .errors import (
     ShellUnavailable,
     SourceMissing,
 )
-from .pifile import Command, CommandKind, SourceLine, render_command
+from .pifile import Command, CommandKind, SourceLine, pathlib_join, render_command
 from .plan import ExecutionPlan, Stage
 
 logger = logging.getLogger(__name__)
@@ -371,15 +372,15 @@ def _guest_shell(root: str) -> str:
 # --- the high-level operations ------------------------------------------------
 
 
-def command_action(command: Command, guest_path: str) -> Action:
+def command_action(command: Command, guest_path: str, here: str | None = None) -> Action:
     """The action a RUN, HOST or INSTALL command becomes.
 
     RUN executes in the guest with ``guest_path``, the composed PATH text
     (entries joined with ":"), as its PATH, HOST executes in the Pifile's
-    directory, and a relative INSTALL source is anchored there.  A
-    here-document body is the command's standard input.
+    directory ``here`` (by default its origin's parent, as text), and a relative
+    INSTALL source is anchored there.  A here-document body is its standard input.
     """
-    here = command.origin.file.parent
+    here = str(command.origin.file.parent) if here is None else here
     if command.kind is CommandKind.RUN:
         return Action(ActionKind.GUEST_EXEC, {
             "command": command.args[0],
@@ -390,11 +391,11 @@ def command_action(command: Command, guest_path: str) -> Action:
     if command.kind is CommandKind.HOST:
         return Action(ActionKind.HOST_EXEC, {
             "command": command.args[0],
-            "cwd": str(here),
+            "cwd": here,
             "stdin": command.heredoc or "",
         })
     return Action(ActionKind.COPY_IN, {
-        "src": str(here / command.args[-2]),
+        "src": pathlib_join(here, command.args[-2]),
         "dst": command.args[-1],
         "mode": command.args[0] if len(command.args) == 3 else "",
         "root": mounts_mod.ROOT_TOKEN,
@@ -521,13 +522,14 @@ def execute(plan: ExecutionPlan, backend: Executor,
         extensions: list[str] = []
         # joined once per PATH line: every RUN until the next one shares the text
         guest_path = ":".join(compose_guest_path(extensions, host_path))
+        dir_of = functools.cache(lambda file: str(file.parent))  # once per Pifile
         for command in chroot_commands:
-            log(stage_label, command.origin, render_command(command).split("\n")[0])
+            log(stage_label, command.origin, render_command(command).partition("\n")[0])
             if command.kind is CommandKind.PATH:
                 extensions.append(command.args[0])
                 guest_path = ":".join(compose_guest_path(extensions, host_path))
                 continue
-            status = backend.emit(command_action(command, guest_path))
+            status = backend.emit(command_action(command, guest_path, dir_of(command.origin.file)))
             if status != 0:
                 raise CommandFailed(
                     f"{command.kind.value} command failed with status {status}: "

@@ -33,6 +33,7 @@ of RUN/HOST arguments is never interpreted here: pipes, redirections, and
 from __future__ import annotations
 
 import logging
+import posixpath
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -84,13 +85,19 @@ _ARITY: dict[CommandKind, tuple[int, int | None]] = {
 # kinds whose argument text is one uninterpreted string handed to a shell
 _VERBATIM = frozenset({CommandKind.RUN, CommandKind.HOST})
 
-_HEREDOC_MARKER = re.compile(r"^(?P<cmd>.*\S)\s*<<\s*(?P<delim>\S+)$")
+# `<< WORD` ending a RUN/HOST line opens a here-document when WORD is a plain
+# word; a quoted WORD or `<<-` is refused, and any other `<<`, `<<<` among
+# them, is command text
+_HEREDOC_MARKER = re.compile(
+    r"(?P<cmd>.*\S)(?:\s+|(?<!<))"  # a `<<` right after a `<` is part of a `<<<`
+    r"(?P<form><<\s*(?:(?P<delim>[A-Za-z0-9_][A-Za-z0-9_.-]*)|-\s*\S+|['\"]\S*))"
+)
 _ENV_VAR = re.compile(
     r"\$\{(?P<braced>[A-Za-z_][A-Za-z0-9_]*)\}|\$(?P<plain>[A-Za-z_][A-Za-z0-9_]*)"
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SourceLine:
     """Location of a directive in its file; line numbers are 1-based."""
 
@@ -99,7 +106,7 @@ class SourceLine:
     text: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Command:
     """One parsed directive.
 
@@ -130,6 +137,8 @@ def classify_token(first_token: str) -> CommandKind | None:
 
 def substitute_env(text: str, env: Mapping[str, str], where: SourceLine | None = None) -> str:
     """Expand $NAME / ${NAME} from env; undefined names become "" with a warning."""
+    if "$" not in text:
+        return text
 
     def repl(match: re.Match[str]) -> str:
         name = match.group("braced") or match.group("plain")
@@ -140,6 +149,15 @@ def substitute_env(text: str, env: Mapping[str, str], where: SourceLine | None =
         return ""
 
     return _ENV_VAR.sub(repl, text)
+
+
+def pathlib_join(directory: str, path_text: str) -> str:
+    """``str(Path(directory) / path_text)`` for a Path's text ``directory``, joined as
+    text unless ``path_text`` has an empty or ``.`` component for pathlib to fold."""
+    parts = path_text.split("/")
+    if "" in parts[1:] or "." in parts:
+        return str(Path(directory, path_text))
+    return path_text if directory == "." else posixpath.join(directory, path_text)
 
 
 def parse_heredoc(lines: list[str], start: int, delimiter: str,
@@ -201,7 +219,7 @@ def parse_pifile_text(text: str, env: Mapping[str, str] | None = None, *,
         while logical.endswith("\\") and i < len(lines):
             logical = logical[:-1] + lines[i]
             i += 1
-        origin = SourceLine(file=source_path, line_no=line_no, text=logical)
+        origin = SourceLine(source_path, line_no, logical)
         expanded = substitute_env(logical, env, origin)
         parts = expanded.split(None, 1)
         if not parts:
@@ -213,8 +231,11 @@ def parse_pifile_text(text: str, env: Mapping[str, str] | None = None, *,
 
         heredoc: str | None = None
         if kind in _VERBATIM:
-            marker = _HEREDOC_MARKER.match(remainder)
+            marker = "<<" in remainder and _HEREDOC_MARKER.fullmatch(remainder)
             if marker:
+                if marker.group("delim") is None:
+                    raise MalformedArgs(f"unsupported here-document form {marker['form']!r}; "
+                                        "use << WORD with a plain WORD", origin=origin)
                 remainder = marker.group("cmd")
                 raw_body, i = parse_heredoc(lines, i, marker.group("delim"), origin)
                 heredoc = substitute_env(raw_body, env, origin)
@@ -230,7 +251,7 @@ def parse_pifile_text(text: str, env: Mapping[str, str] | None = None, *,
             included = parse_pifile(target, env, include_depth + 1)
             commands.extend(included.commands)
         else:
-            commands.append(Command(kind=kind, args=args, origin=origin, heredoc=heredoc))
+            commands.append(Command(kind, args, origin, heredoc))
     return Pifile(commands=commands, source_path=source_path)
 
 

@@ -10,7 +10,9 @@ the INSTALL of its output.
 
 from __future__ import annotations
 
+import functools
 import logging
+import os
 import posixpath
 from dataclasses import dataclass
 from enum import IntEnum
@@ -25,7 +27,7 @@ from .errors import (
     MissingSource,
 )
 from .image import parse_size
-from .pifile import Command, CommandKind, Pifile
+from .pifile import Command, CommandKind, Pifile, pathlib_join
 from .source import (
     SourceKind,
     SourceSpec,
@@ -214,15 +216,17 @@ def validate_plan(plan: ExecutionPlan) -> list[str]:
 
     # a source argument holds no whitespace, so no match spans two joined texts
     host_text = ""
+    dir_of = functools.cache(lambda file: str(file.parent))  # once per Pifile
     for command in chroot:
         if command.kind is CommandKind.HOST:
             host_text += "\n" + command.args[0]
         elif command.kind is CommandKind.INSTALL:
             src_arg = command.args[-2]
-            if (command.origin.file.parent / src_arg).exists():
+            if os.path.exists(pathlib_join(dir_of(command.origin.file), src_arg)):
                 continue
+            # hint is part of src_arg; searched from the end, where its HOST usually is
             hint = posixpath.dirname(src_arg) or src_arg
-            if hint in host_text or src_arg in host_text:
+            if host_text.rfind(hint) >= 0:
                 warnings.append(
                     f"deferred existence: INSTALL source {src_arg} does not exist yet; "
                     "an earlier HOST step appears to produce it"

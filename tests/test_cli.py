@@ -248,6 +248,21 @@ class TestDryRun:
         err = capsys.readouterr().err
         assert "nodir" in err and "unread.Pifile" not in err
 
+    @pytest.mark.parametrize("flag", ["--dry-run", "--cache"])
+    def test_empty_value_is_a_usage_error_before_anything_runs(self, tmp_path, capsys, flag):
+        # an unset $LOG in `imgforge --dry-run "$LOG" ...` must not become a real build
+        pifile = write_fixture(tmp_path, text="FROM base.img\nTO out.img\nHOST true\n")
+        before = sorted(p.name for p in tmp_path.iterdir())
+        made = []
+        code = main([flag, "", str(pifile)], ENV,
+                    executor_factory=lambda ns: made.append(ns) or DryRunExecutor())
+        assert code == 1
+        assert made == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+        assert f"argument {flag}: must not be empty" in capsys.readouterr().err
+        assert main([flag, "", str(tmp_path / "unread.Pifile")], ENV) == 1
+        assert "unread.Pifile" not in capsys.readouterr().err
+
     def test_unwritable_log_is_exit_2_without_traceback(self, tmp_path, capsys):
         pifile = write_fixture(tmp_path, text="FROM base.img\nHOST true\n")
         log = tmp_path / "plan.log"

@@ -1,4 +1,6 @@
 import logging
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,6 +19,7 @@ from imgforge.pifile import (
     classify_token,
     parse_pifile,
     parse_pifile_text,
+    pathlib_join,
     render_pifile,
     substitute_env,
 )
@@ -205,6 +208,29 @@ class TestHeredocs:
         with pytest.raises(UnterminatedHeredoc):
             parse("RUN cat << EOF\nbody\n EOF\n")  # leading space: not the delimiter
 
+    @pytest.mark.parametrize("line", [
+        "HOST echo $((1 << 4))",
+        "RUN echo 'a << b'",
+        "RUN cat <<< word",  # a here-string: the command's text, like any other
+        "RUN << EOF",  # no command before the marker
+    ])
+    def test_a_non_marker_is_command_text(self, line):
+        pifile = parse(f"{line}\nPUMP 1M\n")
+        assert kinds_and_args(pifile) == [(CommandKind(line.split()[0]), (line[4:].strip(),)),
+                                          (CommandKind.PUMP, ("1M",))]
+        assert pifile.commands[0].heredoc is None
+
+    def test_plain_word_delimiters(self):
+        pifile = parse("RUN a << EOF_\nx\nEOF_\nHOST b <<end-1.x\ny\nend-1.x\n")
+        assert [c.heredoc for c in pifile.commands] == ["x\n", "y\n"]
+
+    @pytest.mark.parametrize("form", ["<< 'EOF'", '<< "EOF"', "<<'EOF'", "<<-EOF", "<<- EOF"])
+    def test_a_quoted_or_dash_marker_is_refused_at_its_line(self, form):
+        with pytest.raises(MalformedArgs, match="unsupported here-document form") as err:
+            parse(f"FROM a.img\nRUN cat {form}\nFROM body-line\nEOF\n")
+        assert err.value.origin.line_no == 2
+        assert form in str(err.value)
+
     def test_heredoc_on_non_run_is_malformed(self):
         with pytest.raises(MalformedArgs):
             parse("PUMP 1M << EOF\nEOF\n")
@@ -272,10 +298,18 @@ _token = st.text(
     alphabet="abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789._-/=:",
     min_size=1, max_size=12,
 )
-_verbatim = st.text(
-    alphabet="abcdefghijklmnopqrstuvwxyz0123456789 ._-/=:&|'\"",
-    min_size=1, max_size=40,
-).map(lambda s: s.strip()).filter(lambda s: s and "<<" not in s)
+_verbatim_text = st.text(
+    alphabet="abcdefghijklmnopqrstuvwxyz0123456789 ._-/=:&|'\"<()",
+    max_size=40,
+)
+# a trailing `<< word` opens a here-document or is refused; any other `<<` is command text
+_TRAILING_MARKER = re.compile(
+    r"(?:\S\s+|[^\s<])<<\s*([A-Za-z0-9_][A-Za-z0-9_.-]*|-\s*\S+|['\"]\S*)$")
+_verbatim = st.one_of(
+    _verbatim_text,
+    st.tuples(_verbatim_text, st.sampled_from(["<<", " << ", "$((n << 2))"]),
+              _verbatim_text).map("".join),
+).map(lambda s: s.strip()).filter(lambda s: s and not _TRAILING_MARKER.search(s))
 _heredoc_line = st.text(
     alphabet="abcdefghijklmnopqrstuvwxyz0123456789 ._-{}=",
     max_size=30,
@@ -341,3 +375,13 @@ def test_comment_and_blank_injection_leaves_ast_unchanged(specs, data):
     chunks.extend(data.draw(noise_strategy))
     noisy = "\n".join(chunks) + "\n" if chunks else ""
     assert parse_pifile_text(noisy, {}).commands == pifile.commands
+
+
+_component = st.sampled_from(["a", "b.c", ".", "..", "", "-x"])
+
+
+@given(st.sampled_from([".", "/", "//", "mods", "/abs/d", "../up"]),
+       st.lists(_component, min_size=1, max_size=5).map("/".join).filter(bool))
+def test_pathlib_join_spells_a_path_as_pathlib_does(directory, path_text):
+    # INSTALL's src= spelling: pathlib folds `a//b` and `./x`, os.path.join does not
+    assert pathlib_join(directory, path_text) == str(Path(directory) / path_text)
