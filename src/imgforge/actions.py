@@ -36,6 +36,7 @@ class ActionKind(Enum):
     HOST_EXEC = "host-exec"
     GUEST_EXEC = "guest-exec"
     COPY_IN = "copy-in"
+    __hash__ = object.__hash__  # C-level; Enum's own is a Python call on every dict lookup
 
     @property
     def undo(self) -> ActionKind | None:
@@ -67,7 +68,7 @@ def _escape(value: str) -> str:
 
 def render_action(action: Action) -> str:
     fields = "".join([f"\t{key}={_escape(value)}" for key, value in action.payload.items()])
-    return f"{action.ordinal}\t{action.kind.name}{fields}"
+    return f"{action.ordinal}\t{action.kind._name_}{fields}"
 
 
 def serialize_actions(actions: Sequence[Action]) -> str:

@@ -32,7 +32,6 @@ a loop device itself, and detaches it again before it returns.
 from __future__ import annotations
 
 import contextlib
-import functools
 import hashlib
 import logging
 import os
@@ -371,6 +370,10 @@ def _guest_shell(root: str) -> str:
 
 # --- the high-level operations ------------------------------------------------
 
+# read for every command: a member read through its class is a slow lookup on 3.11
+_RUN, _HOST, _PATH = CommandKind.RUN, CommandKind.HOST, CommandKind.PATH
+_GUEST_EXEC, _HOST_EXEC, _COPY_IN = ActionKind.GUEST_EXEC, ActionKind.HOST_EXEC, ActionKind.COPY_IN
+
 
 def command_action(command: Command, guest_path: str, here: str | None = None) -> Action:
     """The action a RUN, HOST or INSTALL command becomes.
@@ -381,20 +384,20 @@ def command_action(command: Command, guest_path: str, here: str | None = None) -
     INSTALL source is anchored there.  A here-document body is its standard input.
     """
     here = str(command.origin.file.parent) if here is None else here
-    if command.kind is CommandKind.RUN:
-        return Action(ActionKind.GUEST_EXEC, {
+    if command.kind is _RUN:
+        return Action(_GUEST_EXEC, {
             "command": command.args[0],
             "root": mounts_mod.ROOT_TOKEN,
             "path": guest_path,
             "stdin": command.heredoc or "",
         })
-    if command.kind is CommandKind.HOST:
-        return Action(ActionKind.HOST_EXEC, {
+    if command.kind is _HOST:
+        return Action(_HOST_EXEC, {
             "command": command.args[0],
             "cwd": here,
             "stdin": command.heredoc or "",
         })
-    return Action(ActionKind.COPY_IN, {
+    return Action(_COPY_IN, {
         "src": pathlib_join(here, command.args[-2]),
         "dst": command.args[-1],
         "mode": command.args[0] if len(command.args) == 3 else "",
@@ -522,14 +525,17 @@ def execute(plan: ExecutionPlan, backend: Executor,
         extensions: list[str] = []
         # joined once per PATH line: every RUN until the next one shares the text
         guest_path = ":".join(compose_guest_path(extensions, host_path))
-        dir_of = functools.cache(lambda file: str(file.parent))  # once per Pifile
+        file = here = None
         for command in chroot_commands:
-            log(stage_label, command.origin, render_command(command).partition("\n")[0])
-            if command.kind is CommandKind.PATH:
+            if opts.on_log is not None:  # a stage line is rendered only to be read
+                log(stage_label, command.origin, render_command(command).partition("\n")[0])
+            if command.kind is _PATH:
                 extensions.append(command.args[0])
                 guest_path = ":".join(compose_guest_path(extensions, host_path))
                 continue
-            status = backend.emit(command_action(command, guest_path, dir_of(command.origin.file)))
+            if command.origin.file is not file:  # one Pifile's commands share one Path
+                file, here = command.origin.file, str(command.origin.file.parent)
+            status = backend.emit(command_action(command, guest_path, here))
             if status != 0:
                 raise CommandFailed(
                     f"{command.kind.value} command failed with status {status}: "

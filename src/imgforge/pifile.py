@@ -64,6 +64,7 @@ class CommandKind(Enum):
     INSTALL = "INSTALL"
     HOST = "HOST"
     INCLUDE = "INCLUDE"
+    __hash__ = object.__hash__  # C-level; Enum's own is a Python call on every dict lookup
 
 
 _KEYWORDS: dict[str, CommandKind] = {kind.value: kind for kind in CommandKind}
@@ -92,12 +93,15 @@ _HEREDOC_MARKER = re.compile(
     r"(?P<cmd>.*\S)(?:\s+|(?<!<))"  # a `<<` right after a `<` is part of a `<<<`
     r"(?P<form><<\s*(?:(?P<delim>[A-Za-z0-9_][A-Za-z0-9_.-]*)|-\s*\S+|['\"]\S*))"
 )
+# a plain `<< WORD` followed by a redirection or a control operator, as in
+# `cat << EOF > FILE`: refused at its line, since the body would parse as directives
+_MARKER_NOT_LAST = re.compile(r"(?<!<)<<\s*[A-Za-z0-9_][A-Za-z0-9_.-]*\s*(?:2?>>?|[<|&;])")
 _ENV_VAR = re.compile(
     r"\$\{(?P<braced>[A-Za-z_][A-Za-z0-9_]*)\}|\$(?P<plain>[A-Za-z_][A-Za-z0-9_]*)"
 )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class SourceLine:
     """Location of a directive in its file; line numbers are 1-based."""
 
@@ -106,7 +110,7 @@ class SourceLine:
     text: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Command:
     """One parsed directive.
 
@@ -169,17 +173,12 @@ def parse_heredoc(lines: list[str], start: int, delimiter: str,
     terminating delimiter line.  The delimiter must appear alone on a line,
     matched exactly.
     """
-    body: list[str] = []
-    i = start
-    while i < len(lines):
-        if lines[i] == delimiter:
-            text = "\n".join(body) + "\n" if body else ""
-            return text, i + 1
-        body.append(lines[i])
-        i += 1
-    raise UnterminatedHeredoc(
-        f"here-document delimited by {delimiter!r} never terminated", origin=origin
-    )
+    try:
+        end = lines.index(delimiter, start)
+    except ValueError:
+        raise UnterminatedHeredoc(f"here-document delimited by {delimiter!r} never terminated",
+                                  origin=origin) from None
+    return ("\n".join(lines[start:end]) + "\n" if end > start else ""), end + 1
 
 
 def parse_pifile(path: str | Path, env: Mapping[str, str] | None = None,
@@ -207,6 +206,7 @@ def parse_pifile_text(text: str, env: Mapping[str, str] | None = None, *,
     source_path = Path(source_path)
     lines = text.splitlines()  # also strips \r from CRLF input
     commands: list[Command] = []
+    include = CommandKind.INCLUDE  # a member read through the class is a slow lookup on 3.11
     i = 0
     while i < len(lines):
         line_no = i + 1
@@ -224,13 +224,17 @@ def parse_pifile_text(text: str, env: Mapping[str, str] | None = None, *,
         parts = expanded.split(None, 1)
         if not parts:
             continue  # the line was nothing but a variable that expanded away
-        kind = classify_token(parts[0])
+        kind = _KEYWORDS.get(parts[0])
         if kind is None:
             raise UnknownCommand(f"unknown directive {parts[0]!r}", origin=origin)
         remainder = parts[1].strip() if len(parts) > 1 else ""
 
         heredoc: str | None = None
         if kind in _VERBATIM:
+            late = "<<" in remainder and _MARKER_NOT_LAST.search(remainder)
+            if late:
+                raise MalformedArgs(f"unsupported here-document form {late[0]!r}: << WORD must "
+                                    "end the line, as in 'tee FILE << WORD'", origin=origin)
             marker = "<<" in remainder and _HEREDOC_MARKER.fullmatch(remainder)
             if marker:
                 if marker.group("delim") is None:
@@ -244,7 +248,7 @@ def parse_pifile_text(text: str, env: Mapping[str, str] | None = None, *,
             args = tuple(remainder.split())
         _check_arity(kind, args, origin)
 
-        if kind is CommandKind.INCLUDE:
+        if kind is include:
             target = source_path.parent / args[0]
             if not target.is_file():
                 raise IncludeNotFound(f"included file not found: {target}", origin=origin)
@@ -259,20 +263,19 @@ def _check_arity(kind: CommandKind, args: tuple[str, ...], origin: SourceLine) -
     low, high = _ARITY[kind]
     if len(args) < low or (high is not None and len(args) > high):
         bound = f"{low}" if high == low else f"{low}..{high if high is not None else 'n'}"
-        raise MalformedArgs(
-            f"{kind.value} takes {bound} argument(s), got {len(args)}", origin=origin
-        )
+        raise MalformedArgs(f"{kind.value} takes {bound} argument(s), got {len(args)}",
+                            origin=origin)
 
 
 def render_command(command: Command) -> str:
     """Render one command back to canonical Pifile text."""
     if command.kind in _VERBATIM:
-        head = f"{command.kind.value} {command.args[0]}"
+        head = f"{command.kind._value_} {command.args[0]}"
         if command.heredoc is None:
             return head
         delim = _pick_delimiter(command.heredoc)
         return f"{head} << {delim}\n{command.heredoc}{delim}"
-    return " ".join((command.kind.value, *command.args))
+    return " ".join((command.kind._value_, *command.args))
 
 
 def render_pifile(pifile: Pifile) -> str:

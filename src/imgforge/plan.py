@@ -10,7 +10,6 @@ the INSTALL of its output.
 
 from __future__ import annotations
 
-import functools
 import logging
 import os
 import posixpath
@@ -155,11 +154,12 @@ def build_plan(pifile: Pifile,
     if pump_bytes > 0 and destination.kind is TargetKind.BLOCK_DEVICE:
         raise ConflictingSource(f"PUMP cannot grow the fixed-size device {destination.path}",
                                 origin=staged[Stage.PREPARE][0].origin)
-    for command in staged[Stage.CHROOT]:
-        if command.kind is CommandKind.INSTALL and ".." in command.args[-1].split("/"):
+    install = CommandKind.INSTALL  # a member read through the class is a slow lookup on 3.11
+    for command in (c for c in staged[Stage.CHROOT] if c.kind is install):
+        if ".." in command.args[-1].split("/"):
             raise MalformedArgs(f"INSTALL destination {command.args[-1]} has a '..' component",
                                 origin=command.origin)
-        if command.kind is CommandKind.INSTALL and len(command.args) == 3:
+        if len(command.args) == 3:
             mode = command.args[0]
             if not (mode.isdigit() and all(c in "01234567" for c in mode) and len(mode) <= 4):
                 raise InvalidMode(f"INSTALL mode must be octal 0..7777, got {mode!r}",
@@ -216,13 +216,15 @@ def validate_plan(plan: ExecutionPlan) -> list[str]:
 
     # a source argument holds no whitespace, so no match spans two joined texts
     host_text = ""
-    dir_of = functools.cache(lambda file: str(file.parent))  # once per Pifile
+    host, install, file = CommandKind.HOST, CommandKind.INSTALL, None  # locals: see build_plan
     for command in chroot:
-        if command.kind is CommandKind.HOST:
+        if command.kind is host:
             host_text += "\n" + command.args[0]
-        elif command.kind is CommandKind.INSTALL:
+        elif command.kind is install:
             src_arg = command.args[-2]
-            if os.path.exists(pathlib_join(dir_of(command.origin.file), src_arg)):
+            if command.origin.file is not file:  # one Pifile's commands share one Path
+                file, here = command.origin.file, str(command.origin.file.parent)
+            if os.path.exists(pathlib_join(here, src_arg)):
                 continue
             # hint is part of src_arg; searched from the end, where its HOST usually is
             hint = posixpath.dirname(src_arg) or src_arg

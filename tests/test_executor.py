@@ -389,6 +389,29 @@ class TestGuestConfinement:
         assert root_dirs_left() == []
 
 
+class TestStageLines:
+    def test_no_stage_line_is_rendered_without_a_listener(self, tmp_path, monkeypatch):
+        def refuse(command):
+            raise AssertionError(f"rendered {command}")
+        monkeypatch.setattr(executor_mod, "render_command", refuse)
+        backend = DryRunExecutor()
+        run_pifile(tmp_path, "FROM base.img\nTO out.img\nPATH /opt/bin\n"
+                             "HOST cat << EOF\nbody\nEOF\n", backend)
+        assert backend.actions[-1].kind is ActionKind.HOST_EXEC
+
+    def test_a_listener_gets_the_first_line_of_each_command(self, tmp_path):
+        mbr_oracle.write_image(tmp_path / "base.img")
+        plan = make_plan(tmp_path, "FROM base.img\nTO out.img\nPATH /opt/bin\n"
+                                   "HOST cat << EOF\nbody\nEOF\n")
+        lines = []
+        execute(plan, DryRunExecutor(), RunOptions(
+            env=FIXED_ENV, emulators=[],
+            on_log=lambda stage, origin, message: lines.append((stage, origin, message))))
+        assert [(stage, origin.line_no, message) for stage, origin, message in lines
+                if origin is not None] == [("chroot", 3, "PATH /opt/bin"),
+                                           ("chroot", 4, "HOST cat << EOF")]
+
+
 class TestActionLog:
     def test_multiline_payload_stays_one_line(self):
         action = Action(ActionKind.GUEST_EXEC, {

@@ -2,11 +2,11 @@
 
 ``write_oracle_pifile`` generates a seeded Pifile of about 1,000 directives
 over two Pifile directories, and the test pins the SHA-256 of the dry-run
-log, stdout and stderr of one ``imgforge --dry-run`` process on it.  The
-inputs do not depend on the host: the build environment is pinned, the
-emulator is named, and every path in the log is relative to the working
-directory.  A change that only makes the pipeline faster must leave all
-three digests as they are.
+log, stdout and stderr of ``imgforge --dry-run`` on it, in two processes
+under two hash seeds.  The inputs do not depend on the host: the build
+environment is pinned, the emulator is named, and every path in the log is
+relative to the working directory.  A change that only makes the pipeline
+faster must leave all three digests as they are.
 """
 
 import hashlib
@@ -17,6 +17,8 @@ import sys
 from pathlib import Path
 
 import mbr_oracle
+from imgforge.actions import ActionKind
+from imgforge.pifile import CommandKind
 
 SRC = Path(__file__).parent.parent / "src"
 
@@ -102,18 +104,34 @@ def test_oracle_dry_run_is_byte_identical(tmp_path):
               "sys.exit(main(sys.argv[1:], {'PATH': '/usr/bin:/bin'}))")
     argv = [sys.executable, "-c", script, "--dry-run", "plan.log", "--env", "NODE=alpha",
             "--emulator", "/usr/bin/qemu-arm-static", pifile.name]
-    # the host's own environment, so debugfs is found; the build's environment is pinned
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    result = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, check=False)
-    assert result.returncode == 0, result.stderr.decode()
-    log = (tmp_path / "plan.log").read_bytes()
-    assert log.count(b"\n") > 1000
-    assert {
-        "log": _digest(log),
-        "stdout": _digest(result.stdout),
-        "stderr": _digest(result.stderr),
-    } == {
+    digests = {}
+    # a kind hashes by its address and a string by a seeded hash, so nothing may iterate
+    # a set of either: two processes under two hash seeds must write the same bytes
+    for seed in ("0", "1"):
+        # the host's own environment, so debugfs is found; the build's environment is pinned
+        env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONHASHSEED": seed}
+        result = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, check=False)
+        assert result.returncode == 0, result.stderr.decode()
+        log = (tmp_path / "plan.log").read_bytes()
+        assert log.count(b"\n") > 1000
+        digests[seed] = {
+            "log": _digest(log),
+            "stdout": _digest(result.stdout),
+            "stderr": _digest(result.stderr),
+        }
+    assert digests["0"] == digests["1"] == {
         "log": "4a3d90283d543f28a066aad50eda2048892f1e4d55fbe5f6abb2a6bc8f089561",
         "stdout": "262168fbabd2b9818efbc9c2765f5f1692e52c8059a6763e0830ff89d1c65d1a",
         "stderr": "bece7f40edf53f08775026b3a3db46ac071a97162b3401a2a80249c848d8f119",
     }
+
+
+def test_kinds_iterate_in_definition_order():
+    assert [kind.name for kind in ActionKind] == [
+        "FETCH", "COPY_IMAGE", "DEVICE_WRITE", "GROW_FILE", "TABLE_WRITE", "FS_RESIZE",
+        "LOOP_ATTACH", "MOUNT_PARTITION", "BIND_MOUNT", "COPY_EMULATOR", "UNMOUNT",
+        "REMOVE_EMULATOR", "LOOP_DETACH", "HOST_EXEC", "GUEST_EXEC", "COPY_IN",
+    ]
+    assert [kind.name for kind in CommandKind] == [
+        "FROM", "TO", "INPLACE", "PUMP", "PATH", "RUN", "INSTALL", "HOST", "INCLUDE",
+    ]

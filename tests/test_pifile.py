@@ -231,6 +231,32 @@ class TestHeredocs:
         assert err.value.origin.line_no == 2
         assert form in str(err.value)
 
+    @pytest.mark.parametrize("line, form", [
+        ("RUN cat << EOF > /etc/motd", "<< EOF >"),
+        ("RUN cat <<EOF>>/etc/motd", "<<EOF>>"),
+        ("HOST sort << EOF | uniq", "<< EOF |"),
+        ("RUN cat << EOF 2> /dev/null", "<< EOF 2>"),
+        ("RUN cat << EOF; echo done", "<< EOF;"),
+        ("HOST cat << EOF && echo done", "<< EOF &"),
+        ("RUN cat << EOF < /dev/null", "<< EOF <"),
+    ])
+    def test_a_marker_followed_by_an_operator_is_refused_at_its_line(self, line, form):
+        with pytest.raises(MalformedArgs) as err:
+            parse(f"FROM a.img\n{line}\nPUMP 1G\nEOF\n")
+        assert err.value.origin.line_no == 2
+        assert f"unsupported here-document form {form!r}" in str(err.value)
+        assert "'tee FILE << WORD'" in str(err.value)
+
+    @pytest.mark.parametrize("line", [
+        "RUN echo $((1 << 4)) > f",
+        "RUN echo 'a << b' > f",
+        "RUN cat <<< word > f",
+    ])
+    def test_a_non_marker_before_an_operator_is_command_text(self, line):
+        pifile = parse(f"{line}\nPUMP 1M\n")
+        assert kinds_and_args(pifile) == [(CommandKind.RUN, (line[4:],)),
+                                          (CommandKind.PUMP, ("1M",))]
+
     def test_heredoc_on_non_run_is_malformed(self):
         with pytest.raises(MalformedArgs):
             parse("PUMP 1M << EOF\nEOF\n")
@@ -302,9 +328,12 @@ _verbatim_text = st.text(
     alphabet="abcdefghijklmnopqrstuvwxyz0123456789 ._-/=:&|'\"<()",
     max_size=40,
 )
-# a trailing `<< word` opens a here-document or is refused; any other `<<` is command text
+# a trailing `<< word` opens a here-document, is refused, or is followed by the marker of
+# the rendered here-document, and a plain `<< word` followed by an operator is refused;
+# any other `<<` is command text
 _TRAILING_MARKER = re.compile(
-    r"(?:\S\s+|[^\s<])<<\s*([A-Za-z0-9_][A-Za-z0-9_.-]*|-\s*\S+|['\"]\S*)$")
+    r"(?:^|\S\s+|[^\s<])<<\s*([A-Za-z0-9_][A-Za-z0-9_.-]*|-\s*\S+|['\"]\S*)$"
+    r"|(?<!<)<<\s*[A-Za-z0-9_][A-Za-z0-9_.-]*\s*(?:2>|[<>|&;])")
 _verbatim = st.one_of(
     _verbatim_text,
     st.tuples(_verbatim_text, st.sampled_from(["<<", " << ", "$((n << 2))"]),
