@@ -168,7 +168,7 @@ def _main(argv: Sequence[str] | None, env: Mapping[str, str] | None,
             refresh=ns.refresh,
             offline=ns.offline,
             emulators=ns.emulator,
-            on_log=_stdout_logger(),
+            on_log=_stdout_logger,
         )
         try:
             report = execute(plan, backend, options)
@@ -194,17 +194,11 @@ def _main(argv: Sequence[str] | None, env: Mapping[str, str] | None,
         return EXIT_EXECUTION
 
 
-def _stdout_logger() -> Callable[[str, SourceLine | None, str], None]:
-    last: list = [None, ""]  # one Pifile's commands share one Path: its name is read once
-
-    def log(stage: str, origin: SourceLine | None, message: str) -> None:
-        if origin is None:
-            print(render_log(stage, message))
-            return
-        if origin.file is not last[0]:
-            last[:] = origin.file, origin.file.name
-        print(render_log(stage, message, pifile=last[1], line=origin.line_no))
-    return log
+def _stdout_logger(stage: str, origin: SourceLine | None, message: str) -> None:
+    if origin is not None:
+        print(render_log(stage, message, pifile=origin.file.name, line=origin.line_no))
+    else:
+        print(render_log(stage, message))
 
 
 def _report_error(exc: ImgforgeError) -> None:

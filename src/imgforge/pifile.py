@@ -263,8 +263,9 @@ def _check_arity(kind: CommandKind, args: tuple[str, ...], origin: SourceLine) -
     low, high = _ARITY[kind]
     if len(args) < low or (high is not None and len(args) > high):
         bound = f"{low}" if high == low else f"{low}..{high if high is not None else 'n'}"
-        raise MalformedArgs(f"{kind.value} takes {bound} argument(s), got {len(args)}",
-                            origin=origin)
+        raise MalformedArgs(
+            f"{kind.value} takes {bound} argument(s), got {len(args)}", origin=origin
+        )
 
 
 def render_command(command: Command) -> str:
