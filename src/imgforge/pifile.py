@@ -87,14 +87,14 @@ _ARITY: dict[CommandKind, tuple[int, int | None]] = {
 _VERBATIM = frozenset({CommandKind.RUN, CommandKind.HOST})
 
 # `<< WORD` ending a RUN/HOST line opens a here-document when WORD is a plain
-# word; a quoted WORD or `<<-` is refused, and any other `<<`, `<<<` among
-# them, is command text
+# word; a quoted WORD or `<<-` is refused, and so is a plain word followed by an
+# operator (_MARKER_NOT_LAST); any other `<<`, `<<<` among them, is command text
 _HEREDOC_MARKER = re.compile(
     r"(?P<cmd>.*\S)(?:\s+|(?<!<))"  # a `<<` right after a `<` is part of a `<<<`
     r"(?P<form><<\s*(?:(?P<delim>[A-Za-z0-9_][A-Za-z0-9_.-]*)|-\s*\S+|['\"]\S*))"
 )
 # a plain `<< WORD` followed by a redirection or a control operator, as in
-# `cat << EOF > FILE`: refused at its line, since the body would parse as directives
+# `cat << EOF > FILE`: its body would otherwise parse as directives
 _MARKER_NOT_LAST = re.compile(r"(?<!<)<<\s*[A-Za-z0-9_][A-Za-z0-9_.-]*\s*(?:2?>>?|[<|&;])")
 _ENV_VAR = re.compile(
     r"\$\{(?P<braced>[A-Za-z_][A-Za-z0-9_]*)\}|\$(?P<plain>[A-Za-z_][A-Za-z0-9_]*)"

@@ -216,7 +216,8 @@ def validate_plan(plan: ExecutionPlan) -> list[str]:
 
     # a source argument holds no whitespace, so no match spans two joined texts
     host_text = ""
-    host, install, file = CommandKind.HOST, CommandKind.INSTALL, None  # locals: see build_plan
+    host, install = CommandKind.HOST, CommandKind.INSTALL  # locals: see build_plan
+    file = here = None
     for command in chroot:
         if command.kind is host:
             host_text += "\n" + command.args[0]
