@@ -231,10 +231,12 @@ def parse_pifile_text(text: str, env: Mapping[str, str] | None = None, *,
 
         heredoc: str | None = None
         if kind in _VERBATIM:
-            late = "<<" in remainder and _MARKER_NOT_LAST.search(remainder)
-            if late:
-                raise MalformedArgs(f"unsupported here-document form {late[0]!r}: << WORD must "
-                                    "end the line, as in 'tee FILE << WORD'", origin=origin)
+            for late in _MARKER_NOT_LAST.finditer(remainder) if "<<" in remainder else ():
+                head = remainder[:late.start()]
+                if head.count("((") <= head.count("))"):  # not a shift inside `$((`
+                    raise MalformedArgs(f"unsupported here-document form {late[0]!r}: << WORD "
+                                        "must end the line, as in 'tee FILE << WORD'",
+                                        origin=origin)
             marker = "<<" in remainder and _HEREDOC_MARKER.fullmatch(remainder)
             if marker:
                 if marker.group("delim") is None:

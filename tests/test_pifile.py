@@ -239,6 +239,7 @@ class TestHeredocs:
         ("RUN cat << EOF; echo done", "<< EOF;"),
         ("HOST cat << EOF && echo done", "<< EOF &"),
         ("RUN cat << EOF < /dev/null", "<< EOF <"),
+        ("RUN echo $((1 << 4 | 2)); cat << EOF > /etc/motd", "<< EOF >"),
     ])
     def test_a_marker_followed_by_an_operator_is_refused_at_its_line(self, line, form):
         with pytest.raises(MalformedArgs) as err:
@@ -249,6 +250,8 @@ class TestHeredocs:
 
     @pytest.mark.parametrize("line", [
         "RUN echo $((1 << 4)) > f",
+        "RUN echo $((1 << 4 | 2)) > f",
+        "RUN test $(( (x << 2) & 4 )) -eq 4",
         "RUN echo 'a << b' > f",
         "RUN cat <<< word > f",
     ])
