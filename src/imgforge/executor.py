@@ -38,7 +38,6 @@ import os
 import shutil
 import subprocess
 import tempfile
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -89,33 +88,29 @@ def run_command(argv: Sequence[str], *, stdin_text: str | None = None,
     Lines streamed to ``on_output`` are not kept and the returned text is
     empty; without ``on_output`` the output is collected and returned.  It
     is decoded as UTF-8, an invalid byte becoming U+FFFD.  Standard input is
-    fed from a helper thread so a command that writes output while reading a
-    large here-document cannot deadlock the pipes.  An exception that leaves
-    this function, a signal's for one, kills the command first.
+    ``stdin_text`` in an unnamed temporary file, as bash makes for a
+    here-document, encoded as UTF-8 with a lone surrogate as ``?``; a file
+    never fills, so no thread is started.  An exception that leaves this
+    function, a signal's for one, kills the command first.
     """
-    try:
-        proc = subprocess.Popen(
-            list(argv),
-            stdin=subprocess.PIPE if stdin_text is not None else subprocess.DEVNULL,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-            cwd=cwd,
-            env=dict(env) if env is not None else None,
-            text=True, encoding="utf-8", errors="replace",
-        )
-    except FileNotFoundError as exc:
-        raise ShellUnavailable(f"cannot execute {argv[0]}: {exc}") from exc
-    with proc:  # closes the pipes on every way out
-        feeder = None
-        if stdin_text is not None:
-            assert proc.stdin is not None
-
-            def _feed(stdin=proc.stdin) -> None:
-                with contextlib.suppress(OSError), stdin:  # a command may not read it all
-                    stdin.write(stdin_text)
-
-            feeder = threading.Thread(target=_feed, daemon=True)
-            feeder.start()
+    with (tempfile.TemporaryFile("w+", encoding="utf-8", errors="replace")
+          if stdin_text is not None else contextlib.nullcontext()) as body:
+        if body is not None:  # closed once the command holds its own descriptor
+            body.write(stdin_text)
+            body.seek(0)
+        try:
+            proc = subprocess.Popen(
+                list(argv),
+                stdin=subprocess.DEVNULL if body is None else body,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.STDOUT,
+                cwd=cwd,
+                env=dict(env) if env is not None else None,
+                text=True, encoding="utf-8", errors="replace",
+            )
+        except FileNotFoundError as exc:
+            raise ShellUnavailable(f"cannot execute {argv[0]}: {exc}") from exc
+    with proc:  # closes the pipe on every way out
         collected: list[str] = []
         sink = on_output or collected.append
         assert proc.stdout is not None
@@ -126,8 +121,6 @@ def run_command(argv: Sequence[str], *, stdin_text: str | None = None,
         except BaseException:
             proc.kill()
             raise
-        if feeder is not None:
-            feeder.join(timeout=10)
     return status, "\n".join(collected)
 
 

@@ -59,7 +59,7 @@ class FstabEntry:
 
 
 def parse_fstab(text: str) -> list[FstabEntry]:
-    """Parse fstab text: six whitespace-separated fields per line.
+    """Parse fstab text: 4 to 6 fields per line, a missing dump or pass reading 0.
 
     Blank lines and ``#`` comments are skipped; malformed lines are skipped
     with a warning rather than aborting, since guest fstabs are not under
@@ -71,12 +71,12 @@ def parse_fstab(text: str) -> list[FstabEntry]:
         if not line or line.startswith("#"):
             continue
         fields = line.split()
-        if len(fields) != 6:
-            logger.warning("fstab line %d has %d fields (expected 6), skipped: %s",
+        if not 4 <= len(fields) <= 6:
+            logger.warning("fstab line %d has %d fields (expected 4 to 6), skipped: %s",
                            line_no, len(fields), line)
             continue
         try:
-            dump, passno = int(fields[4]), int(fields[5])
+            dump, passno = map(int, (*fields[4:], "0", "0")[:2])
         except ValueError:
             logger.warning("fstab line %d has non-numeric dump/pass fields, skipped: %s",
                            line_no, line)

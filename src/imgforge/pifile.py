@@ -51,8 +51,6 @@ from .errors import (
 
 logger = logging.getLogger(__name__)
 
-MAX_INCLUDE_DEPTH = 16
-
 
 class CommandKind(Enum):
     FROM = "FROM"
@@ -182,28 +180,26 @@ def parse_heredoc(lines: list[str], start: int, delimiter: str,
 
 
 def parse_pifile(path: str | Path, env: Mapping[str, str] | None = None,
-                 include_depth: int = 0) -> Pifile:
+                 chain: tuple[Path, ...] = ()) -> Pifile:
     """Parse the Pifile at ``path``, splicing INCLUDEd files in place."""
     path = Path(path)
-    if include_depth >= MAX_INCLUDE_DEPTH:
-        raise IncludeCycle(
-            f"include depth limit ({MAX_INCLUDE_DEPTH}) reached at {path}; include cycle?"
-        )
     try:
         text = path.read_text(encoding="utf-8")
     except FileNotFoundError:
         raise PifileError(f"Pifile not found: {path}") from None
     except OSError as exc:
         raise PifileError(f"cannot read {path}: {exc}") from exc
-    return parse_pifile_text(text, env, source_path=path, include_depth=include_depth)
+    return parse_pifile_text(text, env, source_path=path, chain=chain)
 
 
 def parse_pifile_text(text: str, env: Mapping[str, str] | None = None, *,
                       source_path: Path | str = Path("<text>"),
-                      include_depth: int = 0) -> Pifile:
-    """Parse Pifile source text; ``source_path`` anchors includes and errors."""
+                      chain: tuple[Path, ...] = ()) -> Pifile:
+    """Parse Pifile source text; ``source_path`` anchors includes and errors.  An INCLUDE of
+    it, or of a file in ``chain`` (those whose INCLUDE led here), raises IncludeCycle."""
     env = {} if env is None else env
     source_path = Path(source_path)
+    chain = (*chain, source_path)
     lines = text.splitlines()  # also strips \r from CRLF input
     commands: list[Command] = []
     include = CommandKind.INCLUDE  # a member read through the class is a slow lookup on 3.11
@@ -254,7 +250,10 @@ def parse_pifile_text(text: str, env: Mapping[str, str] | None = None, *,
             target = source_path.parent / args[0]
             if not target.is_file():
                 raise IncludeNotFound(f"included file not found: {target}", origin=origin)
-            included = parse_pifile(target, env, include_depth + 1)
+            if target.resolve() in {path.resolve() for path in chain}:
+                raise IncludeCycle("include cycle: " + " -> ".join(map(str, (*chain, target))),
+                                   origin=origin)
+            included = parse_pifile(target, env, chain)
             commands.extend(included.commands)
         else:
             commands.append(Command(kind, args, origin, heredoc))

@@ -66,7 +66,7 @@ CASES = {
     "include-cycle": (
         {"main.Pifile": "FROM a.img\nsource loop.Pifile\n",
          "loop.Pifile": "RUN true\nsource main.Pifile\n"},
-        1, "[error] include depth limit (16) reached at main.Pifile; include cycle?\n"),
+        1, "[error] loop.Pifile:2: include cycle: main.Pifile -> loop.Pifile -> main.Pifile\n"),
     "undefined-variable": (
         {"main.Pifile": "FROM a.img\nRUN echo ${NOPE} $ALSO_NOPE\nBOGUS\n"},
         1, "WARNING: main.Pifile:2: undefined variable $NOPE expands to empty string\n"

@@ -4,8 +4,10 @@ import lzma
 import os
 import re
 import shutil
+import signal
 import subprocess
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -169,6 +171,22 @@ class InOrderSink:
         self.in_order = self.in_order and line == str(self.count)
 
 
+@pytest.fixture
+def alarm():
+    """Fails a test whose command hangs, after 10 s, instead of holding the suite."""
+    def expire(signum, frame):
+        raise TimeoutError("run_command did not return within 10 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(10)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+MIB_BODY = "x" * (1 << 20)
+
+
 class TestRunCommand:
     def test_streamed_lines_are_delivered_and_not_kept(self):
         sink = InOrderSink()
@@ -191,6 +209,57 @@ class TestRunCommand:
         lines = []
         run_command(["printf", "a\r\nb\rc\n"], on_output=lines.append)
         assert lines == ["a", "b", "c"]
+
+    def test_a_body_is_fed_while_output_streams(self, alarm):
+        """The command writes 200,000 lines before it reads a 1 MiB body."""
+        sink, tail = InOrderSink(), []
+
+        def listen(line):
+            if sink.count < 200000:
+                sink(line)
+            else:
+                tail.append(line)
+
+        status, text = run_command(["/bin/sh", "-c", "seq 1 200000; wc -c"],
+                                   stdin_text=MIB_BODY, on_output=listen)
+        assert (status, text) == (0, "")
+        assert sink.count == 200000 and sink.in_order
+        assert tail == ["1048576"]
+
+    def test_a_body_starts_no_thread(self, alarm):
+        before = threading.active_count()
+        seen = set()
+        status, _ = run_command(["/bin/sh", "-c", "seq 1 1000; wc -c"], stdin_text=MIB_BODY,
+                                on_output=lambda line: seen.add(threading.active_count()))
+        assert status == 0
+        assert seen == {before}
+
+    @pytest.mark.parametrize("argv, output", [(["true"], ""), (["head", "-c", "10"], "x" * 10)])
+    def test_a_body_read_in_part_or_not_at_all(self, alarm, argv, output):
+        assert run_command(argv, stdin_text=MIB_BODY) == (0, output)
+
+    def test_a_lone_surrogate_in_a_body_is_fed_as_a_question_mark(self, alarm):
+        """A non-UTF-8 byte of the environment reaches a body as a lone surrogate."""
+        status, text = run_command(["od", "-An", "-c"], stdin_text="a\udcffb")
+        assert (status, text.split()) == (0, ["a", "?", "b"])
+
+    def test_an_exception_from_the_listener_kills_the_command(self, alarm):
+        class Stop(Exception):
+            pass
+
+        def listen(line):
+            lines.append(line)
+            if len(lines) == 4:  # the shell's pid, then 1, 2 and 3
+                raise Stop
+
+        lines = []
+        fds = sorted(os.listdir("/proc/self/fd"))
+        with pytest.raises(Stop):
+            run_command(["/bin/sh", "-c", "echo $$; seq 1 5; exec sleep 30"],
+                        stdin_text=MIB_BODY, on_output=listen)
+        with pytest.raises(ProcessLookupError):  # killed and reaped
+            os.kill(int(lines[0]), 0)
+        assert sorted(os.listdir("/proc/self/fd")) == fds
 
 
 class TestRunGuest:
@@ -1086,6 +1155,17 @@ class TestGuestFstab:
             [self.BOOT_OPTIONS.removeprefix("options="), f"{tmp_path}/out.img"]]
         assert mounts[1][4].endswith("/boot")
         assert root_dirs_left() == []
+
+    def test_a_boot_line_without_dump_and_pass_is_mounted(self, tmp_path, monkeypatch, caplog):
+        """fstab(5) reads a missing dump or pass field as 0; the line is not skipped."""
+        monkeypatch.chdir(tmp_path)
+        write_ext4_root(mbr_oracle.write_image(tmp_path / "base.img"),
+                        {"etc/fstab": self.BOOT_FSTAB.replace(" defaults 0 2\n", " defaults\n")})
+        code, log, _ = self._build(tmp_path, dry_run=True)
+        assert code == 0
+        boot = f"source={tmp_path}/out.img\ttarget=<root>/boot\t{self.BOOT_OPTIONS}"
+        assert f"MOUNT_PARTITION\t{boot}\n" in log
+        assert [r for r in caplog.records if r.name == "imgforge.mounts"] == []
 
     @pytest.mark.parametrize("dry_run", [True, False])
     def test_root_without_a_filesystem_warns_once_and_mounts_only_the_base(

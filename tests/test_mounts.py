@@ -83,11 +83,22 @@ class TestParseFstab:
         assert entries[0].passno == int(fields[5]) == 1
 
     def test_malformed_lines_skipped_with_warning(self, caplog):
-        text = "only three fields here\nproc /proc proc defaults 0 0\n"
+        text = "only three fields\nproc /proc proc defaults 0 0\n"
         with caplog.at_level(logging.WARNING, logger="imgforge.mounts"):
             entries = parse_fstab(text)
         assert len(entries) == 1
         assert any("skipped" in r.message for r in caplog.records)
+
+    @pytest.mark.parametrize("line, dump", [("proc /proc proc defaults", 0),
+                                            ("proc /proc proc defaults 1", 1)])
+    def test_missing_dump_and_pass_read_as_zero(self, line, dump):
+        assert parse_fstab(line + "\n") == [FstabEntry("proc", "/proc", "proc", "defaults",
+                                                        dump, 0)]
+
+    def test_seven_fields_skipped_with_warning(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="imgforge.mounts"):
+            assert parse_fstab("proc /proc proc defaults 0 0 extra\n") == []
+        assert "has 7 fields" in caplog.records[0].getMessage()
 
     def test_non_numeric_pass_skipped(self, caplog):
         with caplog.at_level(logging.WARNING, logger="imgforge.mounts"):

@@ -313,6 +313,39 @@ class TestIncludes:
         with pytest.raises(IncludeCycle):
             parse_pifile(loop)
 
+    def test_self_include_is_a_cycle_at_its_line(self, tmp_path):
+        loop = tmp_path / "loop.Pifile"
+        loop.write_text("RUN true\nINCLUDE ./loop.Pifile\n")
+        with pytest.raises(IncludeCycle) as caught:
+            parse_pifile(loop)
+        assert caught.value.origin.line_no == 2
+        assert caught.value.args[0] == f"include cycle: {loop} -> {tmp_path}/loop.Pifile"
+
+    def test_two_file_cycle_names_the_chain(self, tmp_path):
+        (tmp_path / "main.Pifile").write_text("FROM base.img\nsource loop.Pifile\n")
+        (tmp_path / "loop.Pifile").write_text("HOST true\nsource main.Pifile\n")
+        with pytest.raises(IncludeCycle) as caught:
+            parse_pifile(tmp_path / "main.Pifile")
+        origin = caught.value.origin
+        assert (origin.file.name, origin.line_no) == ("loop.Pifile", 2)
+        assert caught.value.args[0] == "include cycle: " + " -> ".join(
+            str(tmp_path / name) for name in ("main.Pifile", "loop.Pifile", "main.Pifile"))
+
+    def test_include_through_a_symlink_is_a_cycle(self, tmp_path):
+        (tmp_path / "main.Pifile").write_text("FROM base.img\nINCLUDE link.Pifile\n")
+        (tmp_path / "link.Pifile").symlink_to("main.Pifile")
+        with pytest.raises(IncludeCycle):
+            parse_pifile(tmp_path / "main.Pifile")
+
+    def test_diamond_include_is_no_cycle(self, tmp_path):
+        """a sources b and c, and both source d: d is read twice, in a chain of its own."""
+        (tmp_path / "a.Pifile").write_text("FROM base.img\nsource b.Pifile\nsource c.Pifile\n")
+        (tmp_path / "b.Pifile").write_text("RUN b\nsource d.Pifile\n")
+        (tmp_path / "c.Pifile").write_text("RUN c\nsource d.Pifile\n")
+        (tmp_path / "d.Pifile").write_text("RUN d\n")
+        pifile = parse_pifile(tmp_path / "a.Pifile")
+        assert [c.args[0] for c in pifile.commands] == ["base.img", "b", "d", "c", "d"]
+
     def test_env_reaches_included_file(self, tmp_path):
         (tmp_path / "mod.Pifile").write_text("RUN echo $GREETING\n")
         main = tmp_path / "main.Pifile"
