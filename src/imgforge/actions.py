@@ -61,13 +61,13 @@ class Action:
 
 
 def _escape(value: str) -> str:
-    if "\\" in value or "\t" in value or "\n" in value:
-        return value.replace("\\", "\\\\").replace("\t", "\\t").replace("\n", "\\n")
-    return value
+    return value.replace("\\", "\\\\").replace("\t", "\\t").replace("\n", "\\n")
 
 
 def render_action(action: Action) -> str:
-    fields = "".join([f"\t{key}={_escape(value)}" for key, value in action.payload.items()])
+    fields = "".join([f"\t{key}={value}" if "\\" not in value and "\t" not in value
+                      and "\n" not in value else f"\t{key}={_escape(value)}"
+                      for key, value in action.payload.items()])
     return f"{action.ordinal}\t{action.kind._name_}{fields}"
 
 

@@ -168,7 +168,7 @@ def _main(argv: Sequence[str] | None, env: Mapping[str, str] | None,
             refresh=ns.refresh,
             offline=ns.offline,
             emulators=ns.emulator,
-            on_log=_stdout_logger,
+            on_log=_stdout_logger(),
         )
         try:
             report = execute(plan, backend, options)
@@ -194,11 +194,19 @@ def _main(argv: Sequence[str] | None, env: Mapping[str, str] | None,
         return EXIT_EXECUTION
 
 
-def _stdout_logger(stage: str, origin: SourceLine | None, message: str) -> None:
-    if origin is not None:
-        print(render_log(stage, message, pifile=origin.file.name, line=origin.line_no))
-    else:
-        print(render_log(stage, message))
+def _stdout_logger() -> Callable[[str, SourceLine | None, str], None]:
+    """A stage-line printer for one build; it reads a Pifile's name once per run of its lines."""
+    file = name = None
+
+    def log(stage: str, origin: SourceLine | None, message: str) -> None:
+        nonlocal file, name
+        if origin is None:
+            sys.stdout.write(f"[{stage}] {message}\n")
+            return
+        if origin.file is not file:  # held, so it is never another Path at a reused address
+            file, name = origin.file, origin.file.name
+        sys.stdout.write(f"[{stage}] {name}:{origin.line_no} {message}\n")
+    return log
 
 
 def _report_error(exc: ImgforgeError) -> None:

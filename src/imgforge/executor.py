@@ -57,7 +57,7 @@ from .errors import (
     ShellUnavailable,
     SourceMissing,
 )
-from .pifile import Command, CommandKind, SourceLine, pathlib_join, render_command
+from .pifile import Command, CommandKind, SourceLine, pathlib_join, render_first_line
 from .plan import ExecutionPlan, Stage
 
 logger = logging.getLogger(__name__)
@@ -498,7 +498,7 @@ def execute(plan: ExecutionPlan, backend: Executor,
         log(stage_label, None, "begin")
         if plan.pump_bytes > 0:
             for command in plan.staged[Stage.PREPARE]:
-                log(stage_label, command.origin, render_command(command))
+                log(stage_label, command.origin, render_first_line(command))
             table = image_mod.pump(plan, backend, table)
         durations[stage_label] = time.monotonic() - started
 
@@ -521,7 +521,7 @@ def execute(plan: ExecutionPlan, backend: Executor,
         file = here = None
         for command in chroot_commands:
             if opts.on_log is not None:  # a stage line is rendered only to be read
-                log(stage_label, command.origin, render_command(command).partition("\n")[0])
+                log(stage_label, command.origin, render_first_line(command))
             if command.kind is _PATH:
                 extensions.append(command.args[0])
                 guest_path = ":".join(compose_guest_path(extensions, host_path))

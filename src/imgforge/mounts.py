@@ -22,6 +22,7 @@ from __future__ import annotations
 import logging
 import os
 import re
+import shutil
 import subprocess
 from dataclasses import dataclass
 from pathlib import Path
@@ -128,20 +129,26 @@ def read_guest_fstab(image: str | Path, table: PartitionTable, index: int) -> st
     """Text of ``/etc/fstab`` on partition ``index`` of ``image``, read with ``debugfs``.
 
     A missing file, or a symlink, which debugfs does not follow, reads as
-    empty.  A partition that holds no ext2/3/4 filesystem reads as empty
-    with a warning.  Invalid UTF-8 becomes U+FFFD.
+    empty.  A partition with no ext2/3/4 superblock magic reads as empty
+    with a warning and starts no debugfs, though a debugfs missing from PATH
+    still fails; one with the magic reads as empty with a warning when
+    debugfs exits nonzero.  Invalid UTF-8 becomes U+FFFD.
     """
     offset = table.entries[index - 1].lba_start * SECTOR_SIZE
-    argv = ["debugfs", "-R", "cat /etc/fstab", f"{image}?offset={offset}"]
-    try:
-        proc = subprocess.run(argv, stdin=subprocess.DEVNULL, capture_output=True)
-    except OSError as exc:
-        raise ShellUnavailable(f"cannot execute debugfs to read the guest fstab: {exc}") from exc
-    if proc.returncode != 0:
-        logger.warning("partition %d of %s holds no ext2/3/4 filesystem; "
-                       "its /etc/fstab adds no mounts", index, image)
-        return ""
-    return proc.stdout.decode("utf-8", errors="replace")
+    with open(image, "rb", buffering=0) as fh:  # s_magic of an ext2/3/4 superblock
+        is_ext = os.pread(fh.fileno(), 2, offset + 1024 + 56) == b"\x53\xef"
+    if is_ext or shutil.which("debugfs") is None:  # a missing debugfs fails here
+        try:
+            proc = subprocess.run(["debugfs", "-R", "cat /etc/fstab", f"{image}?offset={offset}"],
+                                  stdin=subprocess.DEVNULL, capture_output=True)
+        except OSError as exc:
+            raise ShellUnavailable(
+                f"cannot execute debugfs to read the guest fstab: {exc}") from exc
+        if proc.returncode == 0:
+            return proc.stdout.decode("utf-8", errors="replace")
+    logger.warning("partition %d of %s holds no ext2/3/4 filesystem; "
+                   "its /etc/fstab adds no mounts", index, image)
+    return ""
 
 
 def discover_emulators(path_var: str) -> list[str]:

@@ -244,7 +244,9 @@ def parse_pifile_text(text: str, env: Mapping[str, str] | None = None, *,
             args = (remainder,) if remainder else ()
         else:
             args = tuple(remainder.split())
-        _check_arity(kind, args, origin)
+        low, high = _ARITY[kind]
+        if len(args) < low or (high is not None and len(args) > high):
+            _reject_arity(kind, args, origin)
 
         if kind is include:
             target = source_path.parent / args[0]
@@ -260,24 +262,26 @@ def parse_pifile_text(text: str, env: Mapping[str, str] | None = None, *,
     return Pifile(commands=commands, source_path=source_path)
 
 
-def _check_arity(kind: CommandKind, args: tuple[str, ...], origin: SourceLine) -> None:
+def _reject_arity(kind: CommandKind, args: tuple[str, ...], origin: SourceLine) -> None:
     low, high = _ARITY[kind]
-    if len(args) < low or (high is not None and len(args) > high):
-        bound = f"{low}" if high == low else f"{low}..{high if high is not None else 'n'}"
-        raise MalformedArgs(
-            f"{kind.value} takes {bound} argument(s), got {len(args)}", origin=origin
-        )
+    bound = f"{low}" if high == low else f"{low}..{high if high is not None else 'n'}"
+    raise MalformedArgs(f"{kind.value} takes {bound} argument(s), got {len(args)}", origin=origin)
+
+
+def render_first_line(command: Command) -> str:
+    """The first line of :func:`render_command`'s text, built without the here-document body."""
+    if command.kind not in _VERBATIM:
+        return " ".join((command.kind._value_, *command.args))
+    head = f"{command.kind._value_} {command.args[0]}"
+    return head if command.heredoc is None else f"{head} << {_pick_delimiter(command.heredoc)}"
 
 
 def render_command(command: Command) -> str:
     """Render one command back to canonical Pifile text."""
-    if command.kind in _VERBATIM:
-        head = f"{command.kind._value_} {command.args[0]}"
-        if command.heredoc is None:
-            return head
-        delim = _pick_delimiter(command.heredoc)
-        return f"{head} << {delim}\n{command.heredoc}{delim}"
-    return " ".join((command.kind._value_, *command.args))
+    first = render_first_line(command)
+    if command.kind not in _VERBATIM or command.heredoc is None:
+        return first
+    return f"{first}\n{command.heredoc}{first.rsplit(' ', 1)[1]}"  # the line ends in the delimiter
 
 
 def render_pifile(pifile: Pifile) -> str:

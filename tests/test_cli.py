@@ -508,6 +508,30 @@ class TestLogging:
         assert "[chroot] begin" in out
         assert "[chroot] walk.Pifile:3 RUN uname -a" in out
 
+    def test_two_dry_runs_in_one_process_each_name_their_own_files(self, tmp_path, capsys):
+        """No Pifile name outlives its build: the second build's Paths, made in the same
+        order and with names of the same lengths, may reuse the first's addresses."""
+        for name in ("alpha", "omega"):
+            build = tmp_path / name
+            build.mkdir()
+            (build / f"{name}-mod.Pifile").write_text("RUN true\nHOST true\n")
+            pifile = write_fixture(build, name=f"{name}.Pifile", text=(
+                f"FROM base.img\nTO out.img\nRUN a\nsource {name}-mod.Pifile\nRUN b\n"))
+            assert main(["--dry-run", str(build / "plan.log"), "--emulator",
+                         "/x/qemu-arm-static", str(pifile)], ENV) == 0
+            assert [line for line in capsys.readouterr().out.splitlines()
+                    if ".Pifile:" in line] == [f"[chroot] {name}.Pifile:3 RUN a",
+                                               f"[chroot] {name}-mod.Pifile:1 RUN true",
+                                               f"[chroot] {name}-mod.Pifile:2 HOST true",
+                                               f"[chroot] {name}.Pifile:5 RUN b"]
+
+    def test_here_document_stage_line_names_a_delimiter_its_body_lacks(self, tmp_path, capsys):
+        pifile = write_fixture(tmp_path, name="doc.Pifile",
+                               text="FROM base.img\nTO out.img\nRUN tee /x << END\nEOF\nEND\n")
+        assert main(["--dry-run", str(tmp_path / "plan.log"), "--emulator",
+                     "/x/qemu-arm-static", str(pifile)], ENV) == 0
+        assert "[chroot] doc.Pifile:3 RUN tee /x << EOF_" in capsys.readouterr().out.splitlines()
+
     def test_failure_line_names_stage_line_and_status(self, tmp_path, capsys):
         pifile = write_fixture(
             tmp_path, name="fail.Pifile",

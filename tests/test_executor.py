@@ -462,7 +462,7 @@ class TestStageLines:
     def test_no_stage_line_is_rendered_without_a_listener(self, tmp_path, monkeypatch):
         def refuse(command):
             raise AssertionError(f"rendered {command}")
-        monkeypatch.setattr(executor_mod, "render_command", refuse)
+        monkeypatch.setattr(executor_mod, "render_first_line", refuse)
         backend = DryRunExecutor()
         run_pifile(tmp_path, "FROM base.img\nTO out.img\nPATH /opt/bin\n"
                              "HOST cat << EOF\nbody\nEOF\n", backend)
@@ -1167,16 +1167,47 @@ class TestGuestFstab:
         assert f"MOUNT_PARTITION\t{boot}\n" in log
         assert [r for r in caplog.records if r.name == "imgforge.mounts"] == []
 
+    @staticmethod
+    def _debugfs_runs(monkeypatch):
+        """The argv of every debugfs that ``subprocess.run`` starts from now on."""
+        runs, real = [], subprocess.run
+
+        def run(argv, *args, **kwargs):
+            if Path(argv[0]).name == "debugfs":
+                runs.append(list(argv))
+            return real(argv, *args, **kwargs)
+        monkeypatch.setattr(subprocess, "run", run)
+        return runs
+
     @pytest.mark.parametrize("dry_run", [True, False])
     def test_root_without_a_filesystem_warns_once_and_mounts_only_the_base(
             self, tmp_path, monkeypatch, caplog, dry_run):
         monkeypatch.chdir(tmp_path)
         mbr_oracle.write_image(tmp_path / "base.img")
+        debugfs_runs = self._debugfs_runs(monkeypatch)
         code, log, _ = self._build(tmp_path, dry_run)
         assert code == 0
         warnings = [r for r in caplog.records if r.name == "imgforge.mounts"]
         assert len(warnings) == 1
         assert "holds no ext2/3/4 filesystem" in warnings[0].getMessage()
+        assert log.count("MOUNT_PARTITION") == 1
+        assert debugfs_runs == []  # no ext superblock magic at the root partition's +1080
+
+    @pytest.mark.parametrize("dry_run", [True, False])
+    def test_root_with_only_the_ext_magic_starts_debugfs_and_mounts_only_the_base(
+            self, tmp_path, monkeypatch, caplog, dry_run):
+        monkeypatch.chdir(tmp_path)
+        image = mbr_oracle.write_image(tmp_path / "base.img")
+        with open(image, "r+b") as fh:  # s_magic of an ext2/3/4 superblock, and nothing else
+            fh.seek(mbr_oracle.FIXTURE_PARTITIONS[1]["start"] * 512 + 1080)
+            fh.write(b"\x53\xef")
+        debugfs_runs = self._debugfs_runs(monkeypatch)
+        code, log, _ = self._build(tmp_path, dry_run)
+        assert code == 0
+        assert len(debugfs_runs) == 1
+        # debugfs 1.47 reports the corrupt superblock on stderr but exits 0, so this root
+        # reads as an empty fstab without the warning a root with no magic gets
+        assert [r for r in caplog.records if r.name == "imgforge.mounts"] == []
         assert log.count("MOUNT_PARTITION") == 1
 
     @pytest.mark.parametrize("dry_run", [True, False])

@@ -307,7 +307,7 @@ class TestIncludes:
         with pytest.raises(IncludeNotFound):
             parse_pifile(main)
 
-    def test_self_include_hits_depth_limit(self, tmp_path):
+    def test_self_include_by_bare_name_is_a_cycle(self, tmp_path):
         loop = tmp_path / "loop.Pifile"
         loop.write_text("INCLUDE loop.Pifile\n")
         with pytest.raises(IncludeCycle):
