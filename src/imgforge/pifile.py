@@ -246,7 +246,9 @@ def parse_pifile_text(text: str, env: Mapping[str, str] | None = None, *,
             args = tuple(remainder.split())
         low, high = _ARITY[kind]
         if len(args) < low or (high is not None and len(args) > high):
-            _reject_arity(kind, args, origin)
+            bound = f"{low}" if high == low else f"{low}..{high if high is not None else 'n'}"
+            raise MalformedArgs(f"{kind.value} takes {bound} argument(s), got {len(args)}",
+                                origin=origin)
 
         if kind is include:
             target = source_path.parent / args[0]
@@ -260,12 +262,6 @@ def parse_pifile_text(text: str, env: Mapping[str, str] | None = None, *,
         else:
             commands.append(Command(kind, args, origin, heredoc))
     return Pifile(commands=commands, source_path=source_path)
-
-
-def _reject_arity(kind: CommandKind, args: tuple[str, ...], origin: SourceLine) -> None:
-    low, high = _ARITY[kind]
-    bound = f"{low}" if high == low else f"{low}..{high if high is not None else 'n'}"
-    raise MalformedArgs(f"{kind.value} takes {bound} argument(s), got {len(args)}", origin=origin)
 
 
 def render_first_line(command: Command) -> str:
