@@ -1,11 +1,15 @@
-"""An oracle for the parser's and planner's error paths: exact stderr and exit code.
+"""An oracle for the CLI's error paths: exact stdout, stderr and exit code.
 
 Each case writes a small Pifile (and an empty ``a.img`` for FROM to name)
 into a fresh directory and runs ``imgforge main.Pifile`` there in its own
 process, so logging is configured as on the command line and every path
-in stderr is relative.  The expected text was recorded before the
-per-directive path was made faster; a change that only speeds that path up
-must leave every line as it is.
+in stderr is relative.  ``CASES`` are the parser's and planner's errors
+(exit 1); their text was recorded before the per-directive path was made
+faster.  ``BUILD_CASES`` fail while a build runs (exit 2) or on the host it
+runs on (exit 3), and none of them mounts anything; their text was recorded
+before the exception classes were folded into one per exit code.  A change
+that only speeds up a path or reshapes the error classes must leave every
+line as it is.
 """
 
 import os
@@ -80,6 +84,34 @@ CASES = {
         1, "[error] main.Pifile:2: INSTALL destination /etc/../../x has a '..' component\n"),
 }
 
+# case: (files, arguments, exit code, stdout, stderr); bytes are written as they are
+BUILD_CASES = {
+    "host-false": (
+        {"main.Pifile": "FROM a.img\nTO out.img\nHOST false\n"}, ["main.Pifile"],
+        2, "[setup] begin\n[prepare] begin\n[chroot] begin\n"
+           "[chroot] main.Pifile:3 HOST false\n"
+           "[chroot] main.Pifile:3 failed: HOST command failed with status 1: false\n",
+        "[chroot] main.Pifile:3: HOST command failed with status 1: false (exit status 1)\n"),
+    "pump-empty-image": (
+        {"main.Pifile": "FROM a.img\nTO out.img\nPUMP 1M\n"},
+        ["--dry-run", "plan.log", "main.Pifile"],
+        2, "[setup] begin\n",
+        "warning: no guest modifications: the chroot stage is empty\n"
+        "[setup] image is only 0 bytes, need at least 512\n"),
+    "corrupt-xz": (
+        {"main.Pifile": "FROM a.img.xz\nTO out.img\nHOST true\n",
+         "a.img.xz": b"not an xz stream\n"}, ["main.Pifile"],
+        2, "[setup] begin\n",
+        "[setup] cannot decompress a.img.xz: Input format not supported by decoder\n"),
+    "to-directory": (
+        {"main.Pifile": "FROM a.img\nTO out\nHOST true\n", "out/keep": ""}, ["main.Pifile"],
+        2, "[setup] begin\n", "[setup] destination out is a directory\n"),
+    "missing-emulator": (
+        {"main.Pifile": "FROM a.img\nTO out.img\nRUN true\n"},
+        ["--emulator", "missing", "main.Pifile"],
+        3, "[setup] begin\n", "[setup] emulator is not a file: missing\n"),
+}
+
 
 def run_cli(work: Path, *args: str) -> subprocess.CompletedProcess:
     """``imgforge ARGS`` in its own process, in ``work``, with a pinned build PATH."""
@@ -98,3 +130,17 @@ def test_error_path_is_pinned(tmp_path, case):
         (tmp_path / name).write_text(text)
     result = run_cli(tmp_path, "main.Pifile")
     assert (result.returncode, result.stdout, result.stderr) == (code, "", stderr)
+
+
+@pytest.mark.parametrize("case", BUILD_CASES)
+def test_build_error_path_is_pinned(tmp_path, case):
+    files, args, code, stdout, stderr = BUILD_CASES[case]
+    (tmp_path / "a.img").write_bytes(b"")
+    for name, content in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        if isinstance(content, bytes):
+            (tmp_path / name).write_bytes(content)
+        else:
+            (tmp_path / name).write_text(content)
+    result = run_cli(tmp_path, *args)
+    assert (result.returncode, result.stdout, result.stderr) == (code, stdout, stderr)
