@@ -10,10 +10,15 @@ stage and the originating Pifile line::
     [setup] begin
     [chroot] example.Pifile:8 RUN raspi-config nonint do_serial 0
 
-Errors go to stderr with file:line context.  Exit codes partition the
-outcomes: 0 success, 1 static Pifile/plan errors, 2 execution failures
-(SIGTERM and SIGHUP among them), 3 environment problems (missing
-privileges, unusable cache, no chroot).
+A build ends with one ``[done]`` line: the published image and its
+SHA-256, or for a dry run the number of actions.  Errors go to stderr with
+stage and file:line context, and the exit code is the ``exit_code`` of the
+error's class: 0 success, 1 a :class:`~imgforge.errors.PifileError` (static
+Pifile/plan errors) or a usage error, 2 an
+:class:`~imgforge.errors.ExecutionFailure` (SIGTERM and SIGHUP among them)
+or an ``OSError`` that no stage turned into one, 3 an
+:class:`~imgforge.errors.EnvironmentProblem` (missing privileges, unusable
+cache, no chroot).
 """
 
 from __future__ import annotations
@@ -27,33 +32,13 @@ import threading
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
-from .errors import (
-    CommandFailed,
-    EnvironmentProblem,
-    ImgforgeError,
-    Interrupted,
-    PifileError,
-)
+from .errors import CommandFailed, ExecutionFailure, ImgforgeError, PifileError
 from .executor import DryRunExecutor, Executor, LocalExecutor, RunOptions, execute
 from .pifile import SourceLine, parse_pifile
 from .plan import build_plan, validate_plan
 from .source import TargetKind
 
 logger = logging.getLogger(__name__)
-
-EXIT_OK = 0
-EXIT_PIFILE = 1
-EXIT_EXECUTION = 2
-EXIT_ENVIRONMENT = 3
-
-
-def render_log(stage: str, message: str, *, pifile: str | None = None,
-               line: int | None = None) -> str:
-    """Format one pipeline event: ``[stage] Pifile:NN message``."""
-    if pifile is not None and line is not None:
-        return f"[{stage}] {pifile}:{line} {message}"
-    return f"[{stage}] {message}"
-
 
 def _nonempty(value: str) -> str:
     if not value:
@@ -104,7 +89,7 @@ def _parse_env_overrides(pairs: Sequence[str]) -> dict[str, str]:
 
 
 def _interrupt(signum: int, frame: object) -> None:
-    raise Interrupted(f"interrupted by {signal.Signals(signum).name}")
+    raise ExecutionFailure(f"interrupted by {signal.Signals(signum).name}")
 
 
 def main(argv: Sequence[str] | None = None, env: Mapping[str, str] | None = None, *,
@@ -115,8 +100,8 @@ def main(argv: Sequence[str] | None = None, env: Mapping[str, str] | None = None
     exercise failure paths without touching the system.  It receives the
     parsed ``argparse.Namespace`` as it is: ``dry_run`` is the log path for
     a dry run and None for a real build.  Called on the main thread, it
-    turns SIGTERM and SIGHUP into :class:`Interrupted` until it returns, so
-    an interrupted build still tears down, and exits 2.
+    turns SIGTERM and SIGHUP into an :class:`ExecutionFailure` until it
+    returns, so an interrupted build still tears down, and exits 2.
     """
     previous = ({sig: signal.signal(sig, _interrupt) for sig in (signal.SIGTERM, signal.SIGHUP)}
                 if threading.current_thread() is threading.main_thread() else {})
@@ -133,7 +118,7 @@ def _main(argv: Sequence[str] | None, env: Mapping[str, str] | None,
     try:
         ns = parser.parse_args(list(argv) if argv is not None else None)
     except SystemExit as exc:
-        return EXIT_OK if exc.code in (0, None) else EXIT_PIFILE
+        return 0 if exc.code in (0, None) else PifileError.exit_code
 
     environment = dict(os.environ if env is None else env)
     dry_run = Path(ns.dry_run) if ns.dry_run is not None else None
@@ -162,13 +147,14 @@ def _main(argv: Sequence[str] | None, env: Mapping[str, str] | None,
         else:
             backend = LocalExecutor(on_output=lambda line: print(f"  {line}"))
 
+        log = _stdout_logger()
         options = RunOptions(
             env=environment,
             cache_dir=ns.cache,
             refresh=ns.refresh,
             offline=ns.offline,
             emulators=ns.emulator,
-            on_log=_stdout_logger(),
+            on_log=log,
         )
         try:
             report = execute(plan, backend, options)
@@ -176,22 +162,17 @@ def _main(argv: Sequence[str] | None, env: Mapping[str, str] | None,
             if dry_run is not None:  # a write failure surfaces as the OSError below
                 dry_run.write_text(backend.render_log())
         if report.image_digest is not None:
-            print(render_log("done", f"{plan.destination.path} sha256={report.image_digest}"))
+            log("done", None, f"{plan.destination.path} sha256={report.image_digest}")
         else:
-            print(render_log("done", f"{len(backend.actions)} actions"))
-        return EXIT_OK
-    except PifileError as exc:
-        _report_error(exc)
-        return EXIT_PIFILE
-    except EnvironmentProblem as exc:
-        _report_error(exc)
-        return EXIT_ENVIRONMENT
+            log("done", None, f"{len(backend.actions)} actions")
+        return 0
     except ImgforgeError as exc:
-        _report_error(exc)
-        return EXIT_EXECUTION
+        status = f" (exit status {exc.status})" if isinstance(exc, CommandFailed) else ""
+        print(f"[{exc.stage or 'error'}] {exc}{status}", file=sys.stderr)
+        return exc.exit_code
     except OSError as exc:
         print(f"[error] {exc}", file=sys.stderr)
-        return EXIT_EXECUTION
+        return ExecutionFailure.exit_code
 
 
 def _stdout_logger() -> Callable[[str, SourceLine | None, str], None]:
@@ -207,11 +188,6 @@ def _stdout_logger() -> Callable[[str, SourceLine | None, str], None]:
             file, name = origin.file, origin.file.name
         sys.stdout.write(f"[{stage}] {name}:{origin.line_no} {message}\n")
     return log
-
-
-def _report_error(exc: ImgforgeError) -> None:
-    status = f" (exit status {exc.status})" if isinstance(exc, CommandFailed) else ""
-    print(f"[{exc.stage or 'error'}] {exc}{status}", file=sys.stderr)
 
 
 def _configure_logging(verbosity: int) -> None:

@@ -1,9 +1,12 @@
-"""Exception hierarchy.
+"""Exception hierarchy: one class per exit code.
 
 Three base classes partition all failures by the exit code the CLI maps
-them to: PifileError (static problems in the Pifile or plan, exit 1),
-ExecutionFailure (something went wrong while applying a plan, exit 2),
-and EnvironmentProblem (the host cannot do what was asked, exit 3).
+them to, which each names as ``exit_code``: PifileError (static problems
+in the Pifile or plan, exit 1), ExecutionFailure (something went wrong
+while applying a plan, SIGTERM and SIGHUP among them, exit 2), and
+EnvironmentProblem (the host cannot do what was asked, exit 3).  The
+message tells one failure from another; CommandFailed also carries the
+failed command's status.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ if TYPE_CHECKING:
 
 class ImgforgeError(Exception):
     """Base class; carries optional Pifile origin and pipeline stage context."""
+
+    exit_code = 2
 
     def __init__(self, message: str, *, origin: "SourceLine | None" = None):
         super().__init__(message)
@@ -32,6 +37,8 @@ class ImgforgeError(Exception):
 class PifileError(ImgforgeError):
     """Static error in the Pifile text or the derived plan (exit code 1)."""
 
+    exit_code = 1
+
 
 class ExecutionFailure(ImgforgeError):
     """Dynamic failure while executing a plan (exit code 2)."""
@@ -40,138 +47,12 @@ class ExecutionFailure(ImgforgeError):
 class EnvironmentProblem(ImgforgeError):
     """The host environment cannot support the requested operation (exit code 3)."""
 
-
-# --- Pifile parsing ---------------------------------------------------------
-
-class UnknownCommand(PifileError):
-    pass
-
-
-class MalformedArgs(PifileError):
-    pass
-
-
-class UnterminatedHeredoc(PifileError):
-    pass
-
-
-class IncludeCycle(PifileError):
-    pass
-
-
-class IncludeNotFound(PifileError):
-    pass
-
-
-# --- planning ---------------------------------------------------------------
-
-class MissingSource(PifileError):
-    pass
-
-
-class ConflictingSource(PifileError):
-    pass
-
-
-class InvalidPartitionIndex(PifileError):
-    pass
-
-
-class MalformedSize(PifileError):
-    pass
-
-
-class InvalidMode(PifileError):
-    pass
-
-
-class SourceNotFound(PifileError):
-    pass
-
-
-# --- image surgery ----------------------------------------------------------
-
-class IoFailure(ExecutionFailure):
-    pass
-
-
-class ShortImage(ExecutionFailure):
-    pass
-
-
-class MissingBootSignature(ExecutionFailure):
-    pass
-
-
-class InvalidTable(ExecutionFailure):
-    pass
-
-
-class UnsupportedDiskLayout(ExecutionFailure):
-    """GPT protective MBR or an extended/logical partition where a primary is required."""
-
-
-class IsBlockDevice(ExecutionFailure):
-    pass
-
-
-class PartitionNotLast(ExecutionFailure):
-    pass
-
-
-class EmptyPartitionSlot(ExecutionFailure):
-    pass
-
-
-# --- source resolution ------------------------------------------------------
-
-class FetchFailed(ExecutionFailure):
-    pass
-
-
-class UnsupportedArchive(ExecutionFailure):
-    pass
-
-
-class MultipleImagesInArchive(ExecutionFailure):
-    pass
-
-
-class CorruptArchive(ExecutionFailure):
-    pass
-
-
-class DestinationIsDirectory(ExecutionFailure):
-    pass
-
-
-# --- mounts and execution ---------------------------------------------------
-
-class SourceMissing(ExecutionFailure):
-    """INSTALL source absent at execution time."""
+    exit_code = 3
 
 
 class CommandFailed(ExecutionFailure):
+    """A RUN or HOST command exited with a nonzero ``status``."""
+
     def __init__(self, message: str, *, status: int, origin: "SourceLine | None" = None):
         super().__init__(message, origin=origin)
         self.status = status
-
-
-class Interrupted(ExecutionFailure):
-    """SIGTERM or SIGHUP reached the build."""
-
-
-class CacheUnwritable(EnvironmentProblem):
-    pass
-
-
-class ChrootUnavailable(EnvironmentProblem):
-    pass
-
-
-class ShellUnavailable(EnvironmentProblem):
-    pass
-
-
-class PrivilegeRequired(EnvironmentProblem):
-    pass

@@ -48,15 +48,7 @@ from . import mounts as mounts_mod
 from . import source as source_mod
 # the vocabulary and its log format stay importable from here
 from .actions import Action, ActionKind, render_action, serialize_actions  # noqa: F401
-from .errors import (
-    ChrootUnavailable,
-    CommandFailed,
-    ImgforgeError,
-    IoFailure,
-    PrivilegeRequired,
-    ShellUnavailable,
-    SourceMissing,
-)
+from .errors import CommandFailed, EnvironmentProblem, ExecutionFailure, ImgforgeError
 from .pifile import Command, CommandKind, SourceLine, pathlib_join, render_first_line
 from .plan import ExecutionPlan, Stage
 
@@ -109,7 +101,7 @@ def run_command(argv: Sequence[str], *, stdin_text: str | None = None,
                 text=True, encoding="utf-8", errors="replace",
             )
         except FileNotFoundError as exc:
-            raise ShellUnavailable(f"cannot execute {argv[0]}: {exc}") from exc
+            raise EnvironmentProblem(f"cannot execute {argv[0]}: {exc}") from exc
     with proc:  # closes the pipe on every way out
         collected: list[str] = []
         sink = on_output or collected.append
@@ -161,7 +153,7 @@ class LocalExecutor(Executor):
     ``runner`` and needs root when the default runner is used, which
     :func:`execute` checks in setup.  Injecting a runner replaces that
     boundary wholesale, the root check included.  An action kind with no
-    handler raises IoFailure.
+    handler raises ExecutionFailure.
 
     ``root_dir`` resolves ``<root>``.  A mount at ``<root>`` makes it, a
     temporary directory, and its unmount removes it again unless the mount
@@ -196,7 +188,7 @@ class LocalExecutor(Executor):
     def _perform(self, action: Action) -> int:
         handler = self._handlers.get(action.kind)
         if handler is None:
-            raise IoFailure(f"the local backend cannot perform {action.kind.name}")
+            raise ExecutionFailure(f"the local backend cannot perform {action.kind.name}")
         return handler(action)
 
     # -- helpers ------------------------------------------------------------
@@ -205,7 +197,7 @@ class LocalExecutor(Executor):
         """``text`` with the ``<root>`` placeholder resolved."""
         if mounts_mod.ROOT_TOKEN in text:
             if self.root_dir is None:
-                raise IoFailure(f"no guest root is mounted to satisfy {text!r}")
+                raise ExecutionFailure(f"no guest root is mounted to satisfy {text!r}")
             text = text.replace(mounts_mod.ROOT_TOKEN, self.root_dir)
         return text
 
@@ -213,20 +205,20 @@ class LocalExecutor(Executor):
         """``text`` resolved: ``<root>`` substituted and every symlink followed.
 
         While a guest root is mounted, a path that then leaves it, through an
-        absolute symlink of the guest for one, raises IoFailure.
+        absolute symlink of the guest for one, raises ExecutionFailure.
         """
         path = os.path.realpath(self._sub(str(text)))
         if self.root_dir is not None:
             root = os.path.realpath(self.root_dir)
             if os.path.commonpath([root, path]) != root:
-                raise IoFailure(f"{text} leaves the guest root: it resolves to {path}")
+                raise ExecutionFailure(f"{text} leaves the guest root: it resolves to {path}")
         return Path(path)
 
     def _run_checked(self, argv: list[str], what: str) -> str:
-        """Run ``argv``; a nonzero status raises IoFailure.  Returns the output."""
+        """Run ``argv``; a nonzero status raises ExecutionFailure.  Returns the output."""
         status, out = self.runner(argv)
         if status != 0:
-            raise IoFailure(f"{what} failed with status {status}: {out}")
+            raise ExecutionFailure(f"{what} failed with status {status}: {out}")
         return out
 
     def _exec(self, argv: list[str], action: Action, **kw) -> int:
@@ -257,7 +249,7 @@ class LocalExecutor(Executor):
     def _copy_in(self, action: Action) -> int:
         src = Path(action.payload["src"])
         if not src.exists():
-            raise SourceMissing(f"INSTALL source does not exist: {src}")
+            raise ExecutionFailure(f"INSTALL source does not exist: {src}")
         dst = self._in_root(f"{action.payload['root']}/{action.payload['dst'].lstrip('/')}")
         if not src.is_dir() and dst.is_dir():
             dst = self._in_root(dst / src.name)  # where copy2 would write
@@ -358,7 +350,7 @@ def _guest_shell(root: str) -> str:
     for shell in ("/bin/sh", "/bin/bash"):
         if (Path(root) / shell.lstrip("/")).exists():
             return shell
-    raise ShellUnavailable(f"guest at {root} has neither /bin/sh nor /bin/bash")
+    raise EnvironmentProblem(f"guest at {root} has neither /bin/sh nor /bin/bash")
 
 
 # --- the high-level operations ------------------------------------------------
@@ -459,10 +451,10 @@ def execute(plan: ExecutionPlan, backend: Executor,
         if backend.performs_effects and (needs_guest or plan.pump_bytes > 0):
             missing = [e for e in emulators if not os.path.isfile(e)]
             if needs_guest and missing:
-                raise ChrootUnavailable(f"emulator is not a file: {', '.join(missing)}")
+                raise EnvironmentProblem(f"emulator is not a file: {', '.join(missing)}")
             # an injected runner owns the privilege boundary; only gate the real one
             if getattr(backend, "runner", None) is run_command and os.geteuid() != 0:
-                raise PrivilegeRequired("PUMP, RUN and INSTALL require root; re-run with sudo")
+                raise EnvironmentProblem("PUMP, RUN and INSTALL require root; re-run with sudo")
             if needs_guest and not os.path.isdir(BINFMT_MISC):
                 logger.warning(
                     "binfmt_misc is not mounted; foreign-architecture guest binaries will not "
@@ -485,7 +477,8 @@ def execute(plan: ExecutionPlan, backend: Executor,
                     # the open file's length, not st_size, which is 0 for a block device
                     image_bytes = image.seek(0, os.SEEK_END)
             except OSError as exc:
-                raise IoFailure(f"cannot read the partition table of {src_image}: {exc}") from exc
+                raise ExecutionFailure(
+                    f"cannot read the partition table of {src_image}: {exc}") from exc
             image_mod.check_partition(plan, table, image_bytes)
         if needs_guest:
             fstab_text = mounts_mod.read_guest_fstab(src_image, table, plan.partition_index)

@@ -26,17 +26,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, BinaryIO
 
 from .actions import Action, ActionKind
-from .errors import (
-    EmptyPartitionSlot,
-    InvalidTable,
-    IoFailure,
-    IsBlockDevice,
-    MalformedSize,
-    MissingBootSignature,
-    PartitionNotLast,
-    ShortImage,
-    UnsupportedDiskLayout,
-)
+from .errors import ExecutionFailure, PifileError
 
 if TYPE_CHECKING:
     from .executor import Executor
@@ -66,14 +56,14 @@ def parse_size(text: str) -> int:
     """
     match = _SIZE_RE.match(text)
     if not match:
-        raise MalformedSize(f"malformed size {text!r} (expected digits plus one of k/M/G/T)")
+        raise PifileError(f"malformed size {text!r} (expected digits plus one of k/M/G/T)")
     return int(match.group(1)) * _MULTIPLIERS[match.group(2)]
 
 
 def render_size(size_bytes: int) -> str:
     """Inverse of parse_size: largest binary suffix that divides evenly."""
     if size_bytes < 0:
-        raise MalformedSize(f"cannot render negative size {size_bytes}")
+        raise PifileError(f"cannot render negative size {size_bytes}")
     if size_bytes == 0:
         return "0"
     for suffix in _SUFFIX_ORDER:
@@ -119,25 +109,25 @@ class PartitionTable:
 
 
 def validate_table(table: PartitionTable) -> None:
-    """Raise InvalidTable when structural invariants do not hold."""
+    """Raise ExecutionFailure when structural invariants do not hold."""
     if len(table.entries) != 4:
-        raise InvalidTable(f"expected 4 partition slots, got {len(table.entries)}")
+        raise ExecutionFailure(f"expected 4 partition slots, got {len(table.entries)}")
     if not 0 <= table.disk_id < 2**32:
-        raise InvalidTable(f"disk id {table.disk_id:#x} out of 32-bit range")
+        raise ExecutionFailure(f"disk id {table.disk_id:#x} out of 32-bit range")
     for n, entry in enumerate(table.entries, start=1):
         if entry.index != n:
-            raise InvalidTable(f"slot {n} carries index {entry.index}")
+            raise ExecutionFailure(f"slot {n} carries index {entry.index}")
         if not 0 <= entry.type_code <= 0xFF:
-            raise InvalidTable(f"slot {n} type {entry.type_code:#x} out of range")
+            raise ExecutionFailure(f"slot {n} type {entry.type_code:#x} out of range")
         if entry.empty != (entry.lba_size == 0):
-            raise InvalidTable(f"slot {n} is half-empty (type {entry.type_code:#x}, "
-                               f"{entry.lba_size} sectors)")
+            raise ExecutionFailure(f"slot {n} is half-empty (type {entry.type_code:#x}, "
+                                   f"{entry.lba_size} sectors)")
         if not (0 <= entry.lba_start < 2**32 and 0 <= entry.lba_size < 2**32):
-            raise InvalidTable(f"slot {n} LBA fields out of 32-bit range")
+            raise ExecutionFailure(f"slot {n} LBA fields out of 32-bit range")
     spans = sorted((e.lba_start, e.lba_end, e.index) for e in table.occupied())
     for (_, prev_end, prev_idx), (start, _, idx) in zip(spans, spans[1:]):
         if start < prev_end:
-            raise InvalidTable(f"partitions {prev_idx} and {idx} overlap")
+            raise ExecutionFailure(f"partitions {prev_idx} and {idx} overlap")
 
 
 def read_partition_table(source: str | Path | BinaryIO) -> PartitionTable:
@@ -149,9 +139,9 @@ def read_partition_table(source: str | Path | BinaryIO) -> PartitionTable:
         source.seek(0)
     sector = source.read(SECTOR_SIZE)
     if len(sector) < SECTOR_SIZE:
-        raise ShortImage(f"image is only {len(sector)} bytes, need at least {SECTOR_SIZE}")
+        raise ExecutionFailure(f"image is only {len(sector)} bytes, need at least {SECTOR_SIZE}")
     if sector[SIGNATURE_OFFSET:SIGNATURE_OFFSET + 2] != BOOT_SIGNATURE:
-        raise MissingBootSignature("sector 0 lacks the 55 AA boot signature")
+        raise ExecutionFailure("sector 0 lacks the 55 AA boot signature")
     disk_id = struct.unpack_from("<I", sector, DISK_ID_OFFSET)[0]
     entries = []
     for n in range(4):
@@ -159,7 +149,7 @@ def read_partition_table(source: str | Path | BinaryIO) -> PartitionTable:
             sector, TABLE_OFFSET + 16 * n
         )
         if type_code == GPT_PROTECTIVE_TYPE:
-            raise UnsupportedDiskLayout(
+            raise ExecutionFailure(
                 "protective MBR found: this is a GPT image, which is not supported"
             )
         if type_code == 0x00 or lba_size == 0:
@@ -192,14 +182,14 @@ def write_partition_table(target: str | Path | BinaryIO, table: PartitionTable) 
             with open(target, "r+b") as fh:
                 write_partition_table(fh, table)
         except OSError as exc:
-            raise IoFailure(f"cannot write partition table to {target}: {exc}") from exc
+            raise ExecutionFailure(f"cannot write partition table to {target}: {exc}") from exc
         return
     target.seek(0)
     sector = target.read(SECTOR_SIZE)
     if len(sector) < SECTOR_SIZE:
-        raise ShortImage(f"target is only {len(sector)} bytes, need at least {SECTOR_SIZE}")
+        raise ExecutionFailure(f"target is only {len(sector)} bytes, need at least {SECTOR_SIZE}")
     if sector[SIGNATURE_OFFSET:SIGNATURE_OFFSET + 2] != BOOT_SIGNATURE:
-        raise MissingBootSignature("refusing to write a partition table to an unsigned sector 0")
+        raise ExecutionFailure("refusing to write a partition table to an unsigned sector 0")
     area = bytearray()
     for entry in table.entries:
         if entry.empty:
@@ -220,7 +210,7 @@ def write_partition_table(target: str | Path | BinaryIO, table: PartitionTable) 
         target.write(bytes(area))
         target.flush()
     except OSError as exc:
-        raise IoFailure(f"partition table write failed: {exc}") from exc
+        raise ExecutionFailure(f"partition table write failed: {exc}") from exc
 
 
 def grow_image_file(path: str | Path, extra_bytes: int) -> int:
@@ -233,28 +223,28 @@ def grow_image_file(path: str | Path, extra_bytes: int) -> int:
     try:
         st = os.stat(path)
     except OSError as exc:
-        raise IoFailure(f"cannot stat {path}: {exc}") from exc
+        raise ExecutionFailure(f"cannot stat {path}: {exc}") from exc
     if stat_module.S_ISBLK(st.st_mode):
-        raise IsBlockDevice(f"{path} is a block device and cannot grow")
+        raise ExecutionFailure(f"{path} is a block device and cannot grow")
     if not stat_module.S_ISREG(st.st_mode):
-        raise IoFailure(f"{path} is not a regular file")
+        raise ExecutionFailure(f"{path} is not a regular file")
     if extra_bytes < 0:
-        raise IoFailure(f"cannot grow by a negative amount ({extra_bytes})")
+        raise ExecutionFailure(f"cannot grow by a negative amount ({extra_bytes})")
     new_size = st.st_size + extra_bytes
     if extra_bytes:
         try:
             os.truncate(path, new_size)
         except OSError as exc:
-            raise IoFailure(f"cannot grow {path}: {exc}") from exc
+            raise ExecutionFailure(f"cannot grow {path}: {exc}") from exc
     return new_size
 
 
 def _occupied_slot(table: PartitionTable, index: int) -> PartitionEntry:
     if not 1 <= index <= 4:
-        raise EmptyPartitionSlot(f"partition index {index} is outside the 4 MBR slots")
+        raise ExecutionFailure(f"partition index {index} is outside the 4 MBR slots")
     entry = table.entries[index - 1]
     if entry.empty:
-        raise EmptyPartitionSlot(f"partition {index} is an empty slot")
+        raise ExecutionFailure(f"partition {index} is an empty slot")
     return entry
 
 
@@ -278,19 +268,19 @@ def check_partition(plan: "ExecutionPlan", table: PartitionTable, image_bytes: i
     if plan.pump_bytes <= 0:
         return
     if entry.type_code in EXTENDED_TYPES:
-        raise UnsupportedDiskLayout(
+        raise ExecutionFailure(
             f"partition {index} is extended (type {entry.type_code:#04x}); "
             "only primary partitions can be grown"
         )
     last = max(table.occupied(), key=lambda e: e.lba_start)
     if last.index != index:
-        raise PartitionNotLast(
+        raise ExecutionFailure(
             f"partition {index} cannot grow: partition {last.index} starts after it"
         )
     if entry.lba_end * SECTOR_SIZE > image_bytes:
-        raise InvalidTable(f"partition {index} already extends past the end of the image")
+        raise ExecutionFailure(f"partition {index} already extends past the end of the image")
     if entry.lba_size * SECTOR_SIZE + plan.pump_bytes > (2**32 - 1) * SECTOR_SIZE:
-        raise UnsupportedDiskLayout(
+        raise ExecutionFailure(
             f"partition {index} cannot grow by {render_size(plan.pump_bytes)}: "
             "its sector count would not fit the 32-bit size field of an MBR entry"
         )

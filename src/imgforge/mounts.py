@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .actions import Action, ActionKind
-from .errors import ShellUnavailable
+from .errors import EnvironmentProblem
 from .image import SECTOR_SIZE, PartitionTable
 from .plan import ExecutionPlan
 from .source import TargetKind
@@ -132,7 +132,8 @@ def read_guest_fstab(image: str | Path, table: PartitionTable, index: int) -> st
     empty.  A partition with no ext2/3/4 superblock magic reads as empty
     with a warning and starts no debugfs, though a debugfs missing from PATH
     still fails; one with the magic reads as empty with a warning when
-    debugfs exits nonzero.  Invalid UTF-8 becomes U+FFFD.
+    debugfs exits nonzero or cannot open the filesystem, a corrupt
+    superblock for one, after which it exits 0.  Invalid UTF-8 becomes U+FFFD.
     """
     offset = table.entries[index - 1].lba_start * SECTOR_SIZE
     with open(image, "rb", buffering=0) as fh:  # s_magic of an ext2/3/4 superblock
@@ -142,9 +143,9 @@ def read_guest_fstab(image: str | Path, table: PartitionTable, index: int) -> st
             proc = subprocess.run(["debugfs", "-R", "cat /etc/fstab", f"{image}?offset={offset}"],
                                   stdin=subprocess.DEVNULL, capture_output=True)
         except OSError as exc:
-            raise ShellUnavailable(
+            raise EnvironmentProblem(
                 f"cannot execute debugfs to read the guest fstab: {exc}") from exc
-        if proc.returncode == 0:
+        if proc.returncode == 0 and b"Filesystem not open" not in proc.stderr:
             return proc.stdout.decode("utf-8", errors="replace")
     logger.warning("partition %d of %s holds no ext2/3/4 filesystem; "
                    "its /etc/fstab adds no mounts", index, image)

@@ -40,14 +40,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Mapping
 
-from .errors import (
-    IncludeCycle,
-    IncludeNotFound,
-    MalformedArgs,
-    PifileError,
-    UnknownCommand,
-    UnterminatedHeredoc,
-)
+from .errors import PifileError
 
 logger = logging.getLogger(__name__)
 
@@ -65,6 +58,7 @@ class CommandKind(Enum):
     __hash__ = object.__hash__  # C-level; Enum's own is a Python call on every dict lookup
 
 
+# a line's first token, matched exactly: ``pump`` and ``From`` are unknown directives
 _KEYWORDS: dict[str, CommandKind] = {kind.value: kind for kind in CommandKind}
 _KEYWORDS["source"] = CommandKind.INCLUDE  # lower-case include alias
 
@@ -128,15 +122,6 @@ class Pifile:
     source_path: Path
 
 
-def classify_token(first_token: str) -> CommandKind | None:
-    """Map a line's first token to its directive kind; None when unknown.
-
-    Matching is exact and case-sensitive: ``PUMP`` classifies, ``pump`` does
-    not.  The single lower-case exception is ``source``, the include alias.
-    """
-    return _KEYWORDS.get(first_token)
-
-
 def substitute_env(text: str, env: Mapping[str, str], where: SourceLine | None = None) -> str:
     """Expand $NAME / ${NAME} from env; undefined names become "" with a warning."""
     if "$" not in text:
@@ -174,8 +159,8 @@ def parse_heredoc(lines: list[str], start: int, delimiter: str,
     try:
         end = lines.index(delimiter, start)
     except ValueError:
-        raise UnterminatedHeredoc(f"here-document delimited by {delimiter!r} never terminated",
-                                  origin=origin) from None
+        raise PifileError(f"here-document delimited by {delimiter!r} never terminated",
+                          origin=origin) from None
     return ("\n".join(lines[start:end]) + "\n" if end > start else ""), end + 1
 
 
@@ -196,7 +181,7 @@ def parse_pifile_text(text: str, env: Mapping[str, str] | None = None, *,
                       source_path: Path | str = Path("<text>"),
                       chain: tuple[Path, ...] = ()) -> Pifile:
     """Parse Pifile source text; ``source_path`` anchors includes and errors.  An INCLUDE of
-    it, or of a file in ``chain`` (those whose INCLUDE led here), raises IncludeCycle."""
+    it, or of a file in ``chain`` (those whose INCLUDE led here), raises PifileError."""
     env = {} if env is None else env
     source_path = Path(source_path)
     chain = (*chain, source_path)
@@ -222,7 +207,7 @@ def parse_pifile_text(text: str, env: Mapping[str, str] | None = None, *,
             continue  # the line was nothing but a variable that expanded away
         kind = _KEYWORDS.get(parts[0])
         if kind is None:
-            raise UnknownCommand(f"unknown directive {parts[0]!r}", origin=origin)
+            raise PifileError(f"unknown directive {parts[0]!r}", origin=origin)
         remainder = parts[1].strip() if len(parts) > 1 else ""
 
         heredoc: str | None = None
@@ -230,14 +215,14 @@ def parse_pifile_text(text: str, env: Mapping[str, str] | None = None, *,
             for late in _MARKER_NOT_LAST.finditer(remainder) if "<<" in remainder else ():
                 head = remainder[:late.start()]
                 if head.count("((") <= head.count("))"):  # not a shift inside `$((`
-                    raise MalformedArgs(f"unsupported here-document form {late[0]!r}: << WORD "
-                                        "must end the line, as in 'tee FILE << WORD'",
-                                        origin=origin)
+                    raise PifileError(f"unsupported here-document form {late[0]!r}: << WORD "
+                                      "must end the line, as in 'tee FILE << WORD'",
+                                      origin=origin)
             marker = "<<" in remainder and _HEREDOC_MARKER.fullmatch(remainder)
             if marker:
                 if marker.group("delim") is None:
-                    raise MalformedArgs(f"unsupported here-document form {marker['form']!r}; "
-                                        "use << WORD with a plain WORD", origin=origin)
+                    raise PifileError(f"unsupported here-document form {marker['form']!r}; "
+                                      "use << WORD with a plain WORD", origin=origin)
                 remainder = marker.group("cmd")
                 raw_body, i = parse_heredoc(lines, i, marker.group("delim"), origin)
                 heredoc = substitute_env(raw_body, env, origin)
@@ -247,16 +232,16 @@ def parse_pifile_text(text: str, env: Mapping[str, str] | None = None, *,
         low, high = _ARITY[kind]
         if len(args) < low or (high is not None and len(args) > high):
             bound = f"{low}" if high == low else f"{low}..{high if high is not None else 'n'}"
-            raise MalformedArgs(f"{kind.value} takes {bound} argument(s), got {len(args)}",
-                                origin=origin)
+            raise PifileError(f"{kind.value} takes {bound} argument(s), got {len(args)}",
+                              origin=origin)
 
         if kind is include:
             target = source_path.parent / args[0]
             if not target.is_file():
-                raise IncludeNotFound(f"included file not found: {target}", origin=origin)
+                raise PifileError(f"included file not found: {target}", origin=origin)
             if target.resolve() in {path.resolve() for path in chain}:
-                raise IncludeCycle("include cycle: " + " -> ".join(map(str, (*chain, target))),
-                                   origin=origin)
+                raise PifileError("include cycle: " + " -> ".join(map(str, (*chain, target))),
+                                  origin=origin)
             included = parse_pifile(target, env, chain)
             commands.extend(included.commands)
         else:

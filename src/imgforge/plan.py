@@ -18,13 +18,7 @@ from enum import IntEnum
 from pathlib import Path
 from typing import Callable
 
-from .errors import (
-    ConflictingSource,
-    InvalidMode,
-    InvalidPartitionIndex,
-    MalformedArgs,
-    MissingSource,
-)
+from .errors import PifileError
 from .image import parse_size
 from .pifile import Command, CommandKind, Pifile, pathlib_join
 from .source import (
@@ -108,27 +102,25 @@ def build_plan(pifile: Pifile,
     tos = [c for c in setup if c.kind is CommandKind.TO]
 
     if not froms and not inplaces:
-        raise MissingSource("Pifile declares neither FROM nor INPLACE")
+        raise PifileError("Pifile declares neither FROM nor INPLACE")
     if froms and inplaces:
-        raise ConflictingSource("FROM and INPLACE are mutually exclusive",
-                                origin=inplaces[0].origin)
+        raise PifileError("FROM and INPLACE are mutually exclusive", origin=inplaces[0].origin)
     if len(froms) > 1:
-        raise ConflictingSource("multiple FROM directives", origin=froms[1].origin)
+        raise PifileError("multiple FROM directives", origin=froms[1].origin)
     if len(inplaces) > 1:
-        raise ConflictingSource("multiple INPLACE directives", origin=inplaces[1].origin)
+        raise PifileError("multiple INPLACE directives", origin=inplaces[1].origin)
     if tos and inplaces:
-        raise ConflictingSource("TO cannot be combined with INPLACE", origin=tos[0].origin)
+        raise PifileError("TO cannot be combined with INPLACE", origin=tos[0].origin)
 
     base_dir = pifile.source_path.parent
 
     root = (froms or inplaces)[0]
     raw = root.args[0]
     if inplaces and is_url(raw):
-        raise ConflictingSource("INPLACE cannot edit a URL; use FROM <url> with TO",
-                                origin=root.origin)
+        raise PifileError("INPLACE cannot edit a URL; use FROM <url> with TO", origin=root.origin)
     if inplaces and is_archive(raw):
-        raise ConflictingSource("INPLACE cannot edit a packed image; use FROM <archive> with TO",
-                                origin=root.origin)
+        raise PifileError("INPLACE cannot edit a packed image; use FROM <archive> with TO",
+                          origin=root.origin)
     partition_index = _partition_index(root)  # INPLACE takes none: the default
     locator = raw if is_url(raw) else _anchor(raw, base_dir)
     source = SourceSpec(kind=classify_source(locator, probe), locator=locator)
@@ -142,8 +134,8 @@ def build_plan(pifile: Pifile,
             )
         dest_path = _anchor(tos[-1].args[0], base_dir)
         if not is_url(raw) and is_archive(raw) and same_file(locator, dest_path):
-            raise ConflictingSource(f"TO {tos[-1].args[0]} would overwrite the packed FROM image",
-                                    origin=tos[-1].origin)
+            raise PifileError(f"TO {tos[-1].args[0]} would overwrite the packed FROM image",
+                              origin=tos[-1].origin)
     else:
         dest_path = str(base_dir / f"{pifile.source_path.stem}.img")
     target_kind = (TargetKind.BLOCK_DEVICE if probe(dest_path) is SourceKind.BLOCK_DEVICE
@@ -152,17 +144,17 @@ def build_plan(pifile: Pifile,
 
     pump_bytes = sum(parse_size(c.args[0]) for c in staged[Stage.PREPARE])
     if pump_bytes > 0 and destination.kind is TargetKind.BLOCK_DEVICE:
-        raise ConflictingSource(f"PUMP cannot grow the fixed-size device {destination.path}",
-                                origin=staged[Stage.PREPARE][0].origin)
+        raise PifileError(f"PUMP cannot grow the fixed-size device {destination.path}",
+                          origin=staged[Stage.PREPARE][0].origin)
     install = CommandKind.INSTALL  # a member read through the class is a slow lookup on 3.11
     for command in (c for c in staged[Stage.CHROOT] if c.kind is install):
         if ".." in command.args[-1].split("/"):
-            raise MalformedArgs(f"INSTALL destination {command.args[-1]} has a '..' component",
-                                origin=command.origin)
+            raise PifileError(f"INSTALL destination {command.args[-1]} has a '..' component",
+                              origin=command.origin)
         if len(command.args) == 3:
             mode = command.args[0]
             if not (mode.isdigit() and all(c in "01234567" for c in mode) and len(mode) <= 4):
-                raise InvalidMode(f"INSTALL mode must be octal 0..7777, got {mode!r}",
+                raise PifileError(f"INSTALL mode must be octal 0..7777, got {mode!r}",
                                   origin=command.origin)
 
     return ExecutionPlan(
@@ -190,12 +182,12 @@ def _partition_index(from_cmd: Command) -> int:
     try:
         index = int(raw)
     except ValueError:
-        raise InvalidPartitionIndex(
+        raise PifileError(
             f"partition index must be a positive integer, got {raw!r}",
             origin=from_cmd.origin,
         ) from None
     if index < 1:
-        raise InvalidPartitionIndex(
+        raise PifileError(
             f"partition index must be >= 1, got {index}", origin=from_cmd.origin
         )
     return index

@@ -40,16 +40,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, BinaryIO, Callable, Iterator, Mapping
 
 from .actions import Action, ActionKind
-from .errors import (
-    CacheUnwritable,
-    CorruptArchive,
-    DestinationIsDirectory,
-    FetchFailed,
-    IoFailure,
-    MultipleImagesInArchive,
-    SourceNotFound,
-    UnsupportedArchive,
-)
+from .errors import EnvironmentProblem, ExecutionFailure, PifileError
 
 if TYPE_CHECKING:
     from .executor import Executor
@@ -124,16 +115,16 @@ def classify_source(locator: str,
     """Decide what a FROM/INPLACE argument names.
 
     URLs are recognized by scheme alone; everything else is probed on the
-    filesystem.  Raises SourceNotFound when the locator matches nothing.
+    filesystem.  Raises PifileError when the locator matches nothing.
     """
     if not locator:
-        raise SourceNotFound("empty source locator")
+        raise PifileError("empty source locator")
     scheme = urllib.parse.urlsplit(locator).scheme
     if scheme in URL_SCHEMES:
         return SourceKind.URL
     kind = fs_probe(locator)
     if kind is None:
-        raise SourceNotFound(f"source not found: {locator}")
+        raise PifileError(f"source not found: {locator}")
     return kind
 
 
@@ -175,7 +166,7 @@ def _new_dirs(path: Path) -> Iterator[None]:
     try:
         path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise CacheUnwritable(f"cannot create cache directory {path}: {exc}") from exc
+        raise EnvironmentProblem(f"cannot create cache directory {path}: {exc}") from exc
     try:
         yield
     except BaseException:
@@ -194,11 +185,11 @@ def _urllib_fetcher(url: str, dest: Path) -> None:
                 open(dest, "wb") as out:
             shutil.copyfileobj(response, out, length=CHUNK)
     except urllib.error.HTTPError as exc:
-        raise FetchFailed(f"fetching {url} failed: HTTP {exc.code} {exc.reason}") from exc
+        raise ExecutionFailure(f"fetching {url} failed: HTTP {exc.code} {exc.reason}") from exc
     except urllib.error.URLError as exc:
-        raise FetchFailed(f"fetching {url} failed: {exc.reason}") from exc
+        raise ExecutionFailure(f"fetching {url} failed: {exc.reason}") from exc
     except OSError as exc:
-        raise FetchFailed(f"fetching {url} failed: {exc}") from exc
+        raise ExecutionFailure(f"fetching {url} failed: {exc}") from exc
 
 
 def fetch_to_cache(url: str, cache_dir: str | Path, fetcher: Fetcher | None = None, *,
@@ -215,9 +206,9 @@ def fetch_to_cache(url: str, cache_dir: str | Path, fetcher: Fetcher | None = No
     try:
         cache_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise CacheUnwritable(f"cannot create cache directory {cache_dir}: {exc}") from exc
+        raise EnvironmentProblem(f"cannot create cache directory {cache_dir}: {exc}") from exc
     if not os.access(cache_dir, os.W_OK):
-        raise CacheUnwritable(f"cache directory {cache_dir} is not writable")
+        raise EnvironmentProblem(f"cache directory {cache_dir} is not writable")
 
     key = cache_key(url)
     entry_dir = cache_dir / key
@@ -227,7 +218,7 @@ def fetch_to_cache(url: str, cache_dir: str | Path, fetcher: Fetcher | None = No
             logger.debug("cache hit for %s at %s", url, image)
             return image
         if offline:
-            raise FetchFailed(f"offline mode: {url} is not in the cache")
+            raise ExecutionFailure(f"offline mode: {url} is not in the cache")
         tmp = entry_dir / f".partial.{os.getpid()}"
         with _new_dirs(entry_dir):
             try:
@@ -247,29 +238,26 @@ def fetch_to_cache(url: str, cache_dir: str | Path, fetcher: Fetcher | None = No
 def _packing(name: str) -> str | None:
     """The suffix saying how the image behind ``name`` is packed; None for a raw image.
 
-    Container formats (tarballs and friends) raise UnsupportedArchive rather
+    Container formats (tarballs and friends) raise ExecutionFailure rather
     than pass as raw images.
     """
     suffix = Path(name).suffix.lower()
     tarball = suffix in _PACKED_SUFFIXES and Path(Path(name).stem).suffix.lower() == ".tar"
     if tarball or suffix in _REJECTED_SUFFIXES:
-        raise UnsupportedArchive(f"unsupported archive format: {name}")
+        raise ExecutionFailure(f"unsupported archive format: {name}")
     return suffix if suffix in _PACKED_SUFFIXES else None
 
 
 def is_archive(name: str) -> bool:
     """True when ``name`` is packed, including the formats imgforge refuses to unpack."""
-    try:
-        return _packing(name) is not None
-    except UnsupportedArchive:
-        return True
+    return Path(name).suffix.lower() in _PACKED_SUFFIXES | _REJECTED_SUFFIXES
 
 
 def _zst_open(path: Path, mode: str) -> BinaryIO:
     try:
         import zstandard
     except ImportError:
-        raise UnsupportedArchive(
+        raise ExecutionFailure(
             ".zst archives need the optional zstandard package (pip install imgforge[zstd])"
         ) from None
     return zstandard.ZstdDecompressor().stream_reader(open(path, "rb"), closefd=True)
@@ -282,11 +270,11 @@ def _single_image_member(archive: zipfile.ZipFile) -> str:
     members = [m for m in archive.namelist()
                if m.lower().endswith(".img") and not m.endswith("/")]
     if len(members) > 1:
-        raise MultipleImagesInArchive(
+        raise ExecutionFailure(
             f"archive holds {len(members)} images ({', '.join(sorted(members))}); expected one"
         )
     if not members:
-        raise UnsupportedArchive("archive contains no .img member")
+        raise ExecutionFailure("archive contains no .img member")
     return members[0]
 
 
@@ -324,9 +312,9 @@ def _unpack_into(archive: Path, workspace: Path, name: str, packing: str) -> Pat
             member = _single_image_member(zf)
             return _unpack(archive, workspace / Path(member).name, lambda: zf.open(member))
     except zipfile.BadZipFile as exc:
-        raise CorruptArchive(f"{archive} is not a valid zip archive: {exc}") from exc
+        raise ExecutionFailure(f"{archive} is not a valid zip archive: {exc}") from exc
     except OSError as exc:  # reading the archive, or writing the image into a full cache
-        raise IoFailure(f"cannot unpack {archive}: {exc}") from exc
+        raise ExecutionFailure(f"cannot unpack {archive}: {exc}") from exc
 
 
 def _unpack(archive: Path, out: Path, open_stream: Callable[[], BinaryIO]) -> Path:
@@ -342,7 +330,7 @@ def _unpack(archive: Path, out: Path, open_stream: Callable[[], BinaryIO]) -> Pa
             _write_sparse(src, dst)
     except _DECOMPRESS_ERRORS as exc:
         tmp.unlink(missing_ok=True)
-        raise CorruptArchive(f"cannot decompress {archive}: {exc}") from exc
+        raise ExecutionFailure(f"cannot decompress {archive}: {exc}") from exc
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
@@ -390,7 +378,7 @@ def iter_chunks(fh: BinaryIO, *, fill_holes: bool) -> Iterator[tuple[int, memory
         while start < end:
             n = fh.readinto(view[:min(CHUNK, end - start)])
             if not n:
-                raise IoFailure(f"{fh.name} ended at byte {start} while being read")
+                raise ExecutionFailure(f"{fh.name} ended at byte {start} while being read")
             yield start, view[:n]
             start += n
         pos = end
@@ -410,7 +398,7 @@ def copy_image_bytes(src: str | Path, dst: str | Path) -> None:
                 fo.seek(offset)
                 fo.write(chunk)
     except OSError as exc:
-        raise IoFailure(f"copying {src} to {dst} failed: {exc}") from exc
+        raise ExecutionFailure(f"copying {src} to {dst} failed: {exc}") from exc
 
 
 def write_to_device(src: str | Path, device: str | Path) -> None:
@@ -429,7 +417,7 @@ def write_to_device(src: str | Path, device: str | Path) -> None:
             finally:
                 os.close(fd)
     except OSError as exc:
-        raise IoFailure(f"writing {src} to device {device} failed: {exc}") from exc
+        raise ExecutionFailure(f"writing {src} to device {device} failed: {exc}") from exc
 
 
 def same_file(a: str | Path, b: str | Path) -> bool:
@@ -456,6 +444,6 @@ def materialize_destination(plan: "ExecutionPlan", executor: "Executor", *,
         executor.emit(Action(ActionKind.DEVICE_WRITE, {"src": str(src), "dst": str(dest)}))
         return dest
     if dest.is_dir():
-        raise DestinationIsDirectory(f"destination {dest} is a directory")
+        raise ExecutionFailure(f"destination {dest} is a directory")
     executor.emit(Action(ActionKind.COPY_IMAGE, {"src": str(src), "dst": str(dest)}))
     return dest

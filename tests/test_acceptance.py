@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import mbr_oracle
 from imgforge.cli import main
-from imgforge.errors import FetchFailed, PartitionNotLast
+from imgforge.errors import ExecutionFailure
 from imgforge.executor import (
     ActionKind,
     DryRunExecutor,
@@ -142,10 +142,10 @@ def test_criterion_5_cache_property(tmp_path):
 
     def failing(url, dest):
         Path(dest).write_bytes(b"partial")
-        raise FetchFailed("connection dropped mid-transfer")
+        raise ExecutionFailure("connection dropped mid-transfer")
 
     bad_url = "https://example.net/other.img"
-    with pytest.raises(FetchFailed):
+    with pytest.raises(ExecutionFailure, match="connection dropped mid-transfer"):
         fetch_to_cache(bad_url, tmp_path / "cache", failing)
     assert not (tmp_path / "cache" / cache_key(bad_url) / "image").exists()
 
@@ -236,7 +236,7 @@ def test_criterion_8_pump_safety(tmp_path):
     plan = build_plan(pifile, lambda loc: SourceKind.LOCAL_FILE)
 
     table = read_partition_table(image)
-    with pytest.raises(PartitionNotLast):
+    with pytest.raises(ExecutionFailure, match="cannot grow: partition 2 starts after it"):
         check_partition(plan, table, image.stat().st_size)
         pump(plan, LocalExecutor(runner=lambda argv, **kw: (0, "")), table)
     assert sha256(image) == digest_before  # image byte-identical

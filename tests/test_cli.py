@@ -17,8 +17,8 @@ import pytest
 import imgforge.plan as plan_mod
 import imgforge.source as source_mod
 import mbr_oracle
-from imgforge.cli import entrypoint, main, render_log
-from imgforge.errors import ChrootUnavailable
+from imgforge.cli import entrypoint, main
+from imgforge.errors import EnvironmentProblem
 from imgforge.executor import Action, ActionKind, DryRunExecutor, LocalExecutor
 from imgforge.mounts import teardown_actions
 from imgforge.source import SourceKind
@@ -42,7 +42,7 @@ class FailingSecondRun(DryRunExecutor):
 class NoChroot(DryRunExecutor):
     def _perform(self, action):
         if action.kind is ActionKind.GUEST_EXEC:
-            raise ChrootUnavailable("running guest commands requires root")
+            raise EnvironmentProblem("running guest commands requires root")
         return 0
 
 
@@ -487,13 +487,16 @@ class TestDryRun:
 
 
 class TestLogging:
-    def test_render_log_with_origin(self):
-        line = render_log("chroot", "RUN raspi-config nonint do_serial 0",
-                          pifile="example.Pifile", line=8)
-        assert line == "[chroot] example.Pifile:8 RUN raspi-config nonint do_serial 0"
-
-    def test_render_log_stage_marker(self):
-        assert render_log("prepare", "begin") == "[prepare] begin"
+    def test_done_line_is_pinned_for_a_dry_run_and_a_real_build(self, tmp_path, capsys):
+        """A build's last stdout line: a dry run's action count, or TO and its SHA-256,
+        which ``perfbench/verify.py`` parses."""
+        pifile = write_fixture(tmp_path, text="FROM base.img\nTO out.img\nHOST true\n")
+        assert main(["--dry-run", str(tmp_path / "plan.log"), str(pifile)], ENV) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "[done] 2 actions"
+        assert main([str(pifile)], ENV) == 0
+        dest = tmp_path / "out.img"
+        digest = hashlib.sha256(dest.read_bytes()).hexdigest()
+        assert capsys.readouterr().out.splitlines()[-1] == f"[done] {dest} sha256={digest}"
 
     def test_stage_markers_and_command_lines_on_stdout(self, tmp_path, capsys):
         pifile = write_fixture(

@@ -6,17 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import mbr_oracle
-from imgforge.errors import (
-    EmptyPartitionSlot,
-    InvalidTable,
-    IoFailure,
-    IsBlockDevice,
-    MalformedSize,
-    MissingBootSignature,
-    PartitionNotLast,
-    ShortImage,
-    UnsupportedDiskLayout,
-)
+from imgforge.errors import ExecutionFailure, PifileError
 from imgforge.executor import (
     Action,
     ActionKind,
@@ -79,7 +69,7 @@ class TestParseSize:
         "", "M", "100m", "100K", "1.5G", "-1", "100 M", "0x10", "1MB",
     ])
     def test_malformed(self, text):
-        with pytest.raises(MalformedSize):
+        with pytest.raises(PifileError, match="malformed size"):
             parse_size(text)
 
 
@@ -103,11 +93,11 @@ class TestReadTable:
     def test_zero_filled_file_has_no_signature(self, tmp_path):
         blank = tmp_path / "blank.img"
         blank.write_bytes(bytes(1024 * 1024))
-        with pytest.raises(MissingBootSignature):
+        with pytest.raises(ExecutionFailure, match="lacks the 55 AA boot signature"):
             read_partition_table(blank)
 
     def test_short_image(self):
-        with pytest.raises(ShortImage):
+        with pytest.raises(ExecutionFailure, match="image is only 100 bytes"):
             read_partition_table(io.BytesIO(b"\x00" * 100))
 
     def test_fixture_matches_oracle(self, fixture_image):
@@ -126,7 +116,7 @@ class TestReadTable:
         mbr_oracle.write_image(img, size_bytes=1024 * 1024, partitions=[
             {"index": 1, "type": 0xEE, "start": 1, "size": 2047},
         ])
-        with pytest.raises(UnsupportedDiskLayout):
+        with pytest.raises(ExecutionFailure, match="protective MBR found"):
             read_partition_table(img)
 
     def test_overlapping_entries_rejected(self, tmp_path):
@@ -135,7 +125,7 @@ class TestReadTable:
             {"index": 1, "type": 0x83, "start": 100, "size": 100},
             {"index": 2, "type": 0x83, "start": 150, "size": 100},
         ])
-        with pytest.raises(InvalidTable):
+        with pytest.raises(ExecutionFailure, match="partitions 1 and 2 overlap"):
             read_partition_table(img)
 
     def test_degenerate_slot_reads_as_empty(self, tmp_path):
@@ -173,7 +163,7 @@ class TestWriteTable:
             PartitionEntry(index=1, bootable=False, type_code=0x83,
                            lba_start=2048, lba_size=999999)
         )
-        with pytest.raises(InvalidTable):
+        with pytest.raises(ExecutionFailure, match="partitions 1 and 2 overlap"):
             write_partition_table(fixture_image, bad)
         assert sha256(fixture_image) == digest
 
@@ -183,7 +173,7 @@ class TestWriteTable:
         table = PartitionTable(disk_id=1, entries=tuple(
             PartitionEntry.vacant(i) for i in range(1, 5)
         ))
-        with pytest.raises(MissingBootSignature):
+        with pytest.raises(ExecutionFailure, match="unsigned sector 0"):
             write_partition_table(target, table)
 
     def test_untouched_bytes_preserved(self, tmp_path):
@@ -222,7 +212,7 @@ class TestGrowImageFile:
         assert data[4096:] == bytes(1024)
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(IoFailure):
+        with pytest.raises(ExecutionFailure, match="cannot stat"):
             grow_image_file(tmp_path / "absent.img", 512)
 
     def test_block_device_refused(self, fixture_image, monkeypatch):
@@ -238,7 +228,7 @@ class TestGrowImageFile:
             return result
 
         monkeypatch.setattr(os, "stat", fake_stat)
-        with pytest.raises(IsBlockDevice):
+        with pytest.raises(ExecutionFailure, match="is a block device and cannot grow"):
             grow_image_file(fixture_image, 512)
 
 
@@ -278,14 +268,14 @@ class TestPump:
     def test_non_last_partition_refused_image_untouched(self, tmp_path, fixture_image):
         digest = sha256(fixture_image)
         plan = plan_for(tmp_path, fixture_image, "16M", partition=1)
-        with pytest.raises(PartitionNotLast):
+        with pytest.raises(ExecutionFailure, match="cannot grow: partition 2 starts after it"):
             pump_image(plan, LocalExecutor(runner=stub_runner), fixture_image)
         assert sha256(fixture_image) == digest
 
     def test_partition_past_image_end_refused_when_length_known(self, tmp_path, fixture_image):
         plan = plan_for(tmp_path, fixture_image, "1M")
         backend = DryRunExecutor()
-        with pytest.raises(InvalidTable):
+        with pytest.raises(ExecutionFailure, match="already extends past the end of the image"):
             pump_image(plan, backend, fixture_image, fixture_image.stat().st_size - 512)
         assert backend.actions == []
 
@@ -297,12 +287,12 @@ class TestPump:
 
     def test_empty_slot_refused(self, tmp_path, fixture_image):
         plan = plan_for(tmp_path, fixture_image, "1M", partition=3)
-        with pytest.raises(EmptyPartitionSlot):
+        with pytest.raises(ExecutionFailure, match="partition 3 is an empty slot"):
             pump_image(plan, DryRunExecutor(), fixture_image)
 
     def test_index_beyond_table_refused(self, tmp_path, fixture_image):
         plan = plan_for(tmp_path, fixture_image, "1M", partition=7)
-        with pytest.raises(EmptyPartitionSlot):
+        with pytest.raises(ExecutionFailure, match="outside the 4 MBR slots"):
             pump_image(plan, DryRunExecutor(), fixture_image)
 
     def test_extended_partition_refused(self, tmp_path):
@@ -312,7 +302,7 @@ class TestPump:
             {"index": 2, "type": 0x05, "start": 2048, "size": 4096},
         ])
         plan = plan_for(tmp_path, img, "1M", partition=2)
-        with pytest.raises(UnsupportedDiskLayout):
+        with pytest.raises(ExecutionFailure, match="is extended"):
             pump_image(plan, DryRunExecutor(), img)
 
     def test_dry_run_records_without_touching(self, tmp_path, fixture_image):
@@ -348,7 +338,7 @@ class TestTableWriteAction:
 
     def test_empty_slot_raises_and_leaves_image_untouched(self, fixture_image):
         digest = sha256(fixture_image)
-        with pytest.raises(EmptyPartitionSlot):
+        with pytest.raises(ExecutionFailure, match="partition 3 is an empty slot"):
             LocalExecutor(runner=stub_runner).emit(Action(ActionKind.TABLE_WRITE, {
                 "path": str(fixture_image), "partition": "3",
                 "added_sectors": "8", "lba_size": "8",

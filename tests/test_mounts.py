@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from imgforge.errors import EmptyPartitionSlot
+from imgforge.errors import ExecutionFailure
 from imgforge.executor import Action, ActionKind, DryRunExecutor
 from imgforge.image import PartitionEntry, PartitionTable, check_partition
 from imgforge.mounts import (
@@ -256,7 +256,7 @@ class TestBuildMountPlan:
 
     def test_missing_root_partition_raises(self):
         assert FIXTURE_TABLE.entries[2].empty
-        with pytest.raises(EmptyPartitionSlot):
+        with pytest.raises(ExecutionFailure, match="partition 3 is an empty slot"):
             check_partition(make_plan(partition=3), FIXTURE_TABLE, None)
 
     def test_block_device_destination_skips_loop(self):

@@ -5,18 +5,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from imgforge.errors import (
-    IncludeCycle,
-    IncludeNotFound,
-    MalformedArgs,
-    PifileError,
-    UnknownCommand,
-    UnterminatedHeredoc,
-)
+from imgforge.errors import PifileError
 from imgforge.pifile import (
     Command,
     CommandKind,
-    classify_token,
     parse_pifile,
     parse_pifile_text,
     pathlib_join,
@@ -33,31 +25,27 @@ def kinds_and_args(pifile):
     return [(c.kind, c.args) for c in pifile.commands]
 
 
-class TestClassifyToken:
-    def test_every_keyword(self):
-        expected = {
-            "FROM": CommandKind.FROM,
-            "TO": CommandKind.TO,
-            "INPLACE": CommandKind.INPLACE,
-            "PUMP": CommandKind.PUMP,
-            "PATH": CommandKind.PATH,
-            "RUN": CommandKind.RUN,
-            "INSTALL": CommandKind.INSTALL,
-            "HOST": CommandKind.HOST,
-            "INCLUDE": CommandKind.INCLUDE,
-            "source": CommandKind.INCLUDE,
-        }
-        for token, kind in expected.items():
-            assert classify_token(token) is kind
+class TestKeywords:
+    def test_every_keyword_parses_to_its_kind(self):
+        text = ("FROM a.img\nTO b.img\nINPLACE c.img\nPUMP 1M\nPATH /opt/bin\nRUN true\n"
+                "INSTALL a /b\nHOST true\n")
+        kinds = [c.kind for c in parse(text).commands]
+        assert kinds == [CommandKind.FROM, CommandKind.TO, CommandKind.INPLACE, CommandKind.PUMP,
+                         CommandKind.PATH, CommandKind.RUN, CommandKind.INSTALL, CommandKind.HOST]
+        assert {*kinds, CommandKind.INCLUDE} == set(CommandKind)
 
-    def test_case_sensitive(self):
-        assert classify_token("pump") is None
-        assert classify_token("From") is None
-        assert classify_token("SOURCE") is None
+    def test_include_and_lower_case_source_both_include(self, tmp_path):
+        (tmp_path / "mod.Pifile").write_text("RUN from-mod\n")
+        pifile = parse_pifile_text("INCLUDE mod.Pifile\nsource mod.Pifile\n",
+                                   source_path=tmp_path / "main.Pifile")
+        assert [(c.kind, c.args, c.origin.file.name) for c in pifile.commands] == [
+            (CommandKind.RUN, ("from-mod",), "mod.Pifile")] * 2
 
-    def test_unknown(self):
-        assert classify_token("FROMM") is None
-        assert classify_token("echo") is None
+    @pytest.mark.parametrize("token", ["pump", "From", "SOURCE", "FROMM", "echo"])
+    def test_other_tokens_are_unknown_directives(self, token):
+        """Matching is exact and case-sensitive; ``source`` is the one lower-case keyword."""
+        with pytest.raises(PifileError, match=f"unknown directive '{token}'"):
+            parse(f"{token} a.img\n")
 
 
 class TestBasicParsing:
@@ -110,15 +98,15 @@ class TestBasicParsing:
 
 class TestErrors:
     def test_unknown_caps_command(self):
-        with pytest.raises(UnknownCommand):
+        with pytest.raises(PifileError, match="unknown directive 'BOGUS'"):
             parse("BOGUS stuff\n")
 
     def test_shell_line_rejected(self):
-        with pytest.raises(UnknownCommand):
+        with pytest.raises(PifileError, match="unknown directive 'echo'"):
             parse("echo hello\n")
 
     def test_error_carries_location(self):
-        with pytest.raises(UnknownCommand) as err:
+        with pytest.raises(PifileError, match="unknown directive 'BOGUS'") as err:
             parse("FROM a.img\nBOGUS\n")
         assert ":2:" in str(err.value)
 
@@ -137,7 +125,7 @@ class TestErrors:
         "INCLUDE\n",
     ])
     def test_arity_violations(self, text):
-        with pytest.raises(MalformedArgs):
+        with pytest.raises(PifileError, match="takes .* argument"):
             parse(text)
 
     def test_missing_pifile(self, tmp_path):
@@ -201,11 +189,11 @@ class TestHeredocs:
         assert pifile.commands[0].heredoc == "FROM not-a-command\n"
 
     def test_unterminated(self):
-        with pytest.raises(UnterminatedHeredoc):
+        with pytest.raises(PifileError, match="never terminated"):
             parse("RUN cat << EOF\nnever closed\n")
 
     def test_delimiter_must_match_exactly(self):
-        with pytest.raises(UnterminatedHeredoc):
+        with pytest.raises(PifileError, match="never terminated"):
             parse("RUN cat << EOF\nbody\n EOF\n")  # leading space: not the delimiter
 
     @pytest.mark.parametrize("line", [
@@ -226,7 +214,7 @@ class TestHeredocs:
 
     @pytest.mark.parametrize("form", ["<< 'EOF'", '<< "EOF"', "<<'EOF'", "<<-EOF", "<<- EOF"])
     def test_a_quoted_or_dash_marker_is_refused_at_its_line(self, form):
-        with pytest.raises(MalformedArgs, match="unsupported here-document form") as err:
+        with pytest.raises(PifileError, match="unsupported here-document form") as err:
             parse(f"FROM a.img\nRUN cat {form}\nFROM body-line\nEOF\n")
         assert err.value.origin.line_no == 2
         assert form in str(err.value)
@@ -242,7 +230,7 @@ class TestHeredocs:
         ("RUN echo $((1 << 4 | 2)); cat << EOF > /etc/motd", "<< EOF >"),
     ])
     def test_a_marker_followed_by_an_operator_is_refused_at_its_line(self, line, form):
-        with pytest.raises(MalformedArgs) as err:
+        with pytest.raises(PifileError, match="must end the line") as err:
             parse(f"FROM a.img\n{line}\nPUMP 1G\nEOF\n")
         assert err.value.origin.line_no == 2
         assert f"unsupported here-document form {form!r}" in str(err.value)
@@ -261,7 +249,7 @@ class TestHeredocs:
                                           (CommandKind.PUMP, ("1M",))]
 
     def test_heredoc_on_non_run_is_malformed(self):
-        with pytest.raises(MalformedArgs):
+        with pytest.raises(PifileError, match="PUMP takes 1 argument"):
             parse("PUMP 1M << EOF\nEOF\n")
 
 
@@ -304,19 +292,19 @@ class TestIncludes:
     def test_missing_include(self, tmp_path):
         main = tmp_path / "main.Pifile"
         main.write_text("FROM a.img\nINCLUDE nowhere.Pifile\n")
-        with pytest.raises(IncludeNotFound):
+        with pytest.raises(PifileError, match="included file not found"):
             parse_pifile(main)
 
     def test_self_include_by_bare_name_is_a_cycle(self, tmp_path):
         loop = tmp_path / "loop.Pifile"
         loop.write_text("INCLUDE loop.Pifile\n")
-        with pytest.raises(IncludeCycle):
+        with pytest.raises(PifileError, match="include cycle"):
             parse_pifile(loop)
 
     def test_self_include_is_a_cycle_at_its_line(self, tmp_path):
         loop = tmp_path / "loop.Pifile"
         loop.write_text("RUN true\nINCLUDE ./loop.Pifile\n")
-        with pytest.raises(IncludeCycle) as caught:
+        with pytest.raises(PifileError, match="include cycle") as caught:
             parse_pifile(loop)
         assert caught.value.origin.line_no == 2
         assert caught.value.args[0] == f"include cycle: {loop} -> {tmp_path}/loop.Pifile"
@@ -324,7 +312,7 @@ class TestIncludes:
     def test_two_file_cycle_names_the_chain(self, tmp_path):
         (tmp_path / "main.Pifile").write_text("FROM base.img\nsource loop.Pifile\n")
         (tmp_path / "loop.Pifile").write_text("HOST true\nsource main.Pifile\n")
-        with pytest.raises(IncludeCycle) as caught:
+        with pytest.raises(PifileError, match="include cycle") as caught:
             parse_pifile(tmp_path / "main.Pifile")
         origin = caught.value.origin
         assert (origin.file.name, origin.line_no) == ("loop.Pifile", 2)
@@ -334,7 +322,7 @@ class TestIncludes:
     def test_include_through_a_symlink_is_a_cycle(self, tmp_path):
         (tmp_path / "main.Pifile").write_text("FROM base.img\nINCLUDE link.Pifile\n")
         (tmp_path / "link.Pifile").symlink_to("main.Pifile")
-        with pytest.raises(IncludeCycle):
+        with pytest.raises(PifileError, match="include cycle"):
             parse_pifile(tmp_path / "main.Pifile")
 
     def test_diamond_include_is_no_cycle(self, tmp_path):

@@ -4,15 +4,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from imgforge.errors import (
-    ConflictingSource,
-    InvalidMode,
-    InvalidPartitionIndex,
-    MalformedArgs,
-    MalformedSize,
-    MissingSource,
-    SourceNotFound,
-)
+from imgforge.errors import PifileError
 from imgforge.pifile import CommandKind, parse_pifile_text
 from imgforge.plan import (
     Stage,
@@ -114,27 +106,27 @@ class TestBuildPlan:
         assert plan.source.locator == str(img)
 
     def test_missing_source(self, tmp_path):
-        with pytest.raises(MissingSource):
+        with pytest.raises(PifileError, match="neither FROM nor INPLACE"):
             build_plan(pifile_at(tmp_path, "RUN x\n"))
 
     def test_from_and_inplace_conflict(self, tmp_path):
         pifile = pifile_at(tmp_path, "FROM a.img\nINPLACE b.img\n")
-        with pytest.raises(ConflictingSource):
+        with pytest.raises(PifileError, match="FROM and INPLACE are mutually exclusive"):
             build_plan(pifile)
 
     def test_multiple_from_conflict(self, tmp_path):
         pifile = pifile_at(tmp_path, "FROM a.img\nFROM b.img\n")
-        with pytest.raises(ConflictingSource):
+        with pytest.raises(PifileError, match="multiple FROM directives"):
             build_plan(pifile)
 
     def test_to_with_inplace_conflict(self, tmp_path):
         pifile = pifile_at(tmp_path, "INPLACE a.img\nTO b.img\n")
-        with pytest.raises(ConflictingSource):
+        with pytest.raises(PifileError, match="TO cannot be combined with INPLACE"):
             build_plan(pifile)
 
     def test_inplace_url_refused_at_its_line(self, tmp_path):
         pifile = pifile_at(tmp_path, "RUN x\nINPLACE https://host/base.img\n")
-        with pytest.raises(ConflictingSource, match="FROM <url> with TO") as info:
+        with pytest.raises(PifileError, match="FROM <url> with TO") as info:
             build_plan(pifile, files_probe())
         assert info.value.origin.line_no == 2
 
@@ -142,7 +134,7 @@ class TestBuildPlan:
     def test_inplace_packed_image_refused_at_its_line(self, tmp_path, image):
         # refused by its name, before the source is classified
         pifile = pifile_at(tmp_path, f"RUN x\nINPLACE {image}\nPUMP 1M\n")
-        with pytest.raises(ConflictingSource, match="FROM <archive> with TO") as info:
+        with pytest.raises(PifileError, match="FROM <archive> with TO") as info:
             build_plan(pifile, files_probe(tmp_path / image))
         assert info.value.origin.line_no == 2
 
@@ -156,12 +148,12 @@ class TestBuildPlan:
     @pytest.mark.parametrize("index", ["0", "-1", "two"])
     def test_invalid_partition_index(self, tmp_path, index):
         pifile = pifile_at(tmp_path, f"FROM a.img {index}\n")
-        with pytest.raises(InvalidPartitionIndex):
+        with pytest.raises(PifileError, match="partition index must be"):
             build_plan(pifile, files_probe(tmp_path / "a.img"))
 
     def test_source_must_exist(self, tmp_path):
         pifile = pifile_at(tmp_path, "FROM nowhere.img\n")
-        with pytest.raises(SourceNotFound):
+        with pytest.raises(PifileError, match="source not found"):
             build_plan(pifile, files_probe())
 
     def test_pump_amounts_sum(self, tmp_path):
@@ -171,20 +163,20 @@ class TestBuildPlan:
 
     def test_malformed_pump_surfaces(self, tmp_path):
         pifile = pifile_at(tmp_path, "FROM a.img\nPUMP huge\n")
-        with pytest.raises(MalformedSize):
+        with pytest.raises(PifileError, match="malformed size 'huge'"):
             build_plan(pifile, files_probe(tmp_path / "a.img"))
 
     @pytest.mark.parametrize("mode", ["999", "78", "worldwrite", "77777"])
     def test_invalid_modes(self, tmp_path, mode):
         pifile = pifile_at(tmp_path, f"FROM a.img\nINSTALL {mode} x /y\n")
-        with pytest.raises(InvalidMode) as err:
+        with pytest.raises(PifileError, match="INSTALL mode must be octal") as err:
             build_plan(pifile, files_probe(tmp_path / "a.img"))
         assert err.value.origin.line_no == 2
 
     @pytest.mark.parametrize("dst", ["../../dotdot.conf", "/etc/../../x", "/etc/.."])
     def test_install_destination_with_dotdot_refused_at_its_line(self, tmp_path, dst):
         pifile = pifile_at(tmp_path, f"FROM a.img\nINSTALL 644 x {dst}\n")
-        with pytest.raises(MalformedArgs, match="'..' component") as err:
+        with pytest.raises(PifileError, match="'..' component") as err:
             build_plan(pifile, files_probe(tmp_path / "a.img"))
         assert err.value.origin.line_no == 2
 
@@ -213,7 +205,7 @@ class TestBuildPlan:
 
         for setup in ("INPLACE /dev/sdc\n", "FROM a.img\nTO /dev/sdc\n"):
             pifile = pifile_at(tmp_path, f"{setup}RUN x\nPUMP 1M\nPUMP 1M\n")
-            with pytest.raises(ConflictingSource) as err:
+            with pytest.raises(PifileError, match="PUMP cannot grow the fixed-size device") as err:
                 build_plan(pifile, probe)
             assert "/dev/sdc" in err.value.args[0]
             assert err.value.origin.line_no == setup.count("\n") + 2

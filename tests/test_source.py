@@ -9,14 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from imgforge.errors import (
-    CorruptArchive,
-    DestinationIsDirectory,
-    FetchFailed,
-    MultipleImagesInArchive,
-    SourceNotFound,
-    UnsupportedArchive,
-)
+from imgforge.errors import ExecutionFailure, PifileError
 from imgforge.executor import ActionKind, DryRunExecutor
 from imgforge.pifile import parse_pifile_text
 from imgforge.plan import build_plan
@@ -61,7 +54,7 @@ class TestUrllibFetcher:
         assert (tmp_path / "got.img").read_bytes() == src.read_bytes()
 
     def test_missing_file_is_a_fetch_failure(self, tmp_path):
-        with pytest.raises(FetchFailed, match="gone.img"):
+        with pytest.raises(ExecutionFailure, match="gone.img"):
             _urllib_fetcher((tmp_path / "gone.img").as_uri(), tmp_path / "got.img")
 
 
@@ -82,11 +75,11 @@ class TestClassifySource:
         assert classify_source(str(img)) is SourceKind.LOCAL_FILE
 
     def test_nothing_matches(self, tmp_path):
-        with pytest.raises(SourceNotFound):
+        with pytest.raises(PifileError, match="source not found"):
             classify_source(str(tmp_path / "gone.img"))
 
     def test_unknown_scheme_is_not_a_url(self):
-        with pytest.raises(SourceNotFound):
+        with pytest.raises(PifileError, match="source not found"):
             classify_source("weird://host/x", lambda loc: None)
 
 
@@ -102,9 +95,9 @@ class TestFetchToCache:
     def test_failed_fetch_leaves_no_entry(self, tmp_path):
         def failing(url, dest):
             Path(dest).write_bytes(b"partial")
-            raise FetchFailed("connection reset")
+            raise ExecutionFailure("connection reset")
 
-        with pytest.raises(FetchFailed):
+        with pytest.raises(ExecutionFailure, match="connection reset"):
             fetch_to_cache("https://host/base.img", tmp_path, failing)
         assert not (tmp_path / cache_key("https://host/base.img")).exists()
         leftovers = [p for p in tmp_path.rglob("*") if p.is_file() and p.suffix != ".lock"]
@@ -127,7 +120,7 @@ class TestFetchToCache:
 
     def test_offline_miss_fails(self, tmp_path):
         fetcher = CountingFetcher()
-        with pytest.raises(FetchFailed):
+        with pytest.raises(ExecutionFailure, match="offline mode"):
             fetch_to_cache("https://host/x.img", tmp_path, fetcher, offline=True)
         assert fetcher.calls == 0
 
@@ -225,32 +218,32 @@ class TestExtractImage:
         with zipfile.ZipFile(archive, "w") as zf:
             zf.writestr("one.img", b"1")
             zf.writestr("two.img", b"2")
-        with pytest.raises(MultipleImagesInArchive):
+        with pytest.raises(ExecutionFailure, match="archive holds 2 images"):
             extract_image(archive, tmp_path)
 
     def test_zip_without_image(self, tmp_path):
         archive = tmp_path / "none.zip"
         with zipfile.ZipFile(archive, "w") as zf:
             zf.writestr("README", "empty")
-        with pytest.raises(UnsupportedArchive):
+        with pytest.raises(ExecutionFailure, match="archive contains no .img member"):
             extract_image(archive, tmp_path)
 
     def test_corrupt_gzip(self, tmp_path):
         archive = tmp_path / "bad.img.gz"
         archive.write_bytes(b"\x1f\x8b" + b"garbage")
-        with pytest.raises(CorruptArchive):
+        with pytest.raises(ExecutionFailure, match="cannot decompress"):
             extract_image(archive, tmp_path)
 
     def test_tarball_rejected(self, tmp_path):
         archive = tmp_path / "base.tar.gz"
         archive.write_bytes(gzip.compress(b"tar?"))
-        with pytest.raises(UnsupportedArchive):
+        with pytest.raises(ExecutionFailure, match="unsupported archive format: base.tar.gz"):
             extract_image(archive, tmp_path)
 
     def test_tgz_rejected(self, tmp_path):
         archive = tmp_path / "base.tgz"
         archive.write_bytes(b"anything")
-        with pytest.raises(UnsupportedArchive):
+        with pytest.raises(ExecutionFailure, match="unsupported archive format: base.tgz"):
             extract_image(archive, tmp_path)
 
     def test_name_hint_drives_format(self, tmp_path):
@@ -308,7 +301,7 @@ class TestExtractImage:
     def test_failed_unpack_keeps_the_download_entry(self, tmp_path):
         url = "https://host/bad.img.xz"
         fetched = fetch_to_cache(url, tmp_path, CountingFetcher(b"not xz at all"))
-        with pytest.raises(CorruptArchive):
+        with pytest.raises(ExecutionFailure, match="cannot decompress"):
             extract_image(fetched, fetched.parent, name_hint="bad.img.xz")
         assert sorted(p.name for p in fetched.parent.iterdir()) == ["image", "meta"]
 
@@ -414,5 +407,5 @@ class TestMaterializeDestination:
         src.write_bytes(b"data")
         plan = self._plan(tmp_path, "FROM a.img\nTO outdir\n",
                           lambda loc: SourceKind.LOCAL_FILE if loc == str(src) else None)
-        with pytest.raises(DestinationIsDirectory):
+        with pytest.raises(ExecutionFailure, match="is a directory"):
             materialize_destination(plan, DryRunExecutor())
