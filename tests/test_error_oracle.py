@@ -5,7 +5,9 @@ into a fresh directory and runs ``imgforge main.Pifile`` there in its own
 process, so logging is configured as on the command line and every path
 in stderr is relative.  ``CASES`` are the parser's and planner's errors
 (exit 1); their text was recorded before the per-directive path was made
-faster.  ``BUILD_CASES`` fail while a build runs (exit 2) or on the host it
+faster, and the cases from ``multiple-FROM`` on, which pin the file:line of
+planner errors and of warnings, before a directive's location moved into its
+``Command``.  ``BUILD_CASES`` fail while a build runs (exit 2) or on the host it
 runs on (exit 3), and none of them mounts anything; their text was recorded
 before the exception classes were folded into one per exit code.  A change
 that only speeds up a path or reshapes the error classes must leave every
@@ -82,6 +84,41 @@ CASES = {
     "install-dotdot": (
         {"main.Pifile": "FROM a.img\nINSTALL a.conf /etc/../../x\n"},
         1, "[error] main.Pifile:2: INSTALL destination /etc/../../x has a '..' component\n"),
+    "multiple-FROM": (
+        {"main.Pifile": "FROM a.img\nFROM a.img\n"},
+        1, "[error] main.Pifile:2: multiple FROM directives\n"),
+    "FROM-and-INPLACE": (
+        {"main.Pifile": "FROM a.img\nINPLACE a.img\n"},
+        1, "[error] main.Pifile:2: FROM and INPLACE are mutually exclusive\n"),
+    "TO-with-INPLACE": (
+        {"main.Pifile": "INPLACE a.img\nTO b.img\n"},
+        1, "[error] main.Pifile:2: TO cannot be combined with INPLACE\n"),
+    "INPLACE-url": (
+        {"main.Pifile": "INPLACE http://example.invalid/a.img\n"},
+        1, "[error] main.Pifile:1: INPLACE cannot edit a URL; use FROM <url> with TO\n"),
+    "partition-zero": (
+        {"main.Pifile": "FROM a.img 0\n"},
+        1, "[error] main.Pifile:1: partition index must be >= 1, got 0\n"),
+    "partition-word": (
+        {"main.Pifile": "FROM a.img two\n"},
+        1, "[error] main.Pifile:1: partition index must be a positive integer, got 'two'\n"),
+    "multiple-TO-then-install-mode": (
+        {"main.Pifile": "FROM a.img\nTO x.img\nTO y.img\nINSTALL 0648 a b\n"},
+        1, "WARNING: multiple TO directives; using the last one (main.Pifile:3)\n"
+           "[error] main.Pifile:4: INSTALL mode must be octal 0..7777, got '0648'\n"),
+    "undefined-variable-in-include": (
+        {"main.Pifile": "FROM a.img\nINCLUDE mod.Pifile\n",
+         "mod.Pifile": "RUN echo $NOPE\nBOGUS\n"},
+        1, "WARNING: mod.Pifile:1: undefined variable $NOPE expands to empty string\n"
+           "[error] mod.Pifile:2: unknown directive 'BOGUS'\n"),
+    "undefined-variable-in-heredoc": (
+        {"main.Pifile": "FROM a.img\nRUN tee /x << EOF\n$NOPE\nEOF\nBOGUS\n"},
+        1, "WARNING: main.Pifile:2: undefined variable $NOPE expands to empty string\n"
+           "[error] main.Pifile:5: unknown directive 'BOGUS'\n"),
+    "undefined-variable-alone": (
+        {"main.Pifile": "FROM a.img\n$NOPE\nFOO\n"},
+        1, "WARNING: main.Pifile:2: undefined variable $NOPE expands to empty string\n"
+           "[error] main.Pifile:3: unknown directive 'FOO'\n"),
 }
 
 # case: (files, arguments, exit code, stdout, stderr); bytes are written as they are
