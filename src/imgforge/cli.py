@@ -34,7 +34,7 @@ from typing import Callable, Mapping, Sequence
 
 from .errors import CommandFailed, ExecutionFailure, ImgforgeError, PifileError
 from .executor import DryRunExecutor, Executor, LocalExecutor, RunOptions, execute
-from .pifile import SourceLine, parse_pifile
+from .pifile import Command, parse_pifile
 from .plan import build_plan, validate_plan
 from .source import TargetKind
 
@@ -175,18 +175,18 @@ def _main(argv: Sequence[str] | None, env: Mapping[str, str] | None,
         return ExecutionFailure.exit_code
 
 
-def _stdout_logger() -> Callable[[str, SourceLine | None, str], None]:
+def _stdout_logger() -> Callable[[str, Command | None, str], None]:
     """A stage-line printer for one build; it reads a Pifile's name once per run of its lines."""
     file = name = None
 
-    def log(stage: str, origin: SourceLine | None, message: str) -> None:
+    def log(stage: str, command: Command | None, message: str) -> None:
         nonlocal file, name
-        if origin is None:
+        if command is None:
             sys.stdout.write(f"[{stage}] {message}\n")
             return
-        if origin.file is not file:  # held, so it is never another Path at a reused address
-            file, name = origin.file, origin.file.name
-        sys.stdout.write(f"[{stage}] {name}:{origin.line_no} {message}\n")
+        if command.file is not file:  # held, so it is never another Path at a reused address
+            file, name = command.file, command.file.name
+        sys.stdout.write(f"[{stage}] {name}:{command.line_no} {message}\n")
     return log
 
 

@@ -6,7 +6,9 @@ in the Pifile or plan, exit 1), ExecutionFailure (something went wrong
 while applying a plan, SIGTERM and SIGHUP among them, exit 2), and
 EnvironmentProblem (the host cannot do what was asked, exit 3).  The
 message tells one failure from another; CommandFailed also carries the
-failed command's status.
+failed command's status.  An error's ``origin``, when it has one, is the
+:class:`~imgforge.pifile.Command` of the directive it is about, which
+carries that directive's file and line.
 """
 
 from __future__ import annotations
@@ -14,23 +16,23 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
-    from .pifile import SourceLine
+    from .pifile import Command
 
 
 class ImgforgeError(Exception):
-    """Base class; carries optional Pifile origin and pipeline stage context."""
+    """Base class; carries the optional directive it is about and the pipeline stage."""
 
     exit_code = 2
 
-    def __init__(self, message: str, *, origin: "SourceLine | None" = None):
+    def __init__(self, message: str, *, origin: "Command | None" = None):
         super().__init__(message)
         self.origin = origin
         self.stage: str | None = None
 
     def __str__(self) -> str:
         base = super().__str__()
-        if self.origin is not None:
-            return f"{self.origin.file}:{self.origin.line_no}: {base}"
+        if (origin := self.origin) is not None:
+            return f"{origin.file}:{origin.line_no}: {base}"
         return base
 
 
@@ -53,6 +55,6 @@ class EnvironmentProblem(ImgforgeError):
 class CommandFailed(ExecutionFailure):
     """A RUN or HOST command exited with a nonzero ``status``."""
 
-    def __init__(self, message: str, *, status: int, origin: "SourceLine | None" = None):
+    def __init__(self, message: str, *, status: int, origin: "Command | None" = None):
         super().__init__(message, origin=origin)
         self.status = status

@@ -49,7 +49,7 @@ from . import source as source_mod
 # the vocabulary and its log format stay importable from here
 from .actions import Action, ActionKind, render_action, serialize_actions  # noqa: F401
 from .errors import CommandFailed, EnvironmentProblem, ExecutionFailure, ImgforgeError
-from .pifile import Command, CommandKind, SourceLine, pathlib_join, render_first_line
+from .pifile import Command, CommandKind, pathlib_join, render_first_line
 from .plan import ExecutionPlan, Stage
 
 logger = logging.getLogger(__name__)
@@ -365,10 +365,10 @@ def command_action(command: Command, guest_path: str, here: str | None = None) -
 
     RUN executes in the guest with ``guest_path``, the composed PATH text
     (entries joined with ":"), as its PATH, HOST executes in the Pifile's
-    directory ``here`` (by default its origin's parent, as text), and a relative
+    directory ``here`` (by default its file's parent, as text), and a relative
     INSTALL source is anchored there.  A here-document body is its standard input.
     """
-    here = str(command.origin.file.parent) if here is None else here
+    here = str(command.file.parent) if here is None else here
     if command.kind is _RUN:
         return Action(_GUEST_EXEC, {
             "command": command.args[0],
@@ -400,7 +400,7 @@ class RunOptions:
     offline: bool = False
     emulators: Sequence[str] | None = None
     fetcher: source_mod.Fetcher | None = None
-    on_log: Callable[[str, SourceLine | None, str], None] | None = None
+    on_log: Callable[[str, Command | None, str], None] | None = None
 
 
 @dataclass
@@ -416,11 +416,11 @@ def execute(plan: ExecutionPlan, backend: Executor,
     The first failing action aborts the remaining commands but never the
     teardown; the raised error carries the stage and Pifile line it came
     from.  On success the report holds per-stage durations and the SHA-256
-    of the final image (real backends only).  Emulators are resolved once,
-    up front: ``opts.emulators``, else the qemu-*-static binaries on the
-    build environment's PATH.  A real build that grows the image or enters
-    the guest first checks the host, before anything is fetched or
-    written: it refuses an emulator that is not a file and, with the
+    of the final image (real backends only).  Emulators are resolved only
+    when the guest is entered: ``opts.emulators``, else the qemu-*-static
+    binaries on the build environment's PATH.  A real build that grows the
+    image or enters the guest first checks the host, before anything is
+    fetched or written: it refuses an emulator that is not a file and, with the
     default runner, a process that is not root, and it warns once when
     binfmt_misc is not mounted and the guest will be entered.  Setup then
     unpacks an archive source into the cache in both backends, reads the
@@ -432,14 +432,16 @@ def execute(plan: ExecutionPlan, backend: Executor,
     """
     opts = options or RunOptions()
     env = dict(opts.env) if opts.env is not None else dict(os.environ)
-    log = opts.on_log or (lambda stage, origin, message: None)
+    log = opts.on_log or (lambda stage, command, message: None)
     chroot_commands = plan.staged[Stage.CHROOT]
     # HOST and PATH never touch the guest filesystem; mount only when
     # something will actually run or copy inside the image
     needs_guest = any(c.kind in (CommandKind.RUN, CommandKind.INSTALL)
                       for c in chroot_commands)
-    emulators = (list(opts.emulators) if opts.emulators is not None
-                 else mounts_mod.discover_emulators(env.get("PATH", "")))
+    emulators: list[str] = []
+    if needs_guest:  # nothing is copied into a guest that is never entered
+        emulators = (list(opts.emulators) if opts.emulators is not None
+                     else mounts_mod.discover_emulators(env.get("PATH", "")))
     durations: dict[str, float] = {}
     stage_label = Stage.SETUP.label
 
@@ -450,7 +452,7 @@ def execute(plan: ExecutionPlan, backend: Executor,
         log(Stage.SETUP.label, None, "begin")
         if backend.performs_effects and (needs_guest or plan.pump_bytes > 0):
             missing = [e for e in emulators if not os.path.isfile(e)]
-            if needs_guest and missing:
+            if missing:
                 raise EnvironmentProblem(f"emulator is not a file: {', '.join(missing)}")
             # an injected runner owns the privilege boundary; only gate the real one
             if getattr(backend, "runner", None) is run_command and os.geteuid() != 0:
@@ -491,7 +493,7 @@ def execute(plan: ExecutionPlan, backend: Executor,
         log(stage_label, None, "begin")
         if plan.pump_bytes > 0:
             for command in plan.staged[Stage.PREPARE]:
-                log(stage_label, command.origin, render_first_line(command))
+                log(stage_label, command, render_first_line(command))
             table = image_mod.pump(plan, backend, table)
         durations[stage_label] = time.monotonic() - started
 
@@ -514,18 +516,18 @@ def execute(plan: ExecutionPlan, backend: Executor,
         file = here = None
         for command in chroot_commands:
             if opts.on_log is not None:  # a stage line is rendered only to be read
-                log(stage_label, command.origin, render_first_line(command))
+                log(stage_label, command, render_first_line(command))
             if command.kind is _PATH:
                 extensions.append(command.args[0])
                 guest_path = ":".join(compose_guest_path(extensions, host_path))
                 continue
-            if command.origin.file is not file:  # one Pifile's commands share one Path
-                file, here = command.origin.file, str(command.origin.file.parent)
+            if command.file is not file:  # one Pifile's commands share one Path
+                file, here = command.file, str(command.file.parent)
             status = backend.emit(command_action(command, guest_path, here))
             if status != 0:
                 raise CommandFailed(
                     f"{command.kind.value} command failed with status {status}: "
-                    f"{command.args[0]}", status=status, origin=command.origin)
+                    f"{command.args[0]}", status=status, origin=command)
         durations[stage_label] = time.monotonic() - started
     except ImgforgeError as exc:
         if exc.stage is None:

@@ -94,25 +94,18 @@ _ENV_VAR = re.compile(
 
 
 @dataclass(slots=True)
-class SourceLine:
-    """Location of a directive in its file; line numbers are 1-based."""
-
-    file: Path
-    line_no: int
-    text: str
-
-
-@dataclass(slots=True)
 class Command:
-    """One parsed directive.
+    """One parsed directive and where it starts: ``file`` and its 1-based ``line_no``.
 
     Two commands compare equal when kind, arguments, and here-document body
-    match; the origin is carried for error reporting and logging only.
+    match; the location is carried for error reporting and logging only, and
+    a command is the location of every warning and error about its line.
     """
 
     kind: CommandKind
     args: tuple[str, ...]
-    origin: SourceLine = field(compare=False)
+    file: Path = field(compare=False)
+    line_no: int = field(compare=False)
     heredoc: str | None = None
 
 
@@ -122,7 +115,7 @@ class Pifile:
     source_path: Path
 
 
-def substitute_env(text: str, env: Mapping[str, str], where: SourceLine | None = None) -> str:
+def substitute_env(text: str, env: Mapping[str, str], where: Command | None = None) -> str:
     """Expand $NAME / ${NAME} from env; undefined names become "" with a warning."""
     if "$" not in text:
         return text
@@ -148,7 +141,7 @@ def pathlib_join(directory: str, path_text: str) -> str:
 
 
 def parse_heredoc(lines: list[str], start: int, delimiter: str,
-                  origin: SourceLine) -> tuple[str, int]:
+                  command: Command) -> tuple[str, int]:
     """Capture a here-document body from ``lines`` beginning at index ``start``.
 
     Returns the raw body (internal newlines kept, a single trailing newline
@@ -160,7 +153,7 @@ def parse_heredoc(lines: list[str], start: int, delimiter: str,
         end = lines.index(delimiter, start)
     except ValueError:
         raise PifileError(f"here-document delimited by {delimiter!r} never terminated",
-                          origin=origin) from None
+                          origin=command) from None
     return ("\n".join(lines[start:end]) + "\n" if end > start else ""), end + 1
 
 
@@ -190,42 +183,42 @@ def parse_pifile_text(text: str, env: Mapping[str, str] | None = None, *,
     include = CommandKind.INCLUDE  # a member read through the class is a slow lookup on 3.11
     i = 0
     while i < len(lines):
-        line_no = i + 1
         line = lines[i]
         i += 1
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
+        # made at line ``i`` (1-based), it locates the line's warnings and errors; its
+        # kind, arguments and here-document body are filled in once they are parsed
+        command = Command(None, (), source_path, i)  # type: ignore[arg-type]
         logical = line
         while logical.endswith("\\") and i < len(lines):
             logical = logical[:-1] + lines[i]
             i += 1
-        origin = SourceLine(source_path, line_no, logical)
-        expanded = substitute_env(logical, env, origin)
+        expanded = substitute_env(logical, env, command)
         parts = expanded.split(None, 1)
         if not parts:
             continue  # the line was nothing but a variable that expanded away
         kind = _KEYWORDS.get(parts[0])
         if kind is None:
-            raise PifileError(f"unknown directive {parts[0]!r}", origin=origin)
+            raise PifileError(f"unknown directive {parts[0]!r}", origin=command)
         remainder = parts[1].strip() if len(parts) > 1 else ""
 
-        heredoc: str | None = None
         if kind in _VERBATIM:
             for late in _MARKER_NOT_LAST.finditer(remainder) if "<<" in remainder else ():
                 head = remainder[:late.start()]
                 if head.count("((") <= head.count("))"):  # not a shift inside `$((`
                     raise PifileError(f"unsupported here-document form {late[0]!r}: << WORD "
                                       "must end the line, as in 'tee FILE << WORD'",
-                                      origin=origin)
+                                      origin=command)
             marker = "<<" in remainder and _HEREDOC_MARKER.fullmatch(remainder)
             if marker:
                 if marker.group("delim") is None:
                     raise PifileError(f"unsupported here-document form {marker['form']!r}; "
-                                      "use << WORD with a plain WORD", origin=origin)
+                                      "use << WORD with a plain WORD", origin=command)
                 remainder = marker.group("cmd")
-                raw_body, i = parse_heredoc(lines, i, marker.group("delim"), origin)
-                heredoc = substitute_env(raw_body, env, origin)
+                raw_body, i = parse_heredoc(lines, i, marker.group("delim"), command)
+                command.heredoc = substitute_env(raw_body, env, command)
             args = (remainder,) if remainder else ()
         else:
             args = tuple(remainder.split())
@@ -233,19 +226,20 @@ def parse_pifile_text(text: str, env: Mapping[str, str] | None = None, *,
         if len(args) < low or (high is not None and len(args) > high):
             bound = f"{low}" if high == low else f"{low}..{high if high is not None else 'n'}"
             raise PifileError(f"{kind.value} takes {bound} argument(s), got {len(args)}",
-                              origin=origin)
+                              origin=command)
 
         if kind is include:
             target = source_path.parent / args[0]
             if not target.is_file():
-                raise PifileError(f"included file not found: {target}", origin=origin)
+                raise PifileError(f"included file not found: {target}", origin=command)
             if target.resolve() in {path.resolve() for path in chain}:
                 raise PifileError("include cycle: " + " -> ".join(map(str, (*chain, target))),
-                                  origin=origin)
+                                  origin=command)
             included = parse_pifile(target, env, chain)
             commands.extend(included.commands)
         else:
-            commands.append(Command(kind, args, origin, heredoc))
+            command.kind, command.args = kind, args
+            commands.append(command)
     return Pifile(commands=commands, source_path=source_path)
 
 

@@ -104,23 +104,23 @@ def build_plan(pifile: Pifile,
     if not froms and not inplaces:
         raise PifileError("Pifile declares neither FROM nor INPLACE")
     if froms and inplaces:
-        raise PifileError("FROM and INPLACE are mutually exclusive", origin=inplaces[0].origin)
+        raise PifileError("FROM and INPLACE are mutually exclusive", origin=inplaces[0])
     if len(froms) > 1:
-        raise PifileError("multiple FROM directives", origin=froms[1].origin)
+        raise PifileError("multiple FROM directives", origin=froms[1])
     if len(inplaces) > 1:
-        raise PifileError("multiple INPLACE directives", origin=inplaces[1].origin)
+        raise PifileError("multiple INPLACE directives", origin=inplaces[1])
     if tos and inplaces:
-        raise PifileError("TO cannot be combined with INPLACE", origin=tos[0].origin)
+        raise PifileError("TO cannot be combined with INPLACE", origin=tos[0])
 
     base_dir = pifile.source_path.parent
 
     root = (froms or inplaces)[0]
     raw = root.args[0]
     if inplaces and is_url(raw):
-        raise PifileError("INPLACE cannot edit a URL; use FROM <url> with TO", origin=root.origin)
+        raise PifileError("INPLACE cannot edit a URL; use FROM <url> with TO", origin=root)
     if inplaces and is_archive(raw):
         raise PifileError("INPLACE cannot edit a packed image; use FROM <archive> with TO",
-                          origin=root.origin)
+                          origin=root)
     partition_index = _partition_index(root)  # INPLACE takes none: the default
     locator = raw if is_url(raw) else _anchor(raw, base_dir)
     source = SourceSpec(kind=classify_source(locator, probe), locator=locator)
@@ -128,14 +128,12 @@ def build_plan(pifile: Pifile,
         dest_path = locator
     elif tos:
         if len(tos) > 1:
-            logger.warning(
-                "multiple TO directives; using the last one (%s:%d)",
-                tos[-1].origin.file, tos[-1].origin.line_no,
-            )
+            logger.warning("multiple TO directives; using the last one (%s:%d)",
+                           tos[-1].file, tos[-1].line_no)
         dest_path = _anchor(tos[-1].args[0], base_dir)
         if not is_url(raw) and is_archive(raw) and same_file(locator, dest_path):
             raise PifileError(f"TO {tos[-1].args[0]} would overwrite the packed FROM image",
-                              origin=tos[-1].origin)
+                              origin=tos[-1])
     else:
         dest_path = str(base_dir / f"{pifile.source_path.stem}.img")
     target_kind = (TargetKind.BLOCK_DEVICE if probe(dest_path) is SourceKind.BLOCK_DEVICE
@@ -145,17 +143,17 @@ def build_plan(pifile: Pifile,
     pump_bytes = sum(parse_size(c.args[0]) for c in staged[Stage.PREPARE])
     if pump_bytes > 0 and destination.kind is TargetKind.BLOCK_DEVICE:
         raise PifileError(f"PUMP cannot grow the fixed-size device {destination.path}",
-                          origin=staged[Stage.PREPARE][0].origin)
+                          origin=staged[Stage.PREPARE][0])
     install = CommandKind.INSTALL  # a member read through the class is a slow lookup on 3.11
     for command in (c for c in staged[Stage.CHROOT] if c.kind is install):
         if ".." in command.args[-1].split("/"):
             raise PifileError(f"INSTALL destination {command.args[-1]} has a '..' component",
-                              origin=command.origin)
+                              origin=command)
         if len(command.args) == 3:
             mode = command.args[0]
             if not (mode.isdigit() and all(c in "01234567" for c in mode) and len(mode) <= 4):
                 raise PifileError(f"INSTALL mode must be octal 0..7777, got {mode!r}",
-                                  origin=command.origin)
+                                  origin=command)
 
     return ExecutionPlan(
         source=source,
@@ -182,14 +180,10 @@ def _partition_index(from_cmd: Command) -> int:
     try:
         index = int(raw)
     except ValueError:
-        raise PifileError(
-            f"partition index must be a positive integer, got {raw!r}",
-            origin=from_cmd.origin,
-        ) from None
+        raise PifileError(f"partition index must be a positive integer, got {raw!r}",
+                          origin=from_cmd) from None
     if index < 1:
-        raise PifileError(
-            f"partition index must be >= 1, got {index}", origin=from_cmd.origin
-        )
+        raise PifileError(f"partition index must be >= 1, got {index}", origin=from_cmd)
     return index
 
 
@@ -215,8 +209,8 @@ def validate_plan(plan: ExecutionPlan) -> list[str]:
             host_text += "\n" + command.args[0]
         elif command.kind is install:
             src_arg = command.args[-2]
-            if command.origin.file is not file:  # one Pifile's commands share one Path
-                file, here = command.origin.file, str(command.origin.file.parent)
+            if command.file is not file:  # one Pifile's commands share one Path
+                file, here = command.file, str(command.file.parent)
             if os.path.exists(pathlib_join(here, src_arg)):
                 continue
             # hint is part of src_arg; searched from the end, where its HOST usually is

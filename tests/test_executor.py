@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import imgforge.executor as executor_mod
+import imgforge.mounts as mounts_mod
 import mbr_oracle
 from imgforge.cli import main
 from imgforge.errors import CommandFailed, EnvironmentProblem, ExecutionFailure
@@ -1084,6 +1085,29 @@ class TestHostGate:
     def test_host_only_build_is_not_refused(self, tmp_path, non_root):
         assert self.build(tmp_path, "FROM base.img\nTO out.img\nHOST true\n") == 0
         assert (tmp_path / "out.img").is_file()
+
+    def test_a_build_that_never_enters_the_guest_looks_for_no_emulator(self, tmp_path,
+                                                                       monkeypatch):
+        def discover_emulators(path_var):
+            raise AssertionError(f"looked for emulators on {path_var}")
+
+        monkeypatch.setattr(mounts_mod, "discover_emulators", discover_emulators)
+        (tmp_path / "t.Pifile").write_text("FROM base.img\nTO out.img\nHOST true\n")
+        assert main([str(tmp_path / "t.Pifile")], FIXED_ENV) == 0
+        assert (tmp_path / "out.img").is_file()
+
+    def test_a_dry_run_copies_each_emulator_on_the_build_path(self, tmp_path):
+        bindir = tmp_path / "bin"
+        bindir.mkdir()
+        stubs = [bindir / "qemu-aarch64-static", bindir / "qemu-arm-static"]
+        for stub in stubs:
+            stub.write_bytes(b"\x7fELF")
+            stub.chmod(0o755)
+        backend = DryRunExecutor()
+        execute(make_plan(tmp_path, "FROM base.img\nRUN true\n"), backend,
+                RunOptions(env={"PATH": f"{bindir}:/usr/bin:/bin"}))
+        assert [a.payload["source"] for a in backend.actions
+                if a.kind is ActionKind.COPY_EMULATOR] == [str(stub) for stub in stubs]
 
     def test_missing_binfmt_misc_warns_once(self, tmp_path, monkeypatch, caplog):
         monkeypatch.setattr(executor_mod, "BINFMT_MISC", str(tmp_path / "absent"))

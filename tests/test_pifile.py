@@ -38,7 +38,7 @@ class TestKeywords:
         (tmp_path / "mod.Pifile").write_text("RUN from-mod\n")
         pifile = parse_pifile_text("INCLUDE mod.Pifile\nsource mod.Pifile\n",
                                    source_path=tmp_path / "main.Pifile")
-        assert [(c.kind, c.args, c.origin.file.name) for c in pifile.commands] == [
+        assert [(c.kind, c.args, c.file.name) for c in pifile.commands] == [
             (CommandKind.RUN, ("from-mod",), "mod.Pifile")] * 2
 
     @pytest.mark.parametrize("token", ["pump", "From", "SOURCE", "FROMM", "echo"])
@@ -72,7 +72,7 @@ class TestBasicParsing:
 
     def test_line_numbers_track_source(self):
         pifile = parse("# header\n\nFROM a.img\n\nRUN uname -a\n")
-        assert [c.origin.line_no for c in pifile.commands] == [3, 5]
+        assert [c.line_no for c in pifile.commands] == [3, 5]
 
     def test_run_argument_is_verbatim(self):
         pifile = parse("RUN apt-get update && apt-get -y upgrade\n")
@@ -287,7 +287,7 @@ class TestIncludes:
         main = tmp_path / "main.Pifile"
         main.write_text("FROM a.img\nINCLUDE mod.Pifile\n")
         pifile = parse_pifile(main)
-        assert pifile.commands[1].origin.file.name == "mod.Pifile"
+        assert pifile.commands[1].file.name == "mod.Pifile"
 
     def test_missing_include(self, tmp_path):
         main = tmp_path / "main.Pifile"
@@ -394,11 +394,11 @@ def commands(draw):
 def _build_pifile(specs):
     from pathlib import Path
 
-    from imgforge.pifile import Pifile, SourceLine
+    from imgforge.pifile import Pifile
 
     cmds = [
         Command(kind=kind, args=args,
-                origin=SourceLine(Path("<gen>"), i + 1, ""), heredoc=heredoc)
+                file=Path("<gen>"), line_no=i + 1, heredoc=heredoc)
         for i, (kind, args, heredoc) in enumerate(specs)
     ]
     return Pifile(commands=cmds, source_path=Path("<gen>"))

@@ -267,7 +267,7 @@ _stage_kinds = st.sampled_from([
 
 
 def _pifile_of_kinds(kind_list):
-    from imgforge.pifile import Command, Pifile, SourceLine
+    from imgforge.pifile import Command, Pifile
 
     args = {
         CommandKind.FROM: ("a.img",),
@@ -280,7 +280,7 @@ def _pifile_of_kinds(kind_list):
         CommandKind.HOST: ("true",),
     }
     commands = [
-        Command(kind=k, args=args[k], origin=SourceLine(Path("<gen>"), i + 1, ""))
+        Command(kind=k, args=args[k], file=Path("<gen>"), line_no=i + 1)
         for i, k in enumerate(kind_list)
     ]
     return Pifile(commands=commands, source_path=Path("<gen>"))
