@@ -190,7 +190,7 @@ def parse_pifile_text(text: str, env: Mapping[str, str] | None = None, *,
             continue
         # made at line ``i`` (1-based), it locates the line's warnings and errors; its
         # kind, arguments and here-document body are filled in once they are parsed
-        command = Command(None, (), source_path, i)  # type: ignore[arg-type]
+        command = Command(None, (), source_path, i)
         logical = line
         while logical.endswith("\\") and i < len(lines):
             logical = logical[:-1] + lines[i]
