@@ -3,8 +3,9 @@
 A FROM argument is one of three things: an HTTP(S)/FTP URL, a block device,
 or a local file.  URLs are downloaded once into a content-keyed cache
 (`sha256(url)`), so repeated builds of the same Pifile hit the network a
-single time.  Compressed sources (.zip/.gz/.xz/.zst) are unpacked before
-use; an archive must contain exactly one image.
+single time.  Compressed sources are unpacked before use: .gz/.xz/.zst by
+the format's own tool on imgforge's PATH (gzip, xz, zstd), .zip by zipfile;
+an archive must contain exactly one image.
 
 This module alone owns the cache layout, under the directory given by
 --cache, $PIMOD_CACHE, or a `.pimod-cache` directory beside the Pifile; a
@@ -21,13 +22,13 @@ from __future__ import annotations
 
 import errno
 import fcntl
-import gzip
 import hashlib
 import logging
-import lzma
 import os
 import shutil
 import stat as stat_module
+import subprocess
+import tempfile
 import time
 import urllib.parse
 import zipfile
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import takewhile
 from pathlib import Path
-from typing import TYPE_CHECKING, BinaryIO, Callable, Iterator, Mapping
+from typing import TYPE_CHECKING, BinaryIO, Callable, ContextManager, Iterator, Mapping
 
 from .actions import Action, ActionKind
 from .errors import EnvironmentProblem, ExecutionFailure, PifileError
@@ -56,7 +57,8 @@ FETCH_TIMEOUT_S = 60  # per blocking socket operation, not for the whole downloa
 
 _PACKED_SUFFIXES = frozenset({".gz", ".xz", ".zst", ".zip"})
 _REJECTED_SUFFIXES = frozenset({".bz2", ".tar", ".tgz", ".txz", ".tbz2", ".lz4", ".7z", ".rar"})
-_DECOMPRESS_ERRORS = (gzip.BadGzipFile, lzma.LZMAError, zlib.error, EOFError)
+# each stream format's own tool, reading the archive on stdin; xz -T0 decodes blocks in parallel
+_DECOMPRESSORS = {".gz": ("gzip", "-dc"), ".xz": ("xz", "-dc", "-T0"), ".zst": ("zstd", "-dc")}
 
 # unit of every image read and write; one buffer of it is the most any of them holds
 CHUNK = 1024 * 1024
@@ -253,17 +255,24 @@ def is_archive(name: str) -> bool:
     return Path(name).suffix.lower() in _PACKED_SUFFIXES | _REJECTED_SUFFIXES
 
 
-def _zst_open(path: Path, mode: str) -> BinaryIO:
-    try:
-        import zstandard
-    except ImportError:
-        raise ExecutionFailure(
-            ".zst archives need the optional zstandard package (pip install imgforge[zstd])"
-        ) from None
-    return zstandard.ZstdDecompressor().stream_reader(open(path, "rb"), closefd=True)
-
-
-_STREAM_OPENERS = {".gz": gzip.open, ".xz": lzma.open, ".zst": _zst_open}
+@contextmanager
+def _decompressed(archive: Path, argv: tuple[str, ...]) -> Iterator[BinaryIO]:
+    """The output of ``argv`` unpacking ``archive``; the tool is killed if the body fails."""
+    with open(archive, "rb") as stdin, tempfile.TemporaryFile() as stderr:  # a file never fills
+        try:
+            proc = subprocess.Popen(argv, stdin=stdin, stdout=subprocess.PIPE, stderr=stderr)
+        except FileNotFoundError as exc:
+            raise EnvironmentProblem(f"cannot execute {argv[0]}: {exc}") from exc
+        with proc:  # closes the pipe and reaps the tool on every way out
+            try:
+                yield proc.stdout
+            except BaseException:
+                proc.kill()
+                raise
+        if proc.returncode:
+            stderr.seek(0)
+            detail = stderr.read().decode(errors="replace").strip() or f"status {proc.returncode}"
+            raise ExecutionFailure(f"cannot decompress {archive}: {detail}")
 
 
 def _single_image_member(archive: zipfile.ZipFile) -> str:
@@ -307,17 +316,19 @@ def _unpack_into(archive: Path, workspace: Path, name: str, packing: str) -> Pat
             out = workspace / Path(name).stem
             if out == archive:  # a download of ".../image.gz" is itself stored as <key>/image
                 out = out.with_name(f"{out.name}.unpacked")
-            return _unpack(archive, out, lambda: _STREAM_OPENERS[packing](archive, "rb"))
+            return _unpack(archive, out, lambda: _decompressed(archive, _DECOMPRESSORS[packing]))
         with zipfile.ZipFile(archive) as zf:
             member = _single_image_member(zf)
             return _unpack(archive, workspace / Path(member).name, lambda: zf.open(member))
     except zipfile.BadZipFile as exc:
         raise ExecutionFailure(f"{archive} is not a valid zip archive: {exc}") from exc
+    except (zlib.error, EOFError) as exc:  # a zip member's corrupt or cut deflate stream
+        raise ExecutionFailure(f"cannot decompress {archive}: {exc}") from exc
     except OSError as exc:  # reading the archive, or writing the image into a full cache
         raise ExecutionFailure(f"cannot unpack {archive}: {exc}") from exc
 
 
-def _unpack(archive: Path, out: Path, open_stream: Callable[[], BinaryIO]) -> Path:
+def _unpack(archive: Path, out: Path, open_stream: Callable[[], ContextManager[BinaryIO]]) -> Path:
     """Write the image ``open_stream`` yields to ``out``, unless ``out`` already holds it."""
     st = os.stat(archive)
     identity = f"size={st.st_size}\nmtime_ns={st.st_mtime_ns}\ninode={st.st_ino}\n"
@@ -328,9 +339,6 @@ def _unpack(archive: Path, out: Path, open_stream: Callable[[], BinaryIO]) -> Pa
     try:
         with open_stream() as src, open(tmp, "wb") as dst:
             _write_sparse(src, dst)
-    except _DECOMPRESS_ERRORS as exc:
-        tmp.unlink(missing_ok=True)
-        raise ExecutionFailure(f"cannot decompress {archive}: {exc}") from exc
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise

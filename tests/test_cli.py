@@ -18,7 +18,7 @@ import imgforge.plan as plan_mod
 import imgforge.source as source_mod
 import mbr_oracle
 from imgforge.cli import entrypoint, main
-from imgforge.errors import EnvironmentProblem
+from imgforge.errors import EnvironmentProblem, ExecutionFailure
 from imgforge.executor import Action, ActionKind, DryRunExecutor, LocalExecutor
 from imgforge.mounts import teardown_actions
 from imgforge.source import SourceKind
@@ -77,6 +77,31 @@ def write_xz_fixture(tmp_path):
     pifile = tmp_path / "xz.Pifile"
     pifile.write_text("FROM base.img.xz\nTO out.img\nHOST true\n")
     return pifile
+
+
+def write_unpackable(path):
+    """Write at ``path`` a source that fails to unpack in the way its name says.
+
+    A cut archive or one with trailing garbage is told from a good one only
+    by its tool's exit status.
+    """
+    if path.name == "none.zip":
+        with zipfile.ZipFile(path, "w") as zf:
+            zf.writestr("README", "no image in here")
+    elif path.name == "corrupt.zip":
+        with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as zf:
+            zf.writestr("base.img", bytes(range(256)) * 4096)
+        data = bytearray(path.read_bytes())
+        data[30 + len("base.img")] = 0x07  # the first deflate block: final, of invalid type 3
+        path.write_bytes(data)
+    elif path.name.startswith(("cut.", "trailing.")):
+        tool = {".gz": "gzip", ".xz": "xz", ".zst": "zstd"}[path.suffix]
+        raw = mbr_oracle.write_image(path.with_name("raw.img"), 1024 * 1024)
+        packed = subprocess.run([tool, "-c", str(raw)], check=True, stdout=subprocess.PIPE).stdout
+        path.write_bytes(packed + b"garbage" if path.name.startswith("trailing.")
+                         else packed[:len(packed) // 2])
+    else:
+        path.write_bytes(random.Random(0).randbytes(4096))
 
 
 class TestExitCodes:
@@ -307,9 +332,7 @@ class TestDryRun:
         assert not (tmp_path / "out.img").exists()
 
     @pytest.mark.parametrize("source", ["bad.img.xz", "base.tar.gz", "z.img.zst"])
-    def test_source_refusal_is_the_same_in_both_modes(self, tmp_path, capsys, monkeypatch,
-                                                      source):
-        monkeypatch.setitem(sys.modules, "zstandard", None)  # import fails as if absent
+    def test_source_refusal_is_the_same_in_both_modes(self, tmp_path, capsys, source):
         (tmp_path / source).write_bytes(random.Random(0).randbytes(4096))
         pifile = tmp_path / "src.Pifile"
         pifile.write_text(f"FROM {source}\nTO out.img\nHOST true\n")
@@ -323,21 +346,53 @@ class TestDryRun:
         assert capsys.readouterr().err == real_err
 
     @pytest.mark.parametrize("dry_run", [False, True])
-    @pytest.mark.parametrize("source", ["bad.img.xz", "none.zip"])
-    def test_failed_unpack_leaves_no_cache_entry(self, tmp_path, capsys, source, dry_run):
-        if source.endswith(".zip"):
-            with zipfile.ZipFile(tmp_path / source, "w") as zf:
-                zf.writestr("README", "no image in here")
+    def test_zst_source_builds_in_both_modes(self, tmp_path, capsys, dry_run):
+        raw = mbr_oracle.write_image(tmp_path / "z.img", 1024 * 1024)
+        image = raw.read_bytes()
+        subprocess.run(["zstd", "-q", "--rm", str(raw)], check=True)
+        pifile = tmp_path / "z.Pifile"
+        pifile.write_text("FROM z.img.zst\nTO out.img\nHOST true\n")
+        log = ["--dry-run", str(tmp_path / "plan.log")] if dry_run else []
+        assert main([*log, str(pifile)], ENV) == 0
+        [unpacked] = (tmp_path / ".pimod-cache").glob("*/z.img")
+        assert unpacked.read_bytes() == image
+        if dry_run:
+            assert not (tmp_path / "out.img").exists()
         else:
-            (tmp_path / source).write_bytes(random.Random(0).randbytes(4096))
+            assert (tmp_path / "out.img").read_bytes() == image
+
+    @pytest.mark.parametrize("dry_run", [False, True])
+    def test_missing_decompressor_is_exit_3_and_leaves_nothing(self, tmp_path, capsys,
+                                                              monkeypatch, dry_run):
+        raw = mbr_oracle.write_image(tmp_path / "z.img", 1024 * 1024)
+        subprocess.run(["zstd", "-q", "--rm", str(raw)], check=True)
+        (tmp_path / "bin").mkdir()
+        monkeypatch.setenv("PATH", str(tmp_path / "bin"))  # the tool is looked up here
+        pifile = tmp_path / "z.Pifile"
+        pifile.write_text("FROM z.img.zst\nTO out.img\nHOST true\n")
+        log = ["--dry-run", str(tmp_path / "plan.log")] if dry_run else []
+        assert main([*log, str(pifile)], ENV) == 3
+        assert error_line(capsys.readouterr().err).startswith("[setup] cannot execute zstd: ")
+        assert not (tmp_path / ".pimod-cache").exists()
+        assert list(tmp_path.rglob(".extract.*")) == []
+        assert not (tmp_path / "out.img").exists()
+
+    @pytest.mark.parametrize("dry_run", [False, True])
+    @pytest.mark.parametrize("source", ["bad.img.xz", "none.zip", "cut.img.xz", "cut.img.zst",
+                                        "trailing.img.gz", "corrupt.zip"])
+    def test_failed_unpack_leaves_no_cache_entry(self, tmp_path, capsys, source, dry_run):
+        write_unpackable(tmp_path / source)
         pifile = tmp_path / "src.Pifile"
         pifile.write_text(f"FROM {source}\nTO out.img\nHOST true\n")
         args = [str(pifile)]
         if dry_run:
             args = ["--dry-run", str(tmp_path / "plan.log"), *args]
         assert main(args, ENV) == 2
-        assert error_line(capsys.readouterr().err).startswith("[setup] ")
+        expected = ("archive contains no .img member" if source == "none.zip"
+                    else f"cannot decompress {tmp_path / source}: ")
+        assert error_line(capsys.readouterr().err).startswith(f"[setup] {expected}")
         assert not (tmp_path / ".pimod-cache").exists()
+        assert list(tmp_path.rglob(".extract.*")) == []
         assert not (tmp_path / "out.img").exists()
 
     @pytest.mark.parametrize("dry_run", [False, True])
@@ -403,6 +458,24 @@ class TestDryRun:
             f"[setup] cannot unpack {tmp_path / 'base.img.xz'}: [Errno 28]")
         assert list(tmp_path.rglob(".extract.*")) == []
         assert not (tmp_path / "out.img").exists()
+        with pytest.raises(ChildProcessError):  # the xz child was killed and reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_sigterm_while_unpacking_kills_the_decompressor(self, tmp_path, capsys,
+                                                            monkeypatch):
+        def interrupted(src, dst):
+            dst.write(b"partial")
+            raise ExecutionFailure("interrupted by SIGTERM")
+
+        monkeypatch.setattr(source_mod, "_write_sparse", interrupted)
+        pifile = write_xz_fixture(tmp_path)
+        assert main([str(pifile)], ENV) == 2
+        assert error_line(capsys.readouterr().err) == "[setup] interrupted by SIGTERM"
+        assert list(tmp_path.rglob(".extract.*")) == []
+        assert not (tmp_path / ".pimod-cache").exists()
+        assert not (tmp_path / "out.img").exists()
+        with pytest.raises(ChildProcessError):  # the xz child was killed and reaped
+            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("dry_run", [False, True])
     def test_unusable_cache_for_a_local_archive_is_exit_3(self, tmp_path, capsys, dry_run):

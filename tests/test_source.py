@@ -263,17 +263,19 @@ class TestExtractImage:
         assert second == first
         assert second.stat().st_mtime_ns == marker
 
-    @pytest.mark.parametrize("packing", ["gz", "zip"])
+    @pytest.mark.parametrize("packing", ["gz", "zip", "xz", "zst"])
     def test_extraction_is_sparse(self, tmp_path, packing):
         # data in the first and an unaligned middle chunk; the input ends in zeros
         payload = b"boot" + bytes(3 * MiB) + b"root" * 1000 + bytes(5 * MiB + 7)
-        if packing == "gz":
-            archive = tmp_path / "base.img.gz"
-            archive.write_bytes(gzip.compress(payload))
-        else:
+        if packing == "zip":
             archive = tmp_path / "base.zip"
             with zipfile.ZipFile(archive, "w", zipfile.ZIP_DEFLATED) as zf:
                 zf.writestr("base.img", payload)
+        else:  # packed by the format's own tool
+            (tmp_path / "base.img").write_bytes(payload)
+            tool = {"gz": "gzip", "xz": "xz", "zst": "zstd"}[packing]
+            subprocess.run([tool, "-q", "--keep", str(tmp_path / "base.img")], check=True)
+            archive = tmp_path / f"base.img.{packing}"
         out = extract_image(archive, tmp_path / "work")
         assert out.read_bytes() == payload
         assert out.stat().st_size == len(payload)
