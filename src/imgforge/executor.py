@@ -117,7 +117,7 @@ def run_command(argv: Sequence[str], *, stdin_text: str | None = None,
 
 
 class Executor:
-    """Base backend: assigns ordinals, keeps the action log, performs per subclass."""
+    """Base backend: assigns ordinals and keeps the action log; performs nothing."""
 
     performs_effects = False
 
@@ -132,7 +132,7 @@ class Executor:
         return self._perform(action)
 
     def _perform(self, action: Action) -> int:
-        raise NotImplementedError
+        return 0
 
     def render_log(self) -> str:
         return serialize_actions(self.actions)
@@ -141,19 +141,22 @@ class Executor:
 class DryRunExecutor(Executor):
     """Records every would-be effect; performs none of them."""
 
-    def _perform(self, action: Action) -> int:
-        return 0
-
 
 class LocalExecutor(Executor):
     """Performs actions on the local system.
+
+    One ``match`` on the action's kind in :meth:`_perform` says what this
+    backend does for each kind.  A kind whose effect is one call makes it
+    there; FS_RESIZE, MOUNT_PARTITION, BIND_MOUNT, UNMOUNT and COPY_IN,
+    which take several steps, each have a method that takes the payload.
+    Every case reads its payload before any effect, and a kind with no case
+    raises ExecutionFailure.
 
     File-level actions (copy, grow, table write, install) are direct I/O;
     anything touching mounts, loop devices, or the chroot shells out via
     ``runner`` and needs root when the default runner is used, which
     :func:`execute` checks in setup.  Injecting a runner replaces that
-    boundary wholesale, the root check included.  An action kind with no
-    handler raises ExecutionFailure.
+    boundary wholesale, the root check included.
 
     ``root_dir`` resolves ``<root>``.  A mount at ``<root>`` makes it, a
     temporary directory, and its unmount removes it again unless the mount
@@ -168,28 +171,48 @@ class LocalExecutor(Executor):
         self.runner: Runner = runner if runner is not None else run_command
         self.on_output = on_output
         self.root_dir: str | None = None
-        self._handlers: dict[ActionKind, Callable[[Action], int]] = {
-            ActionKind.FETCH: lambda action: 0,  # the pipeline fetches before emitting
-            ActionKind.COPY_IMAGE: self._copy_image,
-            ActionKind.DEVICE_WRITE: self._device_write,
-            ActionKind.GROW_FILE: self._grow_file,
-            ActionKind.TABLE_WRITE: self._table_write,
-            ActionKind.FS_RESIZE: self._fs_resize,
-            ActionKind.MOUNT_PARTITION: self._mount,
-            ActionKind.BIND_MOUNT: self._bind_mount,
-            ActionKind.COPY_EMULATOR: self._copy_emulator,
-            ActionKind.UNMOUNT: self._unmount,
-            ActionKind.REMOVE_EMULATOR: self._remove_emulator,
-            ActionKind.HOST_EXEC: self._host_exec,
-            ActionKind.GUEST_EXEC: self._guest_exec,
-            ActionKind.COPY_IN: self._copy_in,
-        }
 
     def _perform(self, action: Action) -> int:
-        handler = self._handlers.get(action.kind)
-        if handler is None:
-            raise ExecutionFailure(f"the local backend cannot perform {action.kind.name}")
-        return handler(action)
+        payload = action.payload
+        match action.kind:
+            case ActionKind.FETCH:
+                pass  # the pipeline fetches before emitting
+            case ActionKind.COPY_IMAGE:
+                source_mod.copy_image_bytes(payload["src"], payload["dst"])
+            case ActionKind.DEVICE_WRITE:
+                source_mod.write_to_device(payload["src"], payload["dst"])
+            case ActionKind.GROW_FILE:
+                image_mod.grow_image_file(payload["path"], int(payload["bytes"]))
+            case ActionKind.TABLE_WRITE:
+                image_mod.resize_partition_entry(payload["path"], int(payload["partition"]),
+                                                 int(payload["lba_size"]))
+            case ActionKind.FS_RESIZE:
+                self._fs_resize(payload)
+            case ActionKind.MOUNT_PARTITION:
+                self._mount(payload)
+            case ActionKind.BIND_MOUNT:
+                self._bind_mount(payload)
+            case ActionKind.COPY_EMULATOR:
+                target = self._in_root(payload["target"])
+                target.parent.mkdir(parents=True, exist_ok=True)
+                shutil.copy2(payload["source"], target)
+                target.chmod(0o755)
+            case ActionKind.UNMOUNT:
+                self._unmount(payload)
+            case ActionKind.REMOVE_EMULATOR:
+                self._in_root(payload["target"]).unlink(missing_ok=True)
+            case ActionKind.HOST_EXEC:
+                return self._exec(["/bin/sh", "-c", payload["command"]], payload,
+                                  cwd=payload.get("cwd") or None)
+            case ActionKind.GUEST_EXEC:
+                root = self._sub(payload["root"])
+                return self._exec(["chroot", root, _guest_shell(root), "-c", payload["command"]],
+                                  payload, env={"PATH": payload["path"]})
+            case ActionKind.COPY_IN:
+                self._copy_in(payload)
+            case _:
+                raise ExecutionFailure(f"the local backend cannot perform {action.kind.name}")
+        return 0
 
     # -- helpers ------------------------------------------------------------
 
@@ -221,36 +244,19 @@ class LocalExecutor(Executor):
             raise ExecutionFailure(f"{what} failed with status {status}: {out}")
         return out
 
-    def _exec(self, argv: list[str], action: Action, **kw) -> int:
+    def _exec(self, argv: list[str], payload: Mapping[str, str], **kw) -> int:
         """Run a HOST or guest command, streaming its output unkept; returns its status."""
-        status, _ = self.runner(argv, stdin_text=action.payload.get("stdin") or None,
+        status, _ = self.runner(argv, stdin_text=payload.get("stdin") or None,
                                 on_output=self.on_output or (lambda line: None), **kw)
         return status
 
-    # -- file-level actions ---------------------------------------------------
+    # -- actions of several steps ---------------------------------------------
 
-    def _copy_image(self, action: Action) -> int:
-        source_mod.copy_image_bytes(action.payload["src"], action.payload["dst"])
-        return 0
-
-    def _device_write(self, action: Action) -> int:
-        source_mod.write_to_device(action.payload["src"], action.payload["dst"])
-        return 0
-
-    def _grow_file(self, action: Action) -> int:
-        image_mod.grow_image_file(action.payload["path"], int(action.payload["bytes"]))
-        return 0
-
-    def _table_write(self, action: Action) -> int:
-        image_mod.resize_partition_entry(action.payload["path"], int(action.payload["partition"]),
-                                         int(action.payload["lba_size"]))
-        return 0
-
-    def _copy_in(self, action: Action) -> int:
-        src = Path(action.payload["src"])
+    def _copy_in(self, payload: Mapping[str, str]) -> None:
+        src = Path(payload["src"])
         if not src.exists():
             raise ExecutionFailure(f"INSTALL source does not exist: {src}")
-        dst = self._in_root(f"{action.payload['root']}/{action.payload['dst'].lstrip('/')}")
+        dst = self._in_root(f"{payload['root']}/{payload['dst'].lstrip('/')}")
         if not src.is_dir() and dst.is_dir():
             dst = self._in_root(dst / src.name)  # where copy2 would write
         # every path the copy writes, each checked before anything is written
@@ -264,86 +270,56 @@ class LocalExecutor(Executor):
             shutil.copytree(src, dst, dirs_exist_ok=True)
         else:
             shutil.copy2(src, dst)
-        mode = action.payload.get("mode", "")
+        mode = payload.get("mode", "")
         if mode:
             for path in written:
                 path.chmod(int(mode, 8))
-        return 0
 
-    # -- privileged actions ---------------------------------------------------
-
-    def _fs_resize(self, action: Action) -> int:
-        image = action.payload["image"]
+    def _fs_resize(self, payload: Mapping[str, str]) -> None:
+        image = payload["image"]
         device = self._run_checked(["losetup", "--find", "--show", "-P", image],
                                    f"losetup {image}").strip()
         try:
-            partition = mounts_mod.partition_device(device, int(action.payload["partition"]))
+            partition = mounts_mod.partition_device(device, int(payload["partition"]))
             self._run_checked(["resize2fs", partition], f"resize2fs {partition}")
         except BaseException:
             self.runner(["losetup", "-d", device])  # unchecked: the resize2fs failure wins
             raise
         self._run_checked(["losetup", "-d", device], f"losetup -d {device}")
-        return 0
 
-    def _mount(self, action: Action) -> int:
-        if action.payload["target"] == mounts_mod.ROOT_TOKEN:
+    def _mount(self, payload: Mapping[str, str]) -> None:
+        if payload["target"] == mounts_mod.ROOT_TOKEN:
             self.root_dir = target = tempfile.mkdtemp(prefix="imgforge-root-")
         else:
-            target = str(self._in_root(action.payload["target"]))
+            target = str(self._in_root(payload["target"]))
         os.makedirs(target, exist_ok=True)
-        options = action.payload.get("options")
+        options = payload.get("options")
         try:
             self._run_checked(["mount", *(["-o", options] if options else []),
-                               action.payload["source"], target], f"mount {target}")
+                               payload["source"], target], f"mount {target}")
         except BaseException:
             if target == self.root_dir:
                 os.rmdir(target)
                 self.root_dir = None
             raise
-        return 0
 
-    def _bind_mount(self, action: Action) -> int:
-        source = action.payload["source"]
-        target = self._in_root(action.payload["target"])
+    def _bind_mount(self, payload: Mapping[str, str]) -> None:
+        source = payload["source"]
+        target = self._in_root(payload["target"])
         if Path(source).is_dir():
             target.mkdir(parents=True, exist_ok=True)
         else:
             target.parent.mkdir(parents=True, exist_ok=True)
             target.touch(exist_ok=True)
         self._run_checked(["mount", "--bind", source, str(target)], f"bind mount {target}")
-        return 0
 
-    def _copy_emulator(self, action: Action) -> int:
-        target = self._in_root(action.payload["target"])
-        target.parent.mkdir(parents=True, exist_ok=True)
-        shutil.copy2(action.payload["source"], target)
-        target.chmod(0o755)
-        return 0
-
-    def _unmount(self, action: Action) -> int:
-        target = self._sub(action.payload["target"])
+    def _unmount(self, payload: Mapping[str, str]) -> None:
+        target = self._sub(payload["target"])
         self._run_checked(["umount", target], f"umount {target}")  # a busy root stays
-        if action.payload["target"] == mounts_mod.ROOT_TOKEN:
+        if payload["target"] == mounts_mod.ROOT_TOKEN:
             with contextlib.suppress(OSError):  # left behind for inspection when not empty
                 os.rmdir(self.root_dir)
             self.root_dir = None
-        return 0
-
-    def _remove_emulator(self, action: Action) -> int:
-        self._in_root(action.payload["target"]).unlink(missing_ok=True)
-        return 0
-
-    # -- command actions --------------------------------------------------------
-
-    def _host_exec(self, action: Action) -> int:
-        return self._exec(["/bin/sh", "-c", action.payload["command"]], action,
-                          cwd=action.payload.get("cwd") or None)
-
-    def _guest_exec(self, action: Action) -> int:
-        root = self._sub(action.payload["root"])
-        shell = _guest_shell(root)
-        return self._exec(["chroot", root, shell, "-c", action.payload["command"]], action,
-                          env={"PATH": action.payload["path"]})
 
 
 def _guest_shell(root: str) -> str:

@@ -88,7 +88,8 @@ def build_plan(pifile: Pifile,
     ``<pifile stem>.img`` next to the Pifile, and a TO that is a packed FROM
     file, by path or through a link, is refused before the archive is
     overwritten.  Relative source and destination paths are anchored at
-    the Pifile's directory.  INSTALL
+    the Pifile's directory, and a TO whose directory does not exist is
+    refused, as is a FROM partition index outside the 4 MBR slots.  INSTALL
     modes and destinations are checked here, so a bad mode or a destination
     with a ``..`` component stops the build before any copy, and so is a
     PUMP onto a block device, which cannot grow.  ``probe`` replaces the
@@ -131,6 +132,9 @@ def build_plan(pifile: Pifile,
             logger.warning("multiple TO directives; using the last one (%s:%d)",
                            tos[-1].file, tos[-1].line_no)
         dest_path = _anchor(tos[-1].args[0], base_dir)
+        if not os.path.isdir(os.path.dirname(dest_path) or "."):
+            raise PifileError(f"the directory of TO {tos[-1].args[0]} does not exist",
+                              origin=tos[-1])
         if not is_url(raw) and is_archive(raw) and same_file(locator, dest_path):
             raise PifileError(f"TO {tos[-1].args[0]} would overwrite the packed FROM image",
                               origin=tos[-1])
@@ -184,6 +188,9 @@ def _partition_index(from_cmd: Command) -> int:
                           origin=from_cmd) from None
     if index < 1:
         raise PifileError(f"partition index must be >= 1, got {index}", origin=from_cmd)
+    if index > 4:
+        raise PifileError(f"partition index must be <= 4, the MBR slots, got {index}",
+                          origin=from_cmd)
     return index
 
 

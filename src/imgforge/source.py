@@ -13,7 +13,7 @@ raw local source never touches it::
 
     <key>/image     the downloaded bytes, moved into place atomically
     <key>/meta      url=..., fetched_at=..., size=... (one per line)
-    <key>.lock      advisory lock serializing concurrent invocations
+    <key>.lock      advisory lock serializing concurrent downloads; an unpack is not locked
     <key>/<name>    an unpacked image; ``.<name>.source`` stamps its archive's
                     size, mtime and inode (a local archive's key hashes its path)
 """

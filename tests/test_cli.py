@@ -167,6 +167,29 @@ class TestExitCodes:
         # where the copy would land: two levels above a root made in the temporary directory
         assert not (private_tempdir.parent / "dotdot.conf").exists()
 
+    @pytest.mark.parametrize("dry_run", [True, False])
+    @pytest.mark.parametrize("text, line, message", [
+        ("FROM base.img 5\nTO out.img\nPUMP 1M\n", 1,
+         "partition index must be <= 4, the MBR slots, got 5"),
+        ("FROM base.img 5\nTO out.img\nHOST true\n", 1,
+         "partition index must be <= 4, the MBR slots, got 5"),
+        ("FROM base.img 7\nTO out.img\nRUN true\n", 1,
+         "partition index must be <= 4, the MBR slots, got 7"),
+        ("FROM base.img\nTO nodir/out.img\nHOST true\n", 2,
+         "the directory of TO nodir/out.img does not exist"),
+    ], ids=["partition-five-pump", "partition-five-host", "partition-seven-run",
+            "to-without-directory"])
+    def test_plan_refusal_is_exit_1_at_its_line_before_any_copy(
+            self, tmp_path, capsys, dry_run, text, line, message):
+        pifile = write_fixture(tmp_path, text=text)
+        log = ["--dry-run", str(tmp_path / "plan.log")] if dry_run else []
+        code = main([*log, str(pifile)], ENV,
+                    executor_factory=lambda cfg: LocalExecutor(runner=lambda argv, **kw: (0, "")))
+        assert code == 1
+        assert error_line(capsys.readouterr().err) == f"[error] {pifile}:{line}: {message}"
+        assert not (tmp_path / "out.img").exists()
+        assert not (tmp_path / "nodir").exists()
+
     def test_missing_emulator_is_exit_3_before_any_copy(self, tmp_path, capsys):
         pifile = write_fixture(
             tmp_path, text="FROM base.img\nTO out.img\nPUMP 1M\nRUN x\n")
@@ -199,7 +222,6 @@ class TestExitCodes:
         "FROM base.img 1\nTO out.img\nPUMP 1M\n",  # partition 2 starts after it
         "FROM base.img 3\nTO out.img\nPUMP 1M\n",  # an empty slot
         "FROM base.img 3\nTO out.img\nRUN true\n",
-        "FROM base.img 7\nTO out.img\nRUN true\n",  # outside the 4 slots
         "FROM base.img\nTO out.img\nPUMP 2T\n",  # past a 32-bit sector count
     ])
     def test_partition_refusal_stops_setup_before_to_is_written(self, tmp_path, capsys, text):

@@ -7,11 +7,13 @@ in stderr is relative.  ``CASES`` are the parser's and planner's errors
 (exit 1); their text was recorded before the per-directive path was made
 faster, and the cases from ``multiple-FROM`` on, which pin the file:line of
 planner errors and of warnings, before a directive's location moved into its
-``Command``.  ``BUILD_CASES`` fail while a build runs (exit 2) or on the host it
-runs on (exit 3), and none of them mounts anything; their text was recorded
-before the exception classes were folded into one per exit code, except
-``corrupt-xz``'s, which is the ``xz`` tool's own diagnostic since archives are
-unpacked by the format's tool.  A change that only speeds up a path or
+``Command``; ``partition-five`` and ``TO-without-directory`` are refusals the
+planner gained later, which before failed only in setup or not at all.
+``BUILD_CASES`` fail while a build runs (exit 2) or on the host it runs on
+(exit 3), and none of them mounts anything; their text was recorded before
+the exception classes were folded into one per exit code, except
+``corrupt-xz``'s, which is the ``xz`` tool's own diagnostic since archives
+are unpacked by the format's tool.  A change that only speeds up a path or
 reshapes the error classes must leave every line as it is.
 """
 
@@ -120,6 +122,12 @@ CASES = {
         {"main.Pifile": "FROM a.img\n$NOPE\nFOO\n"},
         1, "WARNING: main.Pifile:2: undefined variable $NOPE expands to empty string\n"
            "[error] main.Pifile:3: unknown directive 'FOO'\n"),
+    "partition-five": (
+        {"main.Pifile": "FROM a.img 5\nTO out.img\nPUMP 1M\n"},
+        1, "[error] main.Pifile:1: partition index must be <= 4, the MBR slots, got 5\n"),
+    "TO-without-directory": (
+        {"main.Pifile": "FROM a.img\nTO nodir/out.img\nHOST true\n"},
+        1, "[error] main.Pifile:2: the directory of TO nodir/out.img does not exist\n"),
 }
 
 # case: (files, arguments, exit code, stdout, stderr); bytes are written as they are

@@ -206,6 +206,11 @@ class TestRunCommand:
     def test_output_returned_without_a_listener(self):
         assert run_command(["printf", "a\nb\n"]) == (0, "a\nb")
 
+    @pytest.mark.parametrize("stdin_text", [None, "body\n"])
+    def test_a_missing_program_is_an_environment_problem(self, tmp_path, stdin_text):
+        with pytest.raises(EnvironmentProblem, match="cannot execute"):
+            run_command([str(tmp_path / "absent")], stdin_text=stdin_text)
+
     def test_carriage_returns_end_lines(self):
         lines = []
         run_command(["printf", "a\r\nb\rc\n"], on_output=lines.append)
@@ -509,10 +514,16 @@ class TestActionLog:
         assert serialize_actions([]) == ""
 
     def test_both_backends_cover_every_kind(self):
-        local = LocalExecutor(runner=lambda argv, **kw: (0, ""))
-        # the two loop kinds stay in the vocabulary, but nothing emits them
-        assert set(local._handlers) == set(ActionKind) - {ActionKind.LOOP_ATTACH,
-                                                          ActionKind.LOOP_DETACH}
+        calls = []
+        local = LocalExecutor(runner=lambda argv, **kw: calls.append(argv) or (0, ""))
+        assert local._perform(Action(ActionKind.FETCH, {})) == 0
+        # the two loop kinds stay in the vocabulary, but nothing emits them; every
+        # other kind has a case, which reads its payload before any effect
+        for kind in set(ActionKind) - {ActionKind.FETCH, ActionKind.LOOP_ATTACH,
+                                       ActionKind.LOOP_DETACH}:
+            with pytest.raises(KeyError):
+                local._perform(Action(kind, {}))
+        assert calls == [] and local.root_dir is None
         dry = DryRunExecutor()
         for kind in ActionKind:
             assert dry._perform(Action(kind, {})) == 0

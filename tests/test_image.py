@@ -1,5 +1,6 @@
 import hashlib
 import io
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -156,14 +157,25 @@ class TestWriteTable:
         oracle = mbr_oracle.read_table(fixture_image)
         assert oracle["entries"][1]["size"] == 112640 + 204800
 
-    def test_overlap_rejected_before_write(self, fixture_image):
+    @pytest.mark.parametrize("spoil, message", [
+        (lambda t: t.with_entry(PartitionEntry(index=1, bootable=False, type_code=0x83,
+                                               lba_start=2048, lba_size=999999)),
+         "partitions 1 and 2 overlap"),
+        (lambda t: replace(t, entries=t.entries[:3]), "expected 4 partition slots, got 3"),
+        (lambda t: replace(t, disk_id=2**32), "disk id 0x100000000 out of 32-bit range"),
+        (lambda t: replace(t, entries=(replace(t.entries[0], index=3), *t.entries[1:])),
+         "slot 1 carries index 3"),
+        (lambda t: t.with_entry(replace(t.entries[0], type_code=0x100)),
+         "slot 1 type 0x100 out of range"),
+        (lambda t: t.with_entry(replace(t.entries[0], lba_size=0)), "slot 1 is half-empty"),
+        (lambda t: t.with_entry(replace(t.entries[0], lba_start=2**32)),
+         "slot 1 LBA fields out of 32-bit range"),
+    ], ids=["overlap", "three-slots", "disk-id", "slot-index", "type", "half-empty",
+            "lba-start"])
+    def test_bad_table_rejected_before_write(self, fixture_image, spoil, message):
         digest = sha256(fixture_image)
-        table = read_partition_table(fixture_image)
-        bad = table.with_entry(
-            PartitionEntry(index=1, bootable=False, type_code=0x83,
-                           lba_start=2048, lba_size=999999)
-        )
-        with pytest.raises(ExecutionFailure, match="partitions 1 and 2 overlap"):
+        bad = spoil(read_partition_table(fixture_image))
+        with pytest.raises(ExecutionFailure, match=message):
             write_partition_table(fixture_image, bad)
         assert sha256(fixture_image) == digest
 
@@ -214,6 +226,16 @@ class TestGrowImageFile:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ExecutionFailure, match="cannot stat"):
             grow_image_file(tmp_path / "absent.img", 512)
+
+    def test_directory_refused(self, tmp_path):
+        with pytest.raises(ExecutionFailure, match="is not a regular file"):
+            grow_image_file(tmp_path, 512)
+
+    def test_negative_amount_refused(self, fixture_image):
+        before = fixture_image.stat().st_size
+        with pytest.raises(ExecutionFailure, match=r"cannot grow by a negative amount \(-1\)"):
+            grow_image_file(fixture_image, -1)
+        assert fixture_image.stat().st_size == before
 
     def test_block_device_refused(self, fixture_image, monkeypatch):
         import os
@@ -291,7 +313,8 @@ class TestPump:
             pump_image(plan, DryRunExecutor(), fixture_image)
 
     def test_index_beyond_table_refused(self, tmp_path, fixture_image):
-        plan = plan_for(tmp_path, fixture_image, "1M", partition=7)
+        # build_plan refuses such an index; the image layer keeps its own check
+        plan = replace(plan_for(tmp_path, fixture_image, "1M"), partition_index=7)
         with pytest.raises(ExecutionFailure, match="outside the 4 MBR slots"):
             pump_image(plan, DryRunExecutor(), fixture_image)
 

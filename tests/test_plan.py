@@ -145,11 +145,18 @@ class TestBuildPlan:
         assert plan.destination.path == str(tmp_path / "second.img")
         assert any("multiple TO" in r.message for r in caplog.records)
 
-    @pytest.mark.parametrize("index", ["0", "-1", "two"])
+    @pytest.mark.parametrize("index", ["0", "-1", "two", "5"])
     def test_invalid_partition_index(self, tmp_path, index):
         pifile = pifile_at(tmp_path, f"FROM a.img {index}\n")
         with pytest.raises(PifileError, match="partition index must be"):
             build_plan(pifile, files_probe(tmp_path / "a.img"))
+
+    def test_to_directory_must_exist(self, tmp_path):
+        pifile = pifile_at(tmp_path, "FROM a.img\nTO nodir/out.img\nHOST true\n")
+        with pytest.raises(PifileError,
+                           match="the directory of TO nodir/out.img does not exist") as err:
+            build_plan(pifile, files_probe(tmp_path / "a.img"))
+        assert err.value.origin.line_no == 2
 
     def test_source_must_exist(self, tmp_path):
         pifile = pifile_at(tmp_path, "FROM nowhere.img\n")
