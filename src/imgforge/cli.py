@@ -203,3 +203,7 @@ def _configure_logging(verbosity: int) -> None:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -62,8 +62,6 @@ def parse_size(text: str) -> int:
 
 def render_size(size_bytes: int) -> str:
     """Inverse of parse_size: largest binary suffix that divides evenly."""
-    if size_bytes < 0:
-        raise PifileError(f"cannot render negative size {size_bytes}")
     if size_bytes == 0:
         return "0"
     for suffix in _SUFFIX_ORDER:

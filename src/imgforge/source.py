@@ -5,7 +5,8 @@ or a local file.  URLs are downloaded once into a content-keyed cache
 (`sha256(url)`), so repeated builds of the same Pifile hit the network a
 single time.  Compressed sources are unpacked before use: .gz/.xz/.zst by
 the format's own tool on imgforge's PATH (gzip, xz, zstd), .zip by zipfile;
-an archive must contain exactly one image.
+an archive must contain exactly one image.  xz and zstd --sparse leave its
+zero runs as holes at their own granularity, .gz and .zip each all-zero MiB.
 
 This module alone owns the cache layout, under the directory given by
 --cache, $PIMOD_CACHE, or a `.pimod-cache` directory beside the Pifile; a
@@ -36,9 +37,10 @@ import zlib
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from itertools import takewhile
 from pathlib import Path
-from typing import TYPE_CHECKING, BinaryIO, Callable, ContextManager, Iterator, Mapping
+from typing import TYPE_CHECKING, BinaryIO, Callable, Iterator, Mapping
 
 from .actions import Action, ActionKind
 from .errors import EnvironmentProblem, ExecutionFailure, PifileError
@@ -57,8 +59,11 @@ FETCH_TIMEOUT_S = 60  # per blocking socket operation, not for the whole downloa
 
 _PACKED_SUFFIXES = frozenset({".gz", ".xz", ".zst", ".zip"})
 _REJECTED_SUFFIXES = frozenset({".bz2", ".tar", ".tgz", ".txz", ".tbz2", ".lz4", ".7z", ".rar"})
-# each stream format's own tool, reading the archive on stdin; xz -T0 decodes blocks in parallel
-_DECOMPRESSORS = {".gz": ("gzip", "-dc"), ".xz": ("xz", "-dc", "-T0"), ".zst": ("zstd", "-dc")}
+# each stream format's own tool, reading the archive on stdin; xz -T0 decodes blocks in parallel.
+# xz and zstd --sparse write the cache file and its holes themselves (xz(1), zstd(1)); gzip
+# has no sparse mode, so only its output is piped through _write_sparse
+_DECOMPRESSORS = {".gz": ("gzip", "-dc"), ".xz": ("xz", "-dc", "-T0"),
+                  ".zst": ("zstd", "-dc", "--sparse")}
 
 # unit of every image read and write; one buffer of it is the most any of them holds
 CHUNK = 1024 * 1024
@@ -255,17 +260,19 @@ def is_archive(name: str) -> bool:
     return Path(name).suffix.lower() in _PACKED_SUFFIXES | _REJECTED_SUFFIXES
 
 
-@contextmanager
-def _decompressed(archive: Path, argv: tuple[str, ...]) -> Iterator[BinaryIO]:
-    """The output of ``argv`` unpacking ``archive``; the tool is killed if the body fails."""
+def _decompress(archive: Path, argv: tuple[str, ...], dst: BinaryIO) -> None:
+    """Unpack ``archive`` with ``argv`` into the empty file ``dst``; a failure kills the tool."""
+    stdout = subprocess.PIPE if argv[0] == "gzip" else dst  # see _DECOMPRESSORS
     with open(archive, "rb") as stdin, tempfile.TemporaryFile() as stderr:  # a file never fills
         try:
-            proc = subprocess.Popen(argv, stdin=stdin, stdout=subprocess.PIPE, stderr=stderr)
+            proc = subprocess.Popen(argv, stdin=stdin, stdout=stdout, stderr=stderr)
         except FileNotFoundError as exc:
             raise EnvironmentProblem(f"cannot execute {argv[0]}: {exc}") from exc
         with proc:  # closes the pipe and reaps the tool on every way out
             try:
-                yield proc.stdout
+                if proc.stdout:
+                    _write_sparse(proc.stdout, dst)
+                proc.wait()
             except BaseException:
                 proc.kill()
                 raise
@@ -294,10 +301,11 @@ def extract_image(archive: str | Path, workspace: str | Path, *,
     An extraction is reused while the archive keeps the size, mtime and inode
     recorded beside it, so the unpack cost is paid once per archive version
     and a re-download or a rewritten local archive is unpacked again.
-    All-zero chunks are left as holes.  Unsupported container formats
-    (tarballs and friends) are rejected rather than silently treated as raw
-    images.  A failed unpack removes the directories it made for
-    ``workspace`` again, as far as they are still empty.
+    Zero runs are left as holes: xz's and zstd's own, or each all-zero MiB
+    of a .gz or .zip.  Unsupported container formats (tarballs and friends)
+    are rejected rather than silently treated as raw images.  A failed
+    unpack removes the directories it made for ``workspace`` again, as far
+    as they are still empty.
     """
     archive = Path(archive)
     workspace = Path(workspace)
@@ -316,10 +324,9 @@ def _unpack_into(archive: Path, workspace: Path, name: str, packing: str) -> Pat
             out = workspace / Path(name).stem
             if out == archive:  # a download of ".../image.gz" is itself stored as <key>/image
                 out = out.with_name(f"{out.name}.unpacked")
-            return _unpack(archive, out, lambda: _decompressed(archive, _DECOMPRESSORS[packing]))
-        with zipfile.ZipFile(archive) as zf:
-            member = _single_image_member(zf)
-            return _unpack(archive, workspace / Path(member).name, lambda: zf.open(member))
+            return _unpack(archive, out, partial(_decompress, archive, _DECOMPRESSORS[packing]))
+        with zipfile.ZipFile(archive) as zf, zf.open(_single_image_member(zf)) as src:
+            return _unpack(archive, workspace / Path(src.name).name, partial(_write_sparse, src))
     except zipfile.BadZipFile as exc:
         raise ExecutionFailure(f"{archive} is not a valid zip archive: {exc}") from exc
     except (zlib.error, EOFError) as exc:  # a zip member's corrupt or cut deflate stream
@@ -328,8 +335,8 @@ def _unpack_into(archive: Path, workspace: Path, name: str, packing: str) -> Pat
         raise ExecutionFailure(f"cannot unpack {archive}: {exc}") from exc
 
 
-def _unpack(archive: Path, out: Path, open_stream: Callable[[], ContextManager[BinaryIO]]) -> Path:
-    """Write the image ``open_stream`` yields to ``out``, unless ``out`` already holds it."""
+def _unpack(archive: Path, out: Path, write: Callable[[BinaryIO], None]) -> Path:
+    """Have ``write`` fill ``out`` with the image, unless ``out`` already holds it."""
     st = os.stat(archive)
     identity = f"size={st.st_size}\nmtime_ns={st.st_mtime_ns}\ninode={st.st_ino}\n"
     stamp = out.with_name(f".{out.name}.source")
@@ -337,8 +344,8 @@ def _unpack(archive: Path, out: Path, open_stream: Callable[[], ContextManager[B
         return out
     tmp = out.with_name(f".extract.{os.getpid()}")
     try:
-        with open_stream() as src, open(tmp, "wb") as dst:
-            _write_sparse(src, dst)
+        with open(tmp, "wb") as dst:
+            write(dst)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise

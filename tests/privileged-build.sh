@@ -39,8 +39,7 @@ PUMP 8M
 INSTALL 644 motd /etc/motd
 INSTALL 644 config.txt /boot/config.txt
 EOF
-PYTHONPATH="$repo/src" "$python" -c 'import sys; from imgforge.cli import main; sys.exit(main())' \
-    build.Pifile
+PYTHONPATH="$repo/src" "$python" -m imgforge build.Pifile
 
 fail() { echo "privileged build: $*" >&2; exit 1; }
 [ "$(debugfs -R 'cat /etc/motd' "out.img?offset=$p2" 2>/dev/null)" = "hello from imgforge" ] \

@@ -1,4 +1,5 @@
 import errno
+import gzip
 import hashlib
 import logging
 import lzma
@@ -70,13 +71,23 @@ def write_fixture(tmp_path, name="example.Pifile",
     return pifile
 
 
-def write_xz_fixture(tmp_path):
-    """A 1 MiB ``base.img`` packed as ``base.img.xz``, and a Pifile that copies it out."""
+def write_packed_fixture(tmp_path, suffix=".xz"):
+    """A 1 MiB ``base.img`` packed as ``base.img<suffix>``, and a Pifile that copies it out."""
     raw = mbr_oracle.write_image(tmp_path / "base.img", 1024 * 1024)
-    (tmp_path / "base.img.xz").write_bytes(lzma.compress(raw.read_bytes()))
-    pifile = tmp_path / "xz.Pifile"
-    pifile.write_text("FROM base.img.xz\nTO out.img\nHOST true\n")
+    compress = {".xz": lzma.compress, ".gz": gzip.compress}[suffix]
+    (tmp_path / f"base.img{suffix}").write_bytes(compress(raw.read_bytes()))
+    pifile = tmp_path / "packed.Pifile"
+    pifile.write_text(f"FROM base.img{suffix}\nTO out.img\nHOST true\n")
     return pifile
+
+
+def stub_tool(tmp_path, monkeypatch, name, script):
+    """Put an executable ``name`` running the sh ``script`` first on PATH."""
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir(exist_ok=True)
+    (bin_dir / name).write_text(f"#!/bin/sh\n{script}")
+    (bin_dir / name).chmod(0o755)
+    monkeypatch.setenv("PATH", f"{bin_dir}:{os.environ['PATH']}")  # the tool is looked up here
 
 
 def write_unpackable(path):
@@ -132,6 +143,16 @@ class TestExitCodes:
         missing = tmp_path / "missing.Pifile"
         assert main([str(missing)], ENV) == 1
         assert "missing.Pifile" in capsys.readouterr().err
+
+    def test_pifile_that_is_a_directory_is_exit_1(self, tmp_path, capsys):
+        assert main([str(tmp_path)], ENV) == 1
+        assert capsys.readouterr().err == (
+            f"[error] cannot read {tmp_path}: [Errno 21] Is a directory: '{tmp_path}'\n")
+
+    def test_second_inplace_is_exit_1_at_its_line(self, tmp_path, capsys):
+        pifile = write_fixture(tmp_path, text="INPLACE base.img\nINPLACE base.img\n")
+        assert main([str(pifile)], ENV) == 1
+        assert capsys.readouterr().err == f"[error] {pifile}:2: multiple INPLACE directives\n"
 
     def test_parse_error_is_exit_1(self, tmp_path, capsys):
         pifile = tmp_path / "bad.Pifile"
@@ -401,7 +422,7 @@ class TestDryRun:
 
     @pytest.mark.parametrize("dry_run", [False, True])
     @pytest.mark.parametrize("source", ["bad.img.xz", "none.zip", "cut.img.xz", "cut.img.zst",
-                                        "trailing.img.gz", "corrupt.zip"])
+                                        "trailing.img.gz", "corrupt.zip", "bad.zip"])
     def test_failed_unpack_leaves_no_cache_entry(self, tmp_path, capsys, source, dry_run):
         write_unpackable(tmp_path / source)
         pifile = tmp_path / "src.Pifile"
@@ -410,8 +431,9 @@ class TestDryRun:
         if dry_run:
             args = ["--dry-run", str(tmp_path / "plan.log"), *args]
         assert main(args, ENV) == 2
-        expected = ("archive contains no .img member" if source == "none.zip"
-                    else f"cannot decompress {tmp_path / source}: ")
+        expected = {"none.zip": "archive contains no .img member",
+                    "bad.zip": f"{tmp_path / source} is not a valid zip archive: "}.get(
+            source, f"cannot decompress {tmp_path / source}: ")
         assert error_line(capsys.readouterr().err).startswith(f"[setup] {expected}")
         assert not (tmp_path / ".pimod-cache").exists()
         assert list(tmp_path.rglob(".extract.*")) == []
@@ -419,7 +441,7 @@ class TestDryRun:
 
     @pytest.mark.parametrize("dry_run", [False, True])
     def test_inplace_packed_image_is_exit_1_before_any_write(self, tmp_path, capsys, dry_run):
-        write_xz_fixture(tmp_path)
+        write_packed_fixture(tmp_path)
         archive = (tmp_path / "base.img.xz").read_bytes()
         pifile = tmp_path / "inplace.Pifile"
         pifile.write_text("INPLACE base.img.xz\nPUMP 1M\n")
@@ -438,7 +460,7 @@ class TestDryRun:
     @pytest.mark.parametrize("to", ["base.img.xz", "link.xz", "hard.xz"])
     def test_to_naming_the_packed_source_is_exit_1_before_any_write(self, tmp_path, capsys,
                                                                     to, dry_run):
-        write_xz_fixture(tmp_path)
+        write_packed_fixture(tmp_path)
         archive = tmp_path / "base.img.xz"
         before = hashlib.sha256(archive.read_bytes()).hexdigest()
         (tmp_path / "link.xz").symlink_to(archive)
@@ -457,7 +479,7 @@ class TestDryRun:
         assert not (tmp_path / ".pimod-cache").exists()
 
     def test_dry_run_unpacks_the_archive_the_real_build_reuses(self, tmp_path):
-        pifile = write_xz_fixture(tmp_path)
+        pifile = write_packed_fixture(tmp_path)
         assert main(["--dry-run", str(tmp_path / "plan.log"), str(pifile)], ENV) == 0
         [unpacked] = (tmp_path / ".pimod-cache").glob("*/base.img")
         stamp = unpacked.with_name(".base.img.source")
@@ -474,13 +496,29 @@ class TestDryRun:
             raise OSError(errno.ENOSPC, "No space left on device")
 
         monkeypatch.setattr(source_mod, "_write_sparse", no_space)
-        pifile = write_xz_fixture(tmp_path)
+        pifile = write_packed_fixture(tmp_path, ".gz")  # only gzip's output is piped
         assert main([str(pifile)], ENV) == 2
         assert error_line(capsys.readouterr().err).startswith(
-            f"[setup] cannot unpack {tmp_path / 'base.img.xz'}: [Errno 28]")
+            f"[setup] cannot unpack {tmp_path / 'base.img.gz'}: [Errno 28]")
         assert list(tmp_path.rglob(".extract.*")) == []
         assert not (tmp_path / "out.img").exists()
-        with pytest.raises(ChildProcessError):  # the xz child was killed and reaped
+        with pytest.raises(ChildProcessError):  # the gzip child was killed and reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_decompressor_failure_writing_the_cache_is_a_setup_failure(self, tmp_path, capsys,
+                                                                       monkeypatch):
+        stub_tool(tmp_path, monkeypatch, "xz",
+                  "printf partial\necho 'xz: (stdout): Write error: No space left on device' >&2\n"
+                  "exit 1\n")
+        pifile = write_packed_fixture(tmp_path)
+        assert main([str(pifile)], ENV) == 2
+        assert error_line(capsys.readouterr().err) == (
+            f"[setup] cannot decompress {tmp_path / 'base.img.xz'}: "
+            "xz: (stdout): Write error: No space left on device")
+        assert list(tmp_path.rglob(".extract.*")) == []
+        assert not (tmp_path / ".pimod-cache").exists()
+        assert not (tmp_path / "out.img").exists()
+        with pytest.raises(ChildProcessError):  # the xz child was reaped
             os.waitpid(-1, os.WNOHANG)
 
     def test_sigterm_while_unpacking_kills_the_decompressor(self, tmp_path, capsys,
@@ -490,7 +528,19 @@ class TestDryRun:
             raise ExecutionFailure("interrupted by SIGTERM")
 
         monkeypatch.setattr(source_mod, "_write_sparse", interrupted)
-        pifile = write_xz_fixture(tmp_path)
+        pifile = write_packed_fixture(tmp_path, ".gz")  # only gzip's output is piped
+        assert main([str(pifile)], ENV) == 2
+        assert error_line(capsys.readouterr().err) == "[setup] interrupted by SIGTERM"
+        assert list(tmp_path.rglob(".extract.*")) == []
+        assert not (tmp_path / ".pimod-cache").exists()
+        assert not (tmp_path / "out.img").exists()
+        with pytest.raises(ChildProcessError):  # the gzip child was killed and reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_sigterm_while_xz_writes_the_cache_kills_it(self, tmp_path, capsys, monkeypatch):
+        # main() runs in this process, so $PPID is the build that xz writes for
+        stub_tool(tmp_path, monkeypatch, "xz", "printf partial\nkill -TERM $PPID\nexec sleep 30\n")
+        pifile = write_packed_fixture(tmp_path)
         assert main([str(pifile)], ENV) == 2
         assert error_line(capsys.readouterr().err) == "[setup] interrupted by SIGTERM"
         assert list(tmp_path.rglob(".extract.*")) == []
@@ -501,7 +551,7 @@ class TestDryRun:
 
     @pytest.mark.parametrize("dry_run", [False, True])
     def test_unusable_cache_for_a_local_archive_is_exit_3(self, tmp_path, capsys, dry_run):
-        pifile = write_xz_fixture(tmp_path)
+        pifile = write_packed_fixture(tmp_path)
         (tmp_path / "file").write_text("")
         args = ["--cache", str(tmp_path / "file" / "sub"), str(pifile)]
         if dry_run:
@@ -721,6 +771,24 @@ class TestCliBoundary:
         with pytest.raises(SystemExit) as exit_info:
             entrypoint()
         assert exit_info.value.code == code
+
+
+@pytest.mark.parametrize("module", ["imgforge", "imgforge.cli"])
+@pytest.mark.parametrize("text, code", [
+    ("FROM base.img 5\n", 1),
+    ("FROM base.img\nTO out.img\nHOST true\n", 0),  # mounts nothing, so safe to run for real
+])
+def test_python_m_exits_with_the_code_of_main(tmp_path, module, text, code):
+    pifile = write_fixture(tmp_path, text=text)
+    src = Path(__file__).parent.parent / "src"
+    result = subprocess.run([sys.executable, "-m", module, str(pifile)], cwd=tmp_path,
+                            env={**ENV, "PYTHONPATH": str(src)}, capture_output=True, text=True)
+    assert result.returncode == code, result.stderr
+    if code:
+        assert result.stderr.splitlines()[-1] == (
+            f"[error] {pifile}:1: partition index must be <= 4, the MBR slots, got 5")
+    else:
+        assert (tmp_path / "out.img").read_bytes() == (tmp_path / "base.img").read_bytes()
 
 
 def test_local_dry_run_loads_no_network_stack(tmp_path):

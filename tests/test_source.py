@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import imgforge.source as source_mod
 from imgforge.errors import ExecutionFailure, PifileError
 from imgforge.executor import ActionKind, DryRunExecutor
 from imgforge.pifile import parse_pifile_text
@@ -20,6 +21,7 @@ from imgforge.source import (
     cache_entry,
     cache_key,
     classify_source,
+    copy_image_bytes,
     extract_image,
     fetch_to_cache,
     materialize_destination,
@@ -281,6 +283,16 @@ class TestExtractImage:
         assert out.stat().st_size == len(payload)
         assert out.stat().st_blocks * 512 <= 2 * MiB + 64 * 1024
 
+    def test_multi_block_xz_round_trips_sparse(self, tmp_path):
+        # nine 1 MiB blocks, which xz -T0 decodes in parallel; most are all zeros
+        payload = b"boot" + bytes(3 * MiB) + b"root" * 1000 + bytes(5 * MiB + 7)
+        (tmp_path / "base.img").write_bytes(payload)
+        subprocess.run(["xz", "-q", "--keep", "-T2", "--block-size=1MiB",
+                        str(tmp_path / "base.img")], check=True)
+        out = extract_image(tmp_path / "base.img.xz", tmp_path / "work")
+        assert out.read_bytes() == payload
+        assert out.stat().st_blocks * 512 <= 2 * MiB + 64 * 1024
+
     def test_rewritten_local_archive_is_extracted_again(self, tmp_path):
         archive = tmp_path / "base.img.gz"
         archive.write_bytes(gzip.compress(b"first"))
@@ -336,8 +348,6 @@ class TestMaterializeDestination:
         assert sha256(src) == sha256(src)  # source untouched
 
     def test_sparse_copy_preserves_bytes(self, tmp_path):
-        from imgforge.source import copy_image_bytes
-
         src = tmp_path / "sparse.img"
         with open(src, "wb") as fh:
             fh.write(b"head")
@@ -346,6 +356,23 @@ class TestMaterializeDestination:
         dst = tmp_path / "copy.img"
         copy_image_bytes(src, dst)
         assert dst.read_bytes() == src.read_bytes()
+
+    def test_source_that_shrinks_while_copied_is_refused(self, tmp_path, monkeypatch):
+        src = tmp_path / "a.img"
+        src.write_bytes(b"\x01" * (3 * MiB))
+        real_iter_chunks = source_mod.iter_chunks
+
+        def shrinking(fh, **kwargs):  # another writer cuts the file after the first chunk
+            chunks = real_iter_chunks(fh, **kwargs)
+            yield next(chunks)
+            os.truncate(src, MiB)
+            yield from chunks
+
+        monkeypatch.setattr(source_mod, "iter_chunks", shrinking)
+        with pytest.raises(ExecutionFailure) as exc_info:
+            copy_image_bytes(src, tmp_path / "b.img")
+        assert str(exc_info.value) == f"{src} ended at byte {MiB} while being read"
+        assert exc_info.value.exit_code == 2
 
     def test_device_write_zeroes_holes_over_old_data(self, tmp_path, monkeypatch):
         src = tmp_path / "sparse.img"
