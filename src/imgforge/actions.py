@@ -2,8 +2,8 @@
 
 An :class:`Action` is a kind plus a complete, serializable payload: a
 backend needs nothing beyond the payload to perform it.  This module is a
-leaf and imports nothing from the package, so every layer that emits
-actions can import it directly.
+leaf and imports nothing from the package at run time, so every layer that
+plans actions can import it directly.
 
 The recorded log is line-oriented and stable::
 
@@ -14,9 +14,12 @@ with backslash, tab, and newline escaped inside values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
+
+if TYPE_CHECKING:
+    from .pifile import Command
 
 
 class ActionKind(Enum):
@@ -57,6 +60,8 @@ class Action:
 
     kind: ActionKind
     payload: dict[str, str]
+    # the RUN, HOST or INSTALL performed, for its stage line and error; never logged or compared
+    origin: Command | None = field(default=None, compare=False)
     ordinal: int = -1
 
 

@@ -12,14 +12,12 @@ action's payload is all a backend needs to perform it:
   The command runner is injectable, which is how tests drive the
   privileged paths without privileges.
 
-The pipeline in :func:`execute` is the same for both.  Each RUN, HOST and
-INSTALL command becomes its action in :func:`command_action`, and a
-nonzero status from a RUN or HOST aborts the build.  The backends differ
-only in ``performs_effects``: a dry run neither checks the host (emulator
-files, root, binfmt_misc) nor hashes the output.  Both fetch and unpack the
-source into the cache, whose layout :mod:`~imgforge.source` owns, so both
-copy the same file to the destination, and both read the guest's
-/etc/fstab from that file in setup, so both plan the same mounts.
+A build is planned, then performed.  In setup, :func:`plan_actions` makes
+every read and refusal and returns every action of each stage before
+``TO`` is written; :func:`execute` then emits them, stops at the first
+nonzero status of a RUN or HOST, and tears down.  A dry run and a real
+build share every line of it: a backend decides only how an action is
+performed, and only :class:`LocalExecutor` checks the host and hashes ``TO``.
 
 The chroot directory only exists once the build has mounted the guest
 root, so actions name it through the ``<root>`` placeholder in both
@@ -119,10 +117,11 @@ def run_command(argv: Sequence[str], *, stdin_text: str | None = None,
 class Executor:
     """Base backend: assigns ordinals and keeps the action log; performs nothing."""
 
-    performs_effects = False
-
     def __init__(self) -> None:
         self.actions: list[Action] = []
+
+    def check_host(self, plan: ExecutionPlan, emulators: Sequence[str] | None) -> None:
+        """Refuse a host that cannot perform ``plan``; nothing is, so nothing is refused."""
 
     def emit(self, action: Action) -> int:
         """Record the action and perform it; returns the exit status for
@@ -133,6 +132,9 @@ class Executor:
 
     def _perform(self, action: Action) -> int:
         return 0
+
+    def digest(self, image: Path) -> str | None:
+        """The SHA-256 of the built ``image``: None, as nothing was built."""
 
     def render_log(self) -> str:
         return serialize_actions(self.actions)
@@ -155,15 +157,13 @@ class LocalExecutor(Executor):
     File-level actions (copy, grow, table write, install) are direct I/O;
     anything touching mounts, loop devices, or the chroot shells out via
     ``runner`` and needs root when the default runner is used, which
-    :func:`execute` checks in setup.  Injecting a runner replaces that
+    :meth:`check_host` checks in setup.  Injecting a runner replaces that
     boundary wholesale, the root check included.
 
     ``root_dir`` resolves ``<root>``.  A mount at ``<root>`` makes it, a
     temporary directory, and its unmount removes it again unless the mount
     is still busy.
     """
-
-    performs_effects = True
 
     def __init__(self, runner: Runner | None = None,
                  on_output: Callable[[str], None] | None = None) -> None:
@@ -172,11 +172,32 @@ class LocalExecutor(Executor):
         self.on_output = on_output
         self.root_dir: str | None = None
 
+    def check_host(self, plan: ExecutionPlan, emulators: Sequence[str] | None) -> None:
+        """Refuse to grow the image or enter the guest (``emulators`` is not None) with an
+        emulator that is no file or, with the default runner, without root; warn once when
+        the guest will be entered without binfmt_misc."""
+        if emulators is None and plan.pump_bytes <= 0:
+            return
+        missing = [e for e in emulators or () if not os.path.isfile(e)]
+        if missing:
+            raise EnvironmentProblem(f"emulator is not a file: {', '.join(missing)}")
+        # an injected runner owns the privilege boundary; only gate the real one
+        if self.runner is run_command and os.geteuid() != 0:
+            raise EnvironmentProblem("PUMP, RUN and INSTALL require root; re-run with sudo")
+        if emulators is not None and not os.path.isdir(BINFMT_MISC):
+            logger.warning(
+                "binfmt_misc is not mounted; foreign-architecture guest binaries will not "
+                "run (mount binfmt_misc and register qemu-user-static handlers)")
+
+    def digest(self, image: Path) -> str | None:
+        """SHA-256 of the built ``image``; None for a device, which is no file."""
+        return _sha256_file(image) if image.is_file() else None
+
     def _perform(self, action: Action) -> int:
         payload = action.payload
         match action.kind:
             case ActionKind.FETCH:
-                pass  # the pipeline fetches before emitting
+                pass  # setup fetched it while planning
             case ActionKind.COPY_IMAGE:
                 source_mod.copy_image_bytes(payload["src"], payload["dst"])
             case ActionKind.DEVICE_WRITE:
@@ -337,7 +358,7 @@ _GUEST_EXEC, _HOST_EXEC, _COPY_IN = ActionKind.GUEST_EXEC, ActionKind.HOST_EXEC,
 
 
 def command_action(command: Command, guest_path: str, here: str | None = None) -> Action:
-    """The action a RUN, HOST or INSTALL command becomes.
+    """The action a RUN, HOST or INSTALL command becomes; its ``origin`` is ``command``.
 
     RUN executes in the guest with ``guest_path``, the composed PATH text
     (entries joined with ":"), as its PATH, HOST executes in the Pifile's
@@ -351,19 +372,19 @@ def command_action(command: Command, guest_path: str, here: str | None = None) -
             "root": mounts_mod.ROOT_TOKEN,
             "path": guest_path,
             "stdin": command.heredoc or "",
-        })
+        }, command)
     if command.kind is _HOST:
         return Action(_HOST_EXEC, {
             "command": command.args[0],
             "cwd": here,
             "stdin": command.heredoc or "",
-        })
+        }, command)
     return Action(_COPY_IN, {
         "src": pathlib_join(here, command.args[-2]),
         "dst": command.args[-1],
         "mode": command.args[0] if len(command.args) == 3 else "",
         "root": mounts_mod.ROOT_TOKEN,
-    })
+    }, command)
 
 
 @dataclass
@@ -385,135 +406,130 @@ class BuildReport:
     image_digest: str | None
 
 
-def execute(plan: ExecutionPlan, backend: Executor,
-            options: RunOptions | None = None) -> BuildReport:
-    """Run the plan: setup, prepare, then the chroot stage, with guaranteed teardown.
+def plan_actions(plan: ExecutionPlan, options: RunOptions | None = None, *,
+                 check_host: Callable[..., None] = lambda plan, emulators: None,
+                 ) -> dict[Stage, list[Action | Command]]:
+    """Setup's reads and refusals, then each stage's actions in order; ``TO`` is not written.
 
-    The first failing action aborts the remaining commands but never the
-    teardown; the raised error carries the stage and Pifile line it came
-    from.  On success the report holds per-stage durations and the SHA-256
-    of the final image (real backends only).  Emulators are resolved only
-    when the guest is entered: ``opts.emulators``, else the qemu-*-static
-    binaries on the build environment's PATH.  A real build that grows the
-    image or enters the guest first checks the host, before anything is
-    fetched or written: it refuses an emulator that is not a file and, with the
-    default runner, a process that is not root, and it warns once when
-    binfmt_misc is not mounted and the guest will be entered.  Setup then
-    unpacks an archive source into the cache in both backends, reads the
-    image's partition table and length once, if PUMP or the guest needs
-    them, and :func:`~imgforge.image.check_partition` refuses a plan
-    it cannot serve before the destination is written, in a dry run too.
-    When the guest is entered, setup also reads its /etc/fstab from the
-    source, so the chroot stage plans the same mounts in both backends.
+    ``check_host`` first gets the guest's emulators (``opts.emulators``, else the
+    qemu-*-static binaries on the build environment's PATH), or None when no
+    RUN or INSTALL enters the guest.  The source is then fetched and unpacked
+    into the cache, and its partition table, length and guest fstab are read
+    as PUMP and the guest need them.  A PUMP or PATH directive stands in its
+    stage's list as its Command, for its stage line; it performs nothing.
     """
     opts = options or RunOptions()
     env = dict(opts.env) if opts.env is not None else dict(os.environ)
-    log = opts.on_log or (lambda stage, command, message: None)
     chroot_commands = plan.staged[Stage.CHROOT]
+    emulators: list[str] | None = None
     # HOST and PATH never touch the guest filesystem; mount only when
     # something will actually run or copy inside the image
-    needs_guest = any(c.kind in (CommandKind.RUN, CommandKind.INSTALL)
-                      for c in chroot_commands)
-    emulators: list[str] = []
-    if needs_guest:  # nothing is copied into a guest that is never entered
+    if any(c.kind in (CommandKind.RUN, CommandKind.INSTALL) for c in chroot_commands):
         emulators = (list(opts.emulators) if opts.emulators is not None
                      else mounts_mod.discover_emulators(env.get("PATH", "")))
-    durations: dict[str, float] = {}
-    stage_label = Stage.SETUP.label
+    check_host(plan, emulators)
 
-    applied_mounts: list[Action] = []
-    try:
-        # --- setup: check the host, fetch, unpack, read the table, materialize destination
-        started = time.monotonic()
-        log(Stage.SETUP.label, None, "begin")
-        if backend.performs_effects and (needs_guest or plan.pump_bytes > 0):
-            missing = [e for e in emulators if not os.path.isfile(e)]
-            if missing:
-                raise EnvironmentProblem(f"emulator is not a file: {', '.join(missing)}")
-            # an injected runner owns the privilege boundary; only gate the real one
-            if getattr(backend, "runner", None) is run_command and os.geteuid() != 0:
-                raise EnvironmentProblem("PUMP, RUN and INSTALL require root; re-run with sudo")
-            if needs_guest and not os.path.isdir(BINFMT_MISC):
-                logger.warning(
-                    "binfmt_misc is not mounted; foreign-architecture guest binaries will not "
-                    "run (mount binfmt_misc and register qemu-user-static handlers)")
-        spec = plan.source
-        cache_dir = source_mod.resolve_cache_dir(opts.cache_dir, env, plan.pifile_path)
-        src_image = Path(spec.locator)
-        if spec.kind is source_mod.SourceKind.URL:
-            src_image = source_mod.fetch_to_cache(spec.locator, cache_dir, opts.fetcher,
-                                                  refresh=opts.refresh, offline=opts.offline)
-            backend.emit(Action(ActionKind.FETCH, {"url": spec.locator, "dest": str(src_image)}))
-            log(Stage.SETUP.label, None, f"fetched {spec.locator}")
-        if source_mod.is_archive(spec.name):
-            src_image = source_mod.extract_image(
-                src_image, source_mod.cache_entry(cache_dir, spec), name_hint=spec.name)
-        if plan.pump_bytes > 0 or needs_guest:
-            try:
-                with open(src_image, "rb") as image:
-                    table = image_mod.read_partition_table(image)
-                    # the open file's length, not st_size, which is 0 for a block device
-                    image_bytes = image.seek(0, os.SEEK_END)
-            except OSError as exc:
-                raise ExecutionFailure(
-                    f"cannot read the partition table of {src_image}: {exc}") from exc
-            image_mod.check_partition(plan, table, image_bytes)
-        if needs_guest:
-            fstab_text = mounts_mod.read_guest_fstab(src_image, table, plan.partition_index)
-        dest = source_mod.materialize_destination(plan, backend, resolved_source=src_image)
-        durations[Stage.SETUP.label] = time.monotonic() - started
+    setup: list[Action | Command] = []
+    spec = plan.source
+    cache_dir = source_mod.resolve_cache_dir(opts.cache_dir, env, plan.pifile_path)
+    src_image = Path(spec.locator)
+    if spec.kind is source_mod.SourceKind.URL:
+        src_image = source_mod.fetch_to_cache(spec.locator, cache_dir, opts.fetcher,
+                                              refresh=opts.refresh, offline=opts.offline)
+        setup.append(Action(ActionKind.FETCH, {"url": spec.locator, "dest": str(src_image)}))
+        if opts.on_log is not None:
+            opts.on_log(Stage.SETUP.label, None, f"fetched {spec.locator}")
+    if source_mod.is_archive(spec.name):
+        src_image = source_mod.extract_image(
+            src_image, source_mod.cache_entry(cache_dir, spec), name_hint=spec.name)
+    if plan.pump_bytes > 0 or emulators is not None:
+        try:
+            with open(src_image, "rb") as image:
+                table = image_mod.read_partition_table(image)
+                # the open file's length, not st_size, which is 0 for a block device
+                image_bytes = image.seek(0, os.SEEK_END)
+        except OSError as exc:
+            raise ExecutionFailure(
+                f"cannot read the partition table of {src_image}: {exc}") from exc
+        image_mod.check_partition(plan, table, image_bytes)
+    if emulators is not None:
+        fstab_text = mounts_mod.read_guest_fstab(src_image, table, plan.partition_index)
+    setup += source_mod.materialize_destination(plan, resolved_source=src_image)
 
-        # --- prepare: pump ---------------------------------------------------
-        started = time.monotonic()
-        stage_label = Stage.PREPARE.label
-        log(stage_label, None, "begin")
-        if plan.pump_bytes > 0:
-            for command in plan.staged[Stage.PREPARE]:
-                log(stage_label, command, render_first_line(command))
-            table = image_mod.pump(plan, backend, table)
-        durations[stage_label] = time.monotonic() - started
+    prepare: list[Action | Command] = []
+    if plan.pump_bytes > 0:
+        grow, table = image_mod.pump(plan, table)
+        prepare += [*plan.staged[Stage.PREPARE], *grow]
 
-        # --- chroot: mounts, commands, installs ------------------------------
-        started = time.monotonic()
-        stage_label = Stage.CHROOT.label
-        log(stage_label, None, "begin")
-        if needs_guest:
-            base = mounts_mod.base_mount_actions(plan, table, emulators=emulators)
-            mounted = {a.payload["target"] for a in base}
-            for action in base + mounts_mod.fstab_mount_actions(plan, table, fstab_text,
-                                                                already_mounted=mounted):
-                backend.emit(action)
-                applied_mounts.append(action)
-
-        host_path = env.get("PATH", "").split(os.pathsep)
-        extensions: list[str] = []
-        # joined once per PATH line: every RUN until the next one shares the text
-        guest_path = ":".join(compose_guest_path(extensions, host_path))
-        file = here = None
-        for command in chroot_commands:
-            if opts.on_log is not None:  # a stage line is rendered only to be read
-                log(stage_label, command, render_first_line(command))
-            if command.kind is _PATH:
-                extensions.append(command.args[0])
-                guest_path = ":".join(compose_guest_path(extensions, host_path))
-                continue
+    chroot: list[Action | Command] = []
+    if emulators is not None:
+        base = mounts_mod.base_mount_actions(plan, table, emulators=emulators)
+        mounted = {a.payload["target"] for a in base}
+        chroot += base + mounts_mod.fstab_mount_actions(plan, table, fstab_text,
+                                                        already_mounted=mounted)
+    host_path = env.get("PATH", "").split(os.pathsep)
+    extensions: list[str] = []
+    # joined once per PATH line: every RUN until the next one shares the text
+    guest_path = ":".join(compose_guest_path(extensions, host_path))
+    file = here = None
+    for command in chroot_commands:
+        if command.kind is _PATH:
+            extensions.append(command.args[0])
+            guest_path = ":".join(compose_guest_path(extensions, host_path))
+            chroot.append(command)
+        else:
             if command.file is not file:  # one Pifile's commands share one Path
                 file, here = command.file, str(command.file.parent)
-            status = backend.emit(command_action(command, guest_path, here))
-            if status != 0:
-                raise CommandFailed(
-                    f"{command.kind.value} command failed with status {status}: "
-                    f"{command.args[0]}", status=status, origin=command)
-        durations[stage_label] = time.monotonic() - started
+            chroot.append(command_action(command, guest_path, here))
+    return {Stage.SETUP: setup, Stage.PREPARE: prepare, Stage.CHROOT: chroot}
+
+
+def execute(plan: ExecutionPlan, backend: Executor,
+            options: RunOptions | None = None) -> BuildReport:
+    """Plan the whole build in setup, before ``TO`` is written, then perform it.
+
+    Each stage prints its ``begin`` line and each directive its stage line.
+    The first failing action aborts the rest but never the teardown, which
+    undoes the chroot setup actions applied, last first; the raised error
+    carries its stage and Pifile line.  The report holds the stage durations,
+    setup's with the planning, and the backend's digest of ``TO``.
+    """
+    opts = options or RunOptions()
+    log = opts.on_log or (lambda stage, command, message: None)
+    durations: dict[str, float] = {}
+    label = Stage.SETUP.label
+    applied: list[Action] = []
+    try:
+        started = time.monotonic()
+        log(label, None, "begin")
+        stages = plan_actions(plan, opts, check_host=backend.check_host)
+        for stage, steps in stages.items():
+            if stage is not Stage.SETUP:  # setup's line came before its reads
+                started, label = time.monotonic(), stage.label
+                log(label, None, "begin")
+            for step in steps:
+                origin = step if type(step) is Command else step.origin
+                if origin is not None and opts.on_log is not None:  # rendered only to be read
+                    log(label, origin, render_first_line(origin))
+                if origin is step:
+                    continue  # PUMP and PATH perform nothing
+                status = backend.emit(step)
+                if step.kind.undo is not None:
+                    applied.append(step)
+                if status != 0:
+                    raise CommandFailed(
+                        f"{origin.kind.value} command failed with status {status}: "
+                        f"{origin.args[0]}", status=status, origin=origin)
+            durations[label] = time.monotonic() - started
     except ImgforgeError as exc:
         if exc.stage is None:
-            exc.stage = stage_label
+            exc.stage = label
         if exc.origin is not None:
-            log(stage_label, exc.origin, f"failed: {exc.args[0]}")
+            log(label, exc.origin, f"failed: {exc.args[0]}")
         raise
     finally:
         teardown_failures: list[ImgforgeError] = []
-        for action in mounts_mod.teardown_actions(applied_mounts):
+        for action in mounts_mod.teardown_actions(applied):
             try:
                 backend.emit(action)
             except ImgforgeError as exc:
@@ -522,14 +538,8 @@ def execute(plan: ExecutionPlan, backend: Executor,
     if teardown_failures:  # reached only when no other error is propagating
         teardown_failures[0].stage = Stage.CHROOT.label
         raise teardown_failures[0]
-
-    digest = None
-    if backend.performs_effects and dest.is_file():  # a device destination is no file
-        digest = _sha256_file(dest)
-    return BuildReport(
-        stage_durations=durations,
-        image_digest=digest,
-    )
+    return BuildReport(stage_durations=durations,
+                       image_digest=backend.digest(Path(plan.destination.path)))
 
 
 def _sha256_file(path: Path) -> str:

@@ -29,7 +29,6 @@ from .actions import Action, ActionKind
 from .errors import ExecutionFailure, PifileError
 
 if TYPE_CHECKING:
-    from .executor import Executor
     from .plan import ExecutionPlan
 
 SECTOR_SIZE = 512
@@ -284,33 +283,28 @@ def check_partition(plan: "ExecutionPlan", table: PartitionTable, image_bytes: i
         )
 
 
-def pump(plan: "ExecutionPlan", executor: "Executor", table: PartitionTable) -> PartitionTable:
-    """Emit the growth sequence for the plan's destination image; returns the grown table.
+def pump(plan: "ExecutionPlan", table: PartitionTable) -> tuple[list[Action], PartitionTable]:
+    """The growth sequence for the plan's destination image, and the grown table.
 
-    Three actions go through the executor, in order: grow the file by the
-    requested bytes rounded up to a whole number of sectors, rewrite the
-    target partition entry with the matching sector count, and run the
-    external filesystem-resize command on the partition's mapped device.
-    A dry-run executor records the sequence; a local executor performs it.
-    ``table`` is the source's, which :func:`check_partition` has accepted.
+    Three actions, in order: grow the file by the requested bytes rounded up
+    to a whole number of sectors, rewrite the target partition entry with
+    the matching sector count, and run the external filesystem-resize
+    command on the partition's mapped device.  ``table`` is the source's,
+    which :func:`check_partition` has accepted.
     """
     dest = str(Path(plan.destination.path))
     index = plan.partition_index
     sectors = -(-plan.pump_bytes // SECTOR_SIZE)  # rounded up to a whole sector
     entry = table.entries[index - 1]
     grown = table.with_entry(replace(entry, lba_size=entry.lba_size + sectors))
-    executor.emit(Action(ActionKind.GROW_FILE, {
-        "path": dest, "bytes": str(sectors * SECTOR_SIZE),
-    }))
-    executor.emit(Action(ActionKind.TABLE_WRITE, {
-        "path": dest,
-        "partition": str(index),
-        "added_sectors": str(sectors),
-        "lba_size": str(grown.entries[index - 1].lba_size),
-    }))
-    executor.emit(Action(ActionKind.FS_RESIZE, {
-        "image": dest,
-        "partition": str(index),
-        "command": f"resize2fs <loop>p{index}",
-    }))
-    return grown
+    return [
+        Action(ActionKind.GROW_FILE, {"path": dest, "bytes": str(sectors * SECTOR_SIZE)}),
+        Action(ActionKind.TABLE_WRITE, {
+            "path": dest,
+            "partition": str(index),
+            "added_sectors": str(sectors),
+            "lba_size": str(grown.entries[index - 1].lba_size),
+        }),
+        Action(ActionKind.FS_RESIZE, {"image": dest, "partition": str(index),
+                                      "command": f"resize2fs <loop>p{index}"}),
+    ], grown

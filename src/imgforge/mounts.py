@@ -96,8 +96,9 @@ def parse_fstab(text: str) -> list[FstabEntry]:
 def map_fstab_device(spec: str, table: PartitionTable) -> int | None:
     """Map an fstab device spec to a partition slot of the image, if any.
 
-    ``PARTUUID=xxxxxxxx-NN`` matches when the hex prefix equals the image's
-    disk id; ``/dev/mmcblk0pN`` and ``/dev/sdaN`` map to slot N directly.
+    ``PARTUUID=xxxxxxxx-NN`` names slot NN when the hex prefix equals the
+    image's disk id; ``/dev/mmcblk0pN`` and ``/dev/sdaN`` name slot N.  A
+    slot outside the 4 MBR slots is skipped with a warning.
     Pseudo-filesystems map to nothing silently; anything else unmappable
     (LABEL=, UUID=, other devices) is skipped with a warning because
     resolving it would require reading filesystem superblocks.
@@ -105,17 +106,13 @@ def map_fstab_device(spec: str, table: PartitionTable) -> int | None:
     if spec in PSEUDO_SPECS:
         return None
     match = _PARTUUID.match(spec)
-    if match:
-        disk_hex, slot_text = match.groups()
-        slot = int(slot_text)
-        if disk_hex == f"{table.disk_id:08x}" and 1 <= slot <= 4:
-            return slot
+    if match and match.group(1) != f"{table.disk_id:08x}":
         logger.warning("fstab device %s does not match disk id %08x, skipped",
                        spec, table.disk_id)
         return None
-    match = _DEV_PARTITION.match(spec)
+    match = match or _DEV_PARTITION.match(spec)
     if match:
-        slot = int(match.group(1))
+        slot = int(match.groups()[-1])
         if 1 <= slot <= 4:
             return slot
         logger.warning("fstab device %s names partition %d, outside the 4 MBR slots",

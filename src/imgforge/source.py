@@ -46,7 +46,6 @@ from .actions import Action, ActionKind
 from .errors import EnvironmentProblem, ExecutionFailure, PifileError
 
 if TYPE_CHECKING:
-    from .executor import Executor
     from .plan import ExecutionPlan
 
 logger = logging.getLogger(__name__)
@@ -441,24 +440,21 @@ def same_file(a: str | Path, b: str | Path) -> bool:
             or os.path.exists(b) and os.path.samefile(a, b))
 
 
-def materialize_destination(plan: "ExecutionPlan", executor: "Executor", *,
-                            resolved_source: str | Path | None = None) -> Path:
-    """Emit the action that puts the source bytes at the destination.
+def materialize_destination(plan: "ExecutionPlan", *,
+                            resolved_source: str | Path | None = None) -> list[Action]:
+    """The action that puts the source bytes at the destination, if one is needed.
 
     A destination that is the source itself needs no copy: one spelled with
     the same path, or an existing one that is the same file, through a
     symlink or a hard link.  A block-device destination becomes a
-    device-write action; a file destination becomes an image copy.  Returns
-    the destination path.
+    device-write action; a file destination becomes an image copy.
     """
     src = Path(resolved_source) if resolved_source is not None else Path(plan.source.locator)
     dest = Path(plan.destination.path)
     if same_file(src, dest):
-        return dest
+        return []
     if plan.destination.kind is TargetKind.BLOCK_DEVICE:
-        executor.emit(Action(ActionKind.DEVICE_WRITE, {"src": str(src), "dst": str(dest)}))
-        return dest
+        return [Action(ActionKind.DEVICE_WRITE, {"src": str(src), "dst": str(dest)})]
     if dest.is_dir():
         raise ExecutionFailure(f"destination {dest} is a directory")
-    executor.emit(Action(ActionKind.COPY_IMAGE, {"src": str(src), "dst": str(dest)}))
-    return dest
+    return [Action(ActionKind.COPY_IMAGE, {"src": str(src), "dst": str(dest)})]

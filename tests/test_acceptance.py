@@ -91,7 +91,8 @@ def test_criterion_2_pump_arithmetic(tmp_path):
     started = time.monotonic()
     table = read_partition_table(image)
     check_partition(plan, table, image.stat().st_size)
-    pump(plan, backend, table)
+    for action in pump(plan, table)[0]:
+        backend.emit(action)
     elapsed = time.monotonic() - started
 
     assert image.stat().st_size == 83886080  # 64 MiB + 16 MiB, exactly
@@ -238,7 +239,9 @@ def test_criterion_8_pump_safety(tmp_path):
     table = read_partition_table(image)
     with pytest.raises(ExecutionFailure, match="cannot grow: partition 2 starts after it"):
         check_partition(plan, table, image.stat().st_size)
-        pump(plan, LocalExecutor(runner=lambda argv, **kw: (0, "")), table)
+        backend = LocalExecutor(runner=lambda argv, **kw: (0, ""))
+        for action in pump(plan, table)[0]:
+            backend.emit(action)
     assert sha256(image) == digest_before  # image byte-identical
 
 

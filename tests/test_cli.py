@@ -10,6 +10,8 @@ import signal
 import subprocess
 import sys
 import time
+import urllib.error
+import urllib.request
 import zipfile
 from pathlib import Path
 
@@ -270,6 +272,29 @@ class TestExitCodes:
         code = main(["--offline", "--dry-run", str(tmp_path / "plan.log"), str(pifile)],
                     ENV)
         assert code == 2
+
+    @pytest.mark.parametrize("error, reason", [
+        (lambda url: urllib.error.HTTPError(url, 404, "Not Found", None, None),
+         "HTTP 404 Not Found"),
+        (lambda url: ConnectionResetError(errno.ECONNRESET, "Connection reset by peer"),
+         f"[Errno {errno.ECONNRESET}] Connection reset by peer"),
+    ])
+    def test_failed_download_is_exit_2_in_setup_and_leaves_no_cache_entry(
+            self, tmp_path, capsys, monkeypatch, error, reason):
+        url = "https://host/base.img"
+
+        def urlopen(url, timeout):
+            raise error(url)
+
+        monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+        pifile = tmp_path / "url.Pifile"
+        pifile.write_text(f"FROM {url}\nTO out.img\nHOST true\n")
+        cache = tmp_path / "cache"
+        code = main(["--cache", str(cache), "--dry-run", str(tmp_path / "plan.log"),
+                     str(pifile)], ENV)
+        assert code == 2
+        assert capsys.readouterr().err == f"[setup] fetching {url} failed: {reason}\n"
+        assert [p.name for p in cache.iterdir()] == [f"{source_mod.cache_key(url)}.lock"]
 
     def test_help_is_exit_0(self, capsys):
         assert main(["--help"], ENV) == 0
@@ -784,10 +809,10 @@ def test_python_m_exits_with_the_code_of_main(tmp_path, module, text, code):
     result = subprocess.run([sys.executable, "-m", module, str(pifile)], cwd=tmp_path,
                             env={**ENV, "PYTHONPATH": str(src)}, capture_output=True, text=True)
     assert result.returncode == code, result.stderr
-    if code:
-        assert result.stderr.splitlines()[-1] == (
-            f"[error] {pifile}:1: partition index must be <= 4, the MBR slots, got 5")
-    else:
+    assert result.stderr == (
+        f"[error] {pifile}:1: partition index must be <= 4, the MBR slots, got 5\n"
+        if code else "")
+    if not code:
         assert (tmp_path / "out.img").read_bytes() == (tmp_path / "base.img").read_bytes()
 
 

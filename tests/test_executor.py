@@ -29,13 +29,14 @@ from imgforge.executor import (
     command_action,
     compose_guest_path,
     execute,
+    plan_actions,
     render_action,
     run_command,
     serialize_actions,
 )
 from imgforge.mounts import teardown_actions
-from imgforge.pifile import parse_pifile_text
-from imgforge.plan import build_plan
+from imgforge.pifile import Command, CommandKind, parse_pifile_text
+from imgforge.plan import Stage, build_plan
 
 EMULATOR = "/usr/bin/qemu-arm-static"
 FIXED_ENV = {"PATH": "/usr/bin:/bin"}
@@ -527,6 +528,17 @@ class TestActionLog:
         dry = DryRunExecutor()
         for kind in ActionKind:
             assert dry._perform(Action(kind, {})) == 0
+
+    def test_a_root_action_with_nothing_mounted_is_refused(self):
+        calls = []
+        local = LocalExecutor(runner=lambda argv, **kw: calls.append(argv) or (0, ""))
+        with pytest.raises(ExecutionFailure) as err:
+            local.emit(Action(ActionKind.REMOVE_EMULATOR, {
+                "source": EMULATOR, "target": "<root>/usr/bin/qemu-arm-static"}))
+        assert str(err.value) == (
+            "no guest root is mounted to satisfy '<root>/usr/bin/qemu-arm-static'")
+        assert err.value.exit_code == 2
+        assert calls == []
 
     @pytest.mark.parametrize("kind", [ActionKind.LOOP_ATTACH, ActionKind.LOOP_DETACH])
     def test_kind_without_handler_is_an_io_failure(self, kind):
@@ -1256,6 +1268,23 @@ class TestGuestFstab:
         assert [r for r in caplog.records if r.name == "imgforge.mounts"] == []
         assert log.count("MOUNT_PARTITION") == 1
 
+    @pytest.mark.parametrize("line, message", [
+        ("/dev/mmcblk0p3 /data ext4 defaults 0 2\n",
+         "fstab names partition 3, which is an empty slot"),
+        (f"PARTUUID={mbr_oracle.FIXTURE_DISK_ID:08x}-05 /data ext4 defaults 0 2\n",
+         f"fstab device PARTUUID={mbr_oracle.FIXTURE_DISK_ID:08x}-05 names partition 5, "
+         "outside the 4 MBR slots"),
+    ])
+    def test_an_entry_naming_no_partition_warns_and_mounts_only_the_base(
+            self, tmp_path, monkeypatch, caplog, line, message):
+        monkeypatch.chdir(tmp_path)
+        write_ext4_root(mbr_oracle.write_image(tmp_path / "base.img"), {"etc/fstab": line})
+        code, log, _ = self._build(tmp_path, dry_run=True)
+        assert code == 0
+        assert [r.getMessage() for r in caplog.records if r.name == "imgforge.mounts"] == [
+            message]
+        assert log.count("MOUNT_PARTITION") == 1
+
     @pytest.mark.parametrize("dry_run", [True, False])
     def test_missing_debugfs_is_exit_3_in_setup_before_to_is_written(
             self, tmp_path, monkeypatch, capsys, dry_run):
@@ -1268,6 +1297,32 @@ class TestGuestFstab:
         assert capsys.readouterr().err.startswith("[setup] cannot execute debugfs")
         assert not (tmp_path / "out.img").exists()
         assert "COPY_IMAGE" not in log
+
+
+def test_the_planned_actions_are_the_dry_run_log_and_write_no_to(tmp_path, monkeypatch):
+    """``plan_actions`` returns every action a dry run logs, before ``TO`` exists: numbered
+    in order and followed by the teardown of its chroot setup, it is that log."""
+    monkeypatch.chdir(tmp_path)
+    write_ext4_root(mbr_oracle.write_image(tmp_path / "base.img"),
+                    {"etc/fstab": TestGuestFstab.BOOT_FSTAB})
+    (tmp_path / "motd").write_text("hi\n")
+    listing = f"FROM base.img\n{TestRealBuildLog.LISTING}"
+    stages = plan_actions(make_plan(tmp_path, listing, name="split.Pifile"),
+                          RunOptions(env=FIXED_ENV, emulators=[EMULATOR]))
+    assert not (tmp_path / "out.img").exists()
+    # a PUMP or PATH directive stands in its stage's list as itself
+    assert [(stage, step.kind) for stage, steps in stages.items() for step in steps
+            if isinstance(step, Command)] == [(Stage.PREPARE, CommandKind.PUMP),
+                                              (Stage.CHROOT, CommandKind.PATH)]
+    planned = [step for steps in stages.values() for step in steps if isinstance(step, Action)]
+    planned += teardown_actions([a for a in planned if a.kind.undo is not None])
+    for ordinal, action in enumerate(planned):
+        action.ordinal = ordinal
+    assert main(["--dry-run", "plan.log", "--emulator", EMULATOR,
+                 str(tmp_path / "split.Pifile")], FIXED_ENV) == 0
+    log = (tmp_path / "plan.log").read_text()
+    assert "target=<root>/boot" in log
+    assert serialize_actions(planned) == log
 
 
 class FailingAt(LocalExecutor):

@@ -51,7 +51,8 @@ def pump_image(plan, backend, image, image_bytes=None):
     """The check, then ``pump``, on the table and length of ``image``, as setup runs them."""
     table = read_partition_table(image)
     check_partition(plan, table, image.stat().st_size if image_bytes is None else image_bytes)
-    pump(plan, backend, table)
+    for action in pump(plan, table)[0]:
+        backend.emit(action)
 
 
 class TestParseSize:

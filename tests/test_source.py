@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import imgforge.source as source_mod
 from imgforge.errors import ExecutionFailure, PifileError
-from imgforge.executor import ActionKind, DryRunExecutor
+from imgforge.executor import ActionKind
 from imgforge.pifile import parse_pifile_text
 from imgforge.plan import build_plan
 from imgforge.source import (
@@ -343,8 +343,9 @@ class TestMaterializeDestination:
         plan = self._plan(tmp_path, "FROM a.img\nTO b.img\n",
                           lambda loc: SourceKind.LOCAL_FILE if loc == str(src) else None)
         backend = LocalExecutor(runner=lambda argv, **kw: (0, ""))
-        dest = materialize_destination(plan, backend)
-        assert sha256(dest) == sha256(src)  # byte equality
+        for action in materialize_destination(plan):
+            backend.emit(action)
+        assert sha256(tmp_path / "b.img") == sha256(src)  # byte equality
         assert sha256(src) == sha256(src)  # source untouched
 
     def test_sparse_copy_preserves_bytes(self, tmp_path):
@@ -396,27 +397,22 @@ class TestMaterializeDestination:
         src.write_bytes(b"data")
         plan = self._plan(tmp_path, "INPLACE a.img\n",
                           lambda loc: SourceKind.LOCAL_FILE)
-        backend = DryRunExecutor()
-        dest = materialize_destination(plan, backend)
-        assert backend.actions == []
-        assert str(dest) == plan.source.locator
+        assert materialize_destination(plan) == []
+        assert plan.destination.path == plan.source.locator
 
     def test_same_path_emits_nothing(self, tmp_path):
         src = tmp_path / "a.img"
         src.write_bytes(b"data")
         plan = self._plan(tmp_path, "FROM a.img\nTO a.img\n",
                           lambda loc: SourceKind.LOCAL_FILE)
-        backend = DryRunExecutor()
-        materialize_destination(plan, backend)
-        assert backend.actions == []
+        assert materialize_destination(plan) == []
 
     @pytest.mark.parametrize("text", ["FROM /dev/sdz\nTO /dev/sdz\n", "INPLACE /dev/sdz\n"])
     def test_device_onto_itself_emits_nothing(self, tmp_path, text):
         plan = self._plan(tmp_path, text,
                           lambda loc: SourceKind.BLOCK_DEVICE if loc == "/dev/sdz" else None)
-        backend = DryRunExecutor()
-        assert str(materialize_destination(plan, backend)) == "/dev/sdz"
-        assert backend.actions == []
+        assert materialize_destination(plan) == []
+        assert plan.destination.path == "/dev/sdz"
 
     def test_device_destination_emits_device_write(self, tmp_path):
         def probe(locator):
@@ -425,10 +421,9 @@ class TestMaterializeDestination:
             return SourceKind.LOCAL_FILE
 
         plan = self._plan(tmp_path, "FROM a.img\nTO /dev/sdc\n", probe)
-        backend = DryRunExecutor()
-        materialize_destination(plan, backend)
-        assert [a.kind for a in backend.actions] == [ActionKind.DEVICE_WRITE]
-        assert backend.actions[0].payload["dst"] == "/dev/sdc"
+        [action] = materialize_destination(plan)
+        assert action.kind is ActionKind.DEVICE_WRITE
+        assert action.payload["dst"] == "/dev/sdc"
 
     def test_directory_destination_rejected(self, tmp_path):
         (tmp_path / "outdir").mkdir()
@@ -437,4 +432,4 @@ class TestMaterializeDestination:
         plan = self._plan(tmp_path, "FROM a.img\nTO outdir\n",
                           lambda loc: SourceKind.LOCAL_FILE if loc == str(src) else None)
         with pytest.raises(ExecutionFailure, match="is a directory"):
-            materialize_destination(plan, DryRunExecutor())
+            materialize_destination(plan)
