@@ -357,15 +357,14 @@ _RUN, _HOST, _PATH = CommandKind.RUN, CommandKind.HOST, CommandKind.PATH
 _GUEST_EXEC, _HOST_EXEC, _COPY_IN = ActionKind.GUEST_EXEC, ActionKind.HOST_EXEC, ActionKind.COPY_IN
 
 
-def command_action(command: Command, guest_path: str, here: str | None = None) -> Action:
+def command_action(command: Command, guest_path: str, here: str) -> Action:
     """The action a RUN, HOST or INSTALL command becomes; its ``origin`` is ``command``.
 
     RUN executes in the guest with ``guest_path``, the composed PATH text
-    (entries joined with ":"), as its PATH, HOST executes in the Pifile's
-    directory ``here`` (by default its file's parent, as text), and a relative
-    INSTALL source is anchored there.  A here-document body is its standard input.
+    (entries joined with ":"), as its PATH, HOST executes in ``here``, the text
+    of the directory of the command's Pifile, and a relative INSTALL source is
+    anchored there.  A here-document body is its standard input.
     """
-    here = str(command.file.parent) if here is None else here
     if command.kind is _RUN:
         return Action(_GUEST_EXEC, {
             "command": command.args[0],
@@ -454,12 +453,12 @@ def plan_actions(plan: ExecutionPlan, options: RunOptions | None = None, *,
         image_mod.check_partition(plan, table, image_bytes)
     if emulators is not None:
         fstab_text = mounts_mod.read_guest_fstab(src_image, table, plan.partition_index)
-    setup += source_mod.materialize_destination(plan, resolved_source=src_image)
+    setup += source_mod.materialize_destination(plan, src_image)
 
-    prepare: list[Action | Command] = []
+    prepare: list[Action | Command] = [*plan.staged[Stage.PREPARE]]
     if plan.pump_bytes > 0:
         grow, table = image_mod.pump(plan, table)
-        prepare += [*plan.staged[Stage.PREPARE], *grow]
+        prepare += grow
 
     chroot: list[Action | Command] = []
     if emulators is not None:

@@ -221,8 +221,7 @@ def fstab_mount_actions(plan: ExecutionPlan, table: PartitionTable, fstab_text: 
     legitimately override the root partition.
     """
     occupied = set(already_mounted or ())
-    pending: list[tuple[int, int, int]] = []  # (depth, position, slot) per mount point
-    targets: dict[int, str] = {}
+    pending: list[tuple[int, int, int, str]] = []  # (depth, position, slot, target)
     for position, entry in enumerate(parse_fstab(fstab_text)):
         if entry.fs_type == "swap":
             continue
@@ -248,11 +247,9 @@ def fstab_mount_actions(plan: ExecutionPlan, table: PartitionTable, fstab_text: 
             continue
         occupied.add(target)
         depth = entry.mount_point.rstrip("/").count("/")
-        pending.append((depth, position, slot))
-        targets[position] = target
+        pending.append((depth, position, slot, target))
 
-    return [partition_mount(plan, table, slot, targets[position])
-            for _, position, slot in sorted(pending)]
+    return [partition_mount(plan, table, slot, target) for _, _, slot, target in sorted(pending)]
 
 
 def teardown_actions(setup: Sequence[Action]) -> list[Action]:

@@ -244,26 +244,12 @@ def parse_pifile_text(text: str, env: Mapping[str, str] | None = None, *,
 
 
 def render_first_line(command: Command) -> str:
-    """The first line of :func:`render_command`'s text, built without the here-document body."""
+    """The command's first line as canonical Pifile text: a here-document shows as
+    ``<< DELIM``, a delimiter that no line of its body is, and its body is left out."""
     if command.kind not in _VERBATIM:
         return " ".join((command.kind._value_, *command.args))
     head = f"{command.kind._value_} {command.args[0]}"
     return head if command.heredoc is None else f"{head} << {_pick_delimiter(command.heredoc)}"
-
-
-def render_command(command: Command) -> str:
-    """Render one command back to canonical Pifile text."""
-    first = render_first_line(command)
-    if command.kind not in _VERBATIM or command.heredoc is None:
-        return first
-    return f"{first}\n{command.heredoc}{first.rsplit(' ', 1)[1]}"  # the line ends in the delimiter
-
-
-def render_pifile(pifile: Pifile) -> str:
-    """Canonical text form; re-parsing it yields an equal command list."""
-    if not pifile.commands:
-        return ""
-    return "\n".join(render_command(c) for c in pifile.commands) + "\n"
 
 
 def _pick_delimiter(body: str) -> str:

@@ -26,7 +26,6 @@ from .source import (
     SourceSpec,
     TargetKind,
     TargetSpec,
-    classify_source,
     default_probe,
     is_archive,
     is_url,
@@ -92,8 +91,9 @@ def build_plan(pifile: Pifile,
     refused, as is a FROM partition index outside the 4 MBR slots.  INSTALL
     modes and destinations are checked here, so a bad mode or a destination
     with a ``..`` component stops the build before any copy, and so is a
-    PUMP onto a block device, which cannot grow.  ``probe`` replaces the
-    filesystem probe that classifies paths.
+    PUMP onto a block device, which cannot grow.  A URL source is known by
+    its scheme and any other by ``probe``, which replaces the filesystem
+    probe; a source it finds no file or block device at is refused.
     """
     probe = probe or default_probe
     staged = assign_stages(pifile)
@@ -117,14 +117,19 @@ def build_plan(pifile: Pifile,
 
     root = (froms or inplaces)[0]
     raw = root.args[0]
-    if inplaces and is_url(raw):
+    url = is_url(raw)
+    if inplaces and url:
         raise PifileError("INPLACE cannot edit a URL; use FROM <url> with TO", origin=root)
     if inplaces and is_archive(raw):
         raise PifileError("INPLACE cannot edit a packed image; use FROM <archive> with TO",
                           origin=root)
     partition_index = _partition_index(root)  # INPLACE takes none: the default
-    locator = raw if is_url(raw) else _anchor(raw, base_dir)
-    source = SourceSpec(kind=classify_source(locator, probe), locator=locator)
+    locator = raw if url else _anchor(raw, base_dir)
+    kind = SourceKind.URL if url else probe(locator)
+    if kind is None:
+        problem = "is not a file or block device" if os.path.exists(locator) else "not found"
+        raise PifileError(f"source {problem}: {locator}", origin=root)
+    source = SourceSpec(kind=kind, locator=locator)
     if inplaces:
         dest_path = locator
     elif tos:
@@ -135,7 +140,7 @@ def build_plan(pifile: Pifile,
         if not os.path.isdir(os.path.dirname(dest_path) or "."):
             raise PifileError(f"the directory of TO {tos[-1].args[0]} does not exist",
                               origin=tos[-1])
-        if not is_url(raw) and is_archive(raw) and same_file(locator, dest_path):
+        if not url and is_archive(raw) and same_file(locator, dest_path):
             raise PifileError(f"TO {tos[-1].args[0]} would overwrite the packed FROM image",
                               origin=tos[-1])
     else:

@@ -43,7 +43,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, BinaryIO, Callable, Iterator, Mapping
 
 from .actions import Action, ActionKind
-from .errors import EnvironmentProblem, ExecutionFailure, PifileError
+from .errors import EnvironmentProblem, ExecutionFailure
 
 if TYPE_CHECKING:
     from .plan import ExecutionPlan
@@ -114,24 +114,6 @@ def default_probe(locator: str) -> SourceKind | None:
     if stat_module.S_ISREG(st.st_mode):
         return SourceKind.LOCAL_FILE
     return None
-
-
-def classify_source(locator: str,
-                    fs_probe: Callable[[str], SourceKind | None] = default_probe) -> SourceKind:
-    """Decide what a FROM/INPLACE argument names.
-
-    URLs are recognized by scheme alone; everything else is probed on the
-    filesystem.  Raises PifileError when the locator matches nothing.
-    """
-    if not locator:
-        raise PifileError("empty source locator")
-    scheme = urllib.parse.urlsplit(locator).scheme
-    if scheme in URL_SCHEMES:
-        return SourceKind.URL
-    kind = fs_probe(locator)
-    if kind is None:
-        raise PifileError(f"source not found: {locator}")
-    return kind
 
 
 def cache_key(url: str) -> str:
@@ -440,16 +422,15 @@ def same_file(a: str | Path, b: str | Path) -> bool:
             or os.path.exists(b) and os.path.samefile(a, b))
 
 
-def materialize_destination(plan: "ExecutionPlan", *,
-                            resolved_source: str | Path | None = None) -> list[Action]:
-    """The action that puts the source bytes at the destination, if one is needed.
+def materialize_destination(plan: "ExecutionPlan", src: str | Path) -> list[Action]:
+    """The action that puts ``src``, the source image as setup resolved it, at the
+    destination, if one is needed.
 
     A destination that is the source itself needs no copy: one spelled with
     the same path, or an existing one that is the same file, through a
     symlink or a hard link.  A block-device destination becomes a
     device-write action; a file destination becomes an image copy.
     """
-    src = Path(resolved_source) if resolved_source is not None else Path(plan.source.locator)
     dest = Path(plan.destination.path)
     if same_file(src, dest):
         return []

@@ -3,9 +3,10 @@
 Runs pytest in this process under a ``sys.settrace`` line tracer that
 follows only the package's own files, then lists every line that starts a
 statement in the compiled code of a file and never ran, as
-``path:line: text``, and a total.  Code that runs only in a child process
-(``python -m imgforge``, a signal handler) is listed too.  A gap is reported,
-never failed on; the exit status is pytest's.
+``path:line: text``, and a total.  Code that runs only in a child process is
+listed too: ``python -m imgforge``'s, the five statements of ``__main__.py`` and
+of ``cli.py``'s ``__main__`` guard, which are all it should list.  A gap is
+reported, never failed on; the exit status is pytest's.
 
     PYTHONPATH=src python tests/coverage_report.py -q
 """

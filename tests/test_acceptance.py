@@ -31,9 +31,10 @@ from imgforge.image import (
     write_partition_table,
 )
 from imgforge.mounts import base_mount_actions, fstab_mount_actions, teardown_actions
-from imgforge.pifile import CommandKind, parse_pifile, parse_pifile_text, render_pifile
+from imgforge.pifile import CommandKind, parse_pifile, parse_pifile_text
 from imgforge.plan import Stage, assign_stages, build_plan
 from imgforge.source import SourceKind, cache_key, fetch_to_cache
+from pifile_render import render_pifile
 
 ENV = {"PATH": "/usr/bin:/bin"}
 EMULATOR = "/usr/bin/qemu-arm-static"

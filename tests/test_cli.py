@@ -273,6 +273,33 @@ class TestExitCodes:
                     ENV)
         assert code == 2
 
+    def test_cache_that_is_a_regular_file_is_exit_3_for_a_url(self, tmp_path, capsys,
+                                                               monkeypatch):
+        def fetch(url, dest):
+            raise AssertionError(f"fetched {url}")
+
+        monkeypatch.setattr(source_mod, "_urllib_fetcher", fetch)
+        cache = tmp_path / "cache"
+        cache.write_text("")
+        pifile = tmp_path / "url.Pifile"
+        pifile.write_text("FROM https://host/base.img\nTO out.img\nHOST true\n")
+        assert main(["--cache", str(cache), str(pifile)], ENV) == 3
+        assert capsys.readouterr().err == (
+            f"[setup] cannot create cache directory {cache}: "
+            f"[Errno {errno.EEXIST}] File exists: '{cache}'\n")
+        assert not (tmp_path / "out.img").exists()
+
+    def test_failed_image_copy_is_exit_2_in_setup(self, tmp_path, capsys):
+        # a copy truncates its destination first, which a character device refuses;
+        # FROM, TO and HOST mount nothing, so this build is real
+        pifile = write_fixture(tmp_path, text="FROM base.img\nTO /dev/full\nHOST true\n")
+        assert main([str(pifile)], ENV) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "[setup] begin\n"
+        assert captured.err == (
+            f"[setup] copying {tmp_path / 'base.img'} to /dev/full failed: "
+            f"[Errno {errno.EINVAL}] {os.strerror(errno.EINVAL)}\n")
+
     @pytest.mark.parametrize("error, reason", [
         (lambda url: urllib.error.HTTPError(url, 404, "Not Found", None, None),
          "HTTP 404 Not Found"),

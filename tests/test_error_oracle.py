@@ -8,7 +8,9 @@ in stderr is relative.  ``CASES`` are the parser's and planner's errors
 faster, and the cases from ``multiple-FROM`` on, which pin the file:line of
 planner errors and of warnings, before a directive's location moved into its
 ``Command``; ``partition-five`` and ``TO-without-directory`` are refusals the
-planner gained later, which before failed only in setup or not at all.
+planner gained later, which before failed only in setup or not at all, and
+``FROM-missing`` and ``INPLACE-character-device`` were recorded when a source
+refusal began to name its line.
 ``BUILD_CASES`` fail while a build runs (exit 2) or on the host it runs on
 (exit 3), and none of them mounts anything; their text was recorded before
 the exception classes were folded into one per exit code, except
@@ -128,6 +130,12 @@ CASES = {
     "TO-without-directory": (
         {"main.Pifile": "FROM a.img\nTO nodir/out.img\nHOST true\n"},
         1, "[error] main.Pifile:2: the directory of TO nodir/out.img does not exist\n"),
+    "FROM-missing": (
+        {"main.Pifile": "FROM missing.img\nTO out.img\nHOST true\n"},
+        1, "[error] main.Pifile:1: source not found: missing.img\n"),
+    "INPLACE-character-device": (
+        {"main.Pifile": "INPLACE /dev/null\nHOST true\n"},
+        1, "[error] main.Pifile:1: source is not a file or block device: /dev/null\n"),
 }
 
 # case: (files, arguments, exit code, stdout, stderr); bytes are written as they are

@@ -59,7 +59,7 @@ def emit_command(backend, text, *, pifile=Path("x.Pifile"), root=None, extension
     guest_path = ":".join(compose_guest_path(list(extensions), list(host)))
     if root is not None:
         backend.root_dir = root
-    return backend.emit(command_action(command, guest_path))
+    return backend.emit(command_action(command, guest_path, str(pifile.parent)))
 
 
 def run_pifile(tmp_path, text, backend):
@@ -486,6 +486,20 @@ class TestStageLines:
         assert [(stage, origin.line_no, message) for stage, origin, message in lines
                 if origin is not None] == [("chroot", 3, "PATH /opt/bin"),
                                            ("chroot", 4, "HOST cat << EOF")]
+
+    def test_pump_zero_gets_its_stage_line_and_grows_nothing(self, tmp_path):
+        mbr_oracle.write_image(tmp_path / "base.img")
+        plan = make_plan(tmp_path, "FROM base.img\nTO out.img\nPUMP 0\nPATH /opt/bin\n"
+                                   "HOST true\n")
+        lines, backend = [], DryRunExecutor()
+        execute(plan, backend, RunOptions(
+            env=FIXED_ENV, emulators=[],
+            on_log=lambda stage, origin, message: lines.append((stage, origin, message))))
+        assert [(stage, origin.line_no if origin else None, message)
+                for stage, origin, message in lines] == [
+            ("setup", None, "begin"), ("prepare", None, "begin"), ("prepare", 3, "PUMP 0"),
+            ("chroot", None, "begin"), ("chroot", 4, "PATH /opt/bin"), ("chroot", 5, "HOST true")]
+        assert [a.kind for a in backend.actions] == [ActionKind.COPY_IMAGE, ActionKind.HOST_EXEC]
 
 
 class TestActionLog:

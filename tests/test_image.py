@@ -1,5 +1,7 @@
+import errno
 import hashlib
 import io
+import os
 from dataclasses import replace
 from pathlib import Path
 
@@ -189,6 +191,27 @@ class TestWriteTable:
         with pytest.raises(ExecutionFailure, match="unsigned sector 0"):
             write_partition_table(target, table)
 
+    def test_target_that_cannot_be_opened(self, tmp_path, fixture_image):
+        target = tmp_path / "absent.img"
+        with pytest.raises(ExecutionFailure) as info:
+            write_partition_table(target, read_partition_table(fixture_image))
+        assert str(info.value) == (f"cannot write partition table to {target}: [Errno "
+                                   f"{errno.ENOENT}] No such file or directory: '{target}'")
+        assert info.value.exit_code == 2
+
+    def test_target_shorter_than_a_sector(self, fixture_image):
+        with pytest.raises(ExecutionFailure) as info:
+            write_partition_table(io.BytesIO(bytes(100)), read_partition_table(fixture_image))
+        assert str(info.value) == "target is only 100 bytes, need at least 512"
+        assert info.value.exit_code == 2
+
+    def test_target_open_for_reading_only(self, fixture_image):
+        table = read_partition_table(fixture_image)
+        with open(fixture_image, "rb") as target, pytest.raises(ExecutionFailure) as info:
+            write_partition_table(target, table)  # its write raises io.UnsupportedOperation
+        assert str(info.value) == "partition table write failed: write"
+        assert info.value.exit_code == 2
+
     def test_untouched_bytes_preserved(self, tmp_path):
         img = tmp_path / "boot.img"
         mbr_oracle.write_image(img, size_bytes=1024 * 1024)
@@ -231,6 +254,17 @@ class TestGrowImageFile:
     def test_directory_refused(self, tmp_path):
         with pytest.raises(ExecutionFailure, match="is not a regular file"):
             grow_image_file(tmp_path, 512)
+
+    def test_failed_truncate(self, fixture_image, monkeypatch):
+        def truncate(path, length):
+            raise OSError(errno.EFBIG, os.strerror(errno.EFBIG))
+
+        monkeypatch.setattr(os, "truncate", truncate)
+        with pytest.raises(ExecutionFailure) as info:
+            grow_image_file(fixture_image, 512)
+        assert str(info.value) == (f"cannot grow {fixture_image}: "
+                                   f"[Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}")
+        assert info.value.exit_code == 2
 
     def test_negative_amount_refused(self, fixture_image):
         before = fixture_image.stat().st_size

@@ -299,6 +299,15 @@ class TestDiscoverEmulators:
     def test_empty_path(self):
         assert discover_emulators("") == []
 
+    def test_entry_that_cannot_be_listed_is_skipped(self, tmp_path):
+        bindir = tmp_path / "bin"
+        bindir.mkdir()
+        (bindir / "qemu-arm-static").write_text("#!/bin/sh\n")
+        (bindir / "qemu-arm-static").chmod(0o755)
+        (tmp_path / "file").write_text("")  # listing a file, or a missing entry, fails
+        found = discover_emulators(f"{tmp_path / 'gone'}:{tmp_path / 'file'}:{bindir}")
+        assert found == [str(bindir / "qemu-arm-static")]
+
 
 # --- teardown properties -----------------------------------------------------
 

@@ -12,9 +12,9 @@ from imgforge.pifile import (
     parse_pifile,
     parse_pifile_text,
     pathlib_join,
-    render_pifile,
     substitute_env,
 )
+from pifile_render import render_command, render_pifile
 
 
 def parse(text, env=None):
@@ -151,6 +151,13 @@ class TestSubstitution:
             pifile = parse("RUN echo [$NOPE]\n", {})
         assert pifile.commands[0].args == ("echo []",)
         assert any("NOPE" in record.message for record in caplog.records)
+
+    def test_line_that_expands_to_nothing_is_skipped(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="imgforge.pifile"):
+            pifile = parse("FROM a.img\n$EMPTY\nRUN x\n", {"EMPTY": ""})
+        assert [(c.kind, c.line_no) for c in pifile.commands] == [
+            (CommandKind.FROM, 1), (CommandKind.RUN, 3)]
+        assert caplog.records == []
 
     def test_substitute_env_helper(self):
         assert substitute_env("$A ${B} $A", {"A": "1", "B": "2"}) == "1 2 1"
@@ -415,8 +422,6 @@ def test_render_parse_round_trip(specs):
 def test_comment_and_blank_injection_leaves_ast_unchanged(specs, data):
     # noise goes between commands, never inside a heredoc body, where any
     # line is legitimately content
-    from imgforge.pifile import render_command
-
     pifile = _build_pifile(specs)
     noise_strategy = st.lists(
         st.sampled_from(["", "   ", "# noise", "  # indented noise"]), max_size=2,

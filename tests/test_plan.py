@@ -223,6 +223,51 @@ class TestBuildPlan:
         assert build_plan(pifile, probe) == build_plan(pifile, probe)
 
 
+class TestSourceKind:
+    """build_plan knows a URL by its scheme and anything else by the probe."""
+
+    def test_http_url_is_found_by_scheme_alone(self, tmp_path):
+        plan = build_plan(pifile_at(tmp_path, "FROM https://host/img.zip\n"), lambda loc: None)
+        assert plan.source.kind is SourceKind.URL
+
+    def test_ftp_url_is_found_by_scheme_alone(self, tmp_path):
+        plan = build_plan(pifile_at(tmp_path, "FROM ftp://host/base.img\n"), lambda loc: None)
+        assert plan.source.kind is SourceKind.URL
+
+    def test_block_device_is_found_by_the_probe(self, tmp_path):
+        probe = lambda loc: SourceKind.BLOCK_DEVICE if loc == "/dev/sdc" else None
+        plan = build_plan(pifile_at(tmp_path, "FROM /dev/sdc\n"), probe)
+        assert plan.source.kind is SourceKind.BLOCK_DEVICE
+
+    def test_local_file_is_found_by_the_default_probe(self, tmp_path):
+        (tmp_path / "base.img").write_bytes(b"x")
+        plan = build_plan(pifile_at(tmp_path, "FROM base.img\n"))
+        assert plan.source.kind is SourceKind.LOCAL_FILE
+
+    def test_missing_path_is_refused_at_its_line(self, tmp_path):
+        pifile = pifile_at(tmp_path, "RUN x\nFROM gone.img\n")
+        with pytest.raises(PifileError) as info:
+            build_plan(pifile)
+        assert info.value.args[0] == f"source not found: {tmp_path / 'gone.img'}"
+        assert info.value.origin.line_no == 2
+        assert info.value.exit_code == 1
+
+    def test_unknown_scheme_is_probed_as_a_path(self, tmp_path):
+        probed = []
+        pifile = pifile_at(tmp_path, "FROM weird://host/x\n")
+        with pytest.raises(PifileError, match="source not found"):
+            build_plan(pifile, lambda loc: probed.append(loc))
+        assert probed == [str(tmp_path / "weird:/host/x")]
+
+    @pytest.mark.parametrize("text", ["FROM {}\nTO out.img\n", "INPLACE {}\n"])
+    def test_directory_is_refused_at_its_line(self, tmp_path, text):
+        (tmp_path / "dir").mkdir()
+        with pytest.raises(PifileError) as info:
+            build_plan(pifile_at(tmp_path, text.format("dir")))
+        assert info.value.args[0] == f"source is not a file or block device: {tmp_path / 'dir'}"
+        assert info.value.origin.line_no == 1
+
+
 class TestValidatePlan:
     def _plan(self, tmp_path, text, extra_files=()):
         pifile = pifile_at(tmp_path, text)

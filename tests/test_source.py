@@ -1,7 +1,9 @@
+import errno
 import gzip
 import hashlib
 import lzma
 import os
+import stat as stat_module
 import subprocess
 import zipfile
 from pathlib import Path
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import imgforge.source as source_mod
-from imgforge.errors import ExecutionFailure, PifileError
+from imgforge.errors import EnvironmentProblem, ExecutionFailure
 from imgforge.executor import ActionKind
 from imgforge.pifile import parse_pifile_text
 from imgforge.plan import build_plan
@@ -20,8 +22,8 @@ from imgforge.source import (
     _urllib_fetcher,
     cache_entry,
     cache_key,
-    classify_source,
     copy_image_bytes,
+    default_probe,
     extract_image,
     fetch_to_cache,
     materialize_destination,
@@ -60,29 +62,20 @@ class TestUrllibFetcher:
             _urllib_fetcher((tmp_path / "gone.img").as_uri(), tmp_path / "got.img")
 
 
-class TestClassifySource:
-    def test_http_url(self):
-        assert classify_source("https://host/img.zip", lambda loc: None) is SourceKind.URL
+class TestDefaultProbe:
+    def test_block_device(self, monkeypatch):
+        real_stat = os.stat
 
-    def test_ftp_url(self):
-        assert classify_source("ftp://host/base.img", lambda loc: None) is SourceKind.URL
+        def stat(path, *args, **kwargs):  # a block device at /dev/sdq, whatever /dev holds
+            if path != "/dev/sdq":
+                return real_stat(path, *args, **kwargs)
+            return os.stat_result((stat_module.S_IFBLK | 0o660, *tuple(real_stat("/"))[1:]))
 
-    def test_device_probe(self):
-        probe = lambda loc: SourceKind.BLOCK_DEVICE if loc == "/dev/sdc" else None
-        assert classify_source("/dev/sdc", probe) is SourceKind.BLOCK_DEVICE
+        monkeypatch.setattr(os, "stat", stat)
+        assert default_probe("/dev/sdq") is SourceKind.BLOCK_DEVICE
 
-    def test_local_file_fallback(self, tmp_path):
-        img = tmp_path / "base.img"
-        img.write_bytes(b"x")
-        assert classify_source(str(img)) is SourceKind.LOCAL_FILE
-
-    def test_nothing_matches(self, tmp_path):
-        with pytest.raises(PifileError, match="source not found"):
-            classify_source(str(tmp_path / "gone.img"))
-
-    def test_unknown_scheme_is_not_a_url(self):
-        with pytest.raises(PifileError, match="source not found"):
-            classify_source("weird://host/x", lambda loc: None)
+    def test_directory_is_neither_kind(self, tmp_path):
+        assert default_probe(str(tmp_path)) is None
 
 
 class TestFetchToCache:
@@ -119,6 +112,14 @@ class TestFetchToCache:
         fetch_to_cache("https://host/x.img", tmp_path, fetcher)
         fetch_to_cache("https://host/x.img", tmp_path, fetcher, refresh=True)
         assert fetcher.calls == 2
+
+    def test_unwritable_cache_is_an_environment_problem(self, tmp_path, monkeypatch):
+        # root may write anywhere, so the permission check is made to say no
+        monkeypatch.setattr(os, "access", lambda path, mode: mode != os.W_OK)
+        with pytest.raises(EnvironmentProblem) as info:
+            fetch_to_cache("https://host/base.img", tmp_path, CountingFetcher())
+        assert str(info.value) == f"cache directory {tmp_path} is not writable"
+        assert info.value.exit_code == 3
 
     def test_offline_miss_fails(self, tmp_path):
         fetcher = CountingFetcher()
@@ -343,7 +344,7 @@ class TestMaterializeDestination:
         plan = self._plan(tmp_path, "FROM a.img\nTO b.img\n",
                           lambda loc: SourceKind.LOCAL_FILE if loc == str(src) else None)
         backend = LocalExecutor(runner=lambda argv, **kw: (0, ""))
-        for action in materialize_destination(plan):
+        for action in materialize_destination(plan, plan.source.locator):
             backend.emit(action)
         assert sha256(tmp_path / "b.img") == sha256(src)  # byte equality
         assert sha256(src) == sha256(src)  # source untouched
@@ -392,12 +393,22 @@ class TestMaterializeDestination:
         assert written[:3 * MiB + 1] == src.read_bytes()
         assert written[3 * MiB + 1:] == b"\xff" * (MiB - 1)
 
+    def test_device_write_onto_an_absent_path_is_a_build_failure(self, tmp_path):
+        src = tmp_path / "a.img"
+        src.write_bytes(b"data")
+        device = tmp_path / "absent"
+        with pytest.raises(ExecutionFailure) as info:
+            write_to_device(src, device)
+        assert str(info.value) == (f"writing {src} to device {device} failed: [Errno "
+                                   f"{errno.ENOENT}] No such file or directory: '{device}'")
+        assert info.value.exit_code == 2
+
     def test_inplace_emits_nothing(self, tmp_path):
         src = tmp_path / "a.img"
         src.write_bytes(b"data")
         plan = self._plan(tmp_path, "INPLACE a.img\n",
                           lambda loc: SourceKind.LOCAL_FILE)
-        assert materialize_destination(plan) == []
+        assert materialize_destination(plan, plan.source.locator) == []
         assert plan.destination.path == plan.source.locator
 
     def test_same_path_emits_nothing(self, tmp_path):
@@ -405,13 +416,13 @@ class TestMaterializeDestination:
         src.write_bytes(b"data")
         plan = self._plan(tmp_path, "FROM a.img\nTO a.img\n",
                           lambda loc: SourceKind.LOCAL_FILE)
-        assert materialize_destination(plan) == []
+        assert materialize_destination(plan, plan.source.locator) == []
 
     @pytest.mark.parametrize("text", ["FROM /dev/sdz\nTO /dev/sdz\n", "INPLACE /dev/sdz\n"])
     def test_device_onto_itself_emits_nothing(self, tmp_path, text):
         plan = self._plan(tmp_path, text,
                           lambda loc: SourceKind.BLOCK_DEVICE if loc == "/dev/sdz" else None)
-        assert materialize_destination(plan) == []
+        assert materialize_destination(plan, plan.source.locator) == []
         assert plan.destination.path == "/dev/sdz"
 
     def test_device_destination_emits_device_write(self, tmp_path):
@@ -421,7 +432,7 @@ class TestMaterializeDestination:
             return SourceKind.LOCAL_FILE
 
         plan = self._plan(tmp_path, "FROM a.img\nTO /dev/sdc\n", probe)
-        [action] = materialize_destination(plan)
+        [action] = materialize_destination(plan, plan.source.locator)
         assert action.kind is ActionKind.DEVICE_WRITE
         assert action.payload["dst"] == "/dev/sdc"
 
@@ -432,4 +443,4 @@ class TestMaterializeDestination:
         plan = self._plan(tmp_path, "FROM a.img\nTO outdir\n",
                           lambda loc: SourceKind.LOCAL_FILE if loc == str(src) else None)
         with pytest.raises(ExecutionFailure, match="is a directory"):
-            materialize_destination(plan)
+            materialize_destination(plan, plan.source.locator)
