@@ -32,6 +32,7 @@ import threading
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
+from .child import interrupt
 from .errors import CommandFailed, ExecutionFailure, ImgforgeError, PifileError
 from .executor import DryRunExecutor, Executor, LocalExecutor, RunOptions, execute
 from .pifile import Command, parse_pifile
@@ -88,10 +89,6 @@ def _parse_env_overrides(pairs: Sequence[str]) -> dict[str, str]:
     return overrides
 
 
-def _interrupt(signum: int, frame: object) -> None:
-    raise ExecutionFailure(f"interrupted by {signal.Signals(signum).name}")
-
-
 def main(argv: Sequence[str] | None = None, env: Mapping[str, str] | None = None, *,
          executor_factory: Callable[[argparse.Namespace], Executor] | None = None) -> int:
     """Parse, plan, execute; returns the process exit code.
@@ -103,7 +100,7 @@ def main(argv: Sequence[str] | None = None, env: Mapping[str, str] | None = None
     turns SIGTERM and SIGHUP into an :class:`ExecutionFailure` until it
     returns, so an interrupted build still tears down, and exits 2.
     """
-    previous = ({sig: signal.signal(sig, _interrupt) for sig in (signal.SIGTERM, signal.SIGHUP)}
+    previous = ({sig: signal.signal(sig, interrupt) for sig in (signal.SIGTERM, signal.SIGHUP)}
                 if threading.current_thread() is threading.main_thread() else {})
     try:
         return _main(argv, env, executor_factory)

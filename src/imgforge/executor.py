@@ -41,6 +41,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
+from . import child
 from . import image as image_mod
 from . import mounts as mounts_mod
 from . import source as source_mod
@@ -85,32 +86,19 @@ def run_command(argv: Sequence[str], *, stdin_text: str | None = None,
     """
     with (tempfile.TemporaryFile("w+", encoding="utf-8", errors="replace")
           if stdin_text is not None else contextlib.nullcontext()) as body:
-        if body is not None:  # closed once the command holds its own descriptor
+        if body is not None:  # closed only once the command is reaped
             body.write(stdin_text)
             body.seek(0)
-        try:
-            proc = subprocess.Popen(
-                list(argv),
-                stdin=subprocess.DEVNULL if body is None else body,
-                stdout=subprocess.PIPE,
-                stderr=subprocess.STDOUT,
-                cwd=cwd,
-                env=dict(env) if env is not None else None,
-                text=True, encoding="utf-8", errors="replace",
-            )
-        except FileNotFoundError as exc:
-            raise EnvironmentProblem(f"cannot execute {argv[0]}: {exc}") from exc
-    with proc:  # closes the pipe on every way out
-        collected: list[str] = []
-        sink = on_output or collected.append
-        assert proc.stdout is not None
-        try:
+        with child.started(list(argv), stdin=subprocess.DEVNULL if body is None else body,
+                           stdout=subprocess.PIPE, stderr=subprocess.STDOUT, cwd=cwd,
+                           env=dict(env) if env is not None else None,
+                           text=True, encoding="utf-8", errors="replace") as proc:
+            collected: list[str] = []
+            sink = on_output or collected.append
+            assert proc.stdout is not None
             for line in proc.stdout:
                 sink(line.rstrip("\n"))
             status = proc.wait()
-        except BaseException:
-            proc.kill()
-            raise
     return status, "\n".join(collected)
 
 

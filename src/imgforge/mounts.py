@@ -28,8 +28,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
+from . import child
 from .actions import Action, ActionKind
-from .errors import EnvironmentProblem
 from .image import SECTOR_SIZE, PartitionTable
 from .plan import ExecutionPlan
 from .source import TargetKind
@@ -136,14 +136,12 @@ def read_guest_fstab(image: str | Path, table: PartitionTable, index: int) -> st
     with open(image, "rb", buffering=0) as fh:  # s_magic of an ext2/3/4 superblock
         is_ext = os.pread(fh.fileno(), 2, offset + 1024 + 56) == b"\x53\xef"
     if is_ext or shutil.which("debugfs") is None:  # a missing debugfs fails here
-        try:
-            proc = subprocess.run(["debugfs", "-R", "cat /etc/fstab", f"{image}?offset={offset}"],
-                                  stdin=subprocess.DEVNULL, capture_output=True)
-        except OSError as exc:
-            raise EnvironmentProblem(
-                f"cannot execute debugfs to read the guest fstab: {exc}") from exc
-        if proc.returncode == 0 and b"Filesystem not open" not in proc.stderr:
-            return proc.stdout.decode("utf-8", errors="replace")
+        with child.started(["debugfs", "-R", "cat /etc/fstab", f"{image}?offset={offset}"],
+                           stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
+                           stderr=subprocess.PIPE) as proc:
+            stdout, stderr = proc.communicate()
+        if proc.returncode == 0 and b"Filesystem not open" not in stderr:
+            return stdout.decode("utf-8", errors="replace")
     logger.warning("partition %d of %s holds no ext2/3/4 filesystem; "
                    "its /etc/fstab adds no mounts", index, image)
     return ""

@@ -87,8 +87,10 @@ def build_plan(pifile: Pifile,
     ``<pifile stem>.img`` next to the Pifile, and a TO that is a packed FROM
     file, by path or through a link, is refused before the archive is
     overwritten.  Relative source and destination paths are anchored at
-    the Pifile's directory, and a TO whose directory does not exist is
-    refused, as is a FROM partition index outside the 4 MBR slots.  INSTALL
+    the Pifile's directory, and in every one ``//``, ``/./`` and a trailing
+    ``/`` fold away.  A TO whose directory does not exist, or that
+    exists but is neither a regular file nor a block device, is refused, as
+    is a FROM partition index outside the 4 MBR slots.  INSTALL
     modes and destinations are checked here, so a bad mode or a destination
     with a ``..`` component stops the build before any copy, and so is a
     PUMP onto a block device, which cannot grow.  A URL source is known by
@@ -124,7 +126,7 @@ def build_plan(pifile: Pifile,
         raise PifileError("INPLACE cannot edit a packed image; use FROM <archive> with TO",
                           origin=root)
     partition_index = _partition_index(root)  # INPLACE takes none: the default
-    locator = raw if url else _anchor(raw, base_dir)
+    locator = raw if url else pathlib_join(str(base_dir), raw)
     kind = SourceKind.URL if url else probe(locator)
     if kind is None:
         problem = "is not a file or block device" if os.path.exists(locator) else "not found"
@@ -136,7 +138,7 @@ def build_plan(pifile: Pifile,
         if len(tos) > 1:
             logger.warning("multiple TO directives; using the last one (%s:%d)",
                            tos[-1].file, tos[-1].line_no)
-        dest_path = _anchor(tos[-1].args[0], base_dir)
+        dest_path = pathlib_join(str(base_dir), tos[-1].args[0])
         if not os.path.isdir(os.path.dirname(dest_path) or "."):
             raise PifileError(f"the directory of TO {tos[-1].args[0]} does not exist",
                               origin=tos[-1])
@@ -145,7 +147,10 @@ def build_plan(pifile: Pifile,
                               origin=tos[-1])
     else:
         dest_path = str(base_dir / f"{pifile.source_path.stem}.img")
-    target_kind = (TargetKind.BLOCK_DEVICE if probe(dest_path) is SourceKind.BLOCK_DEVICE
+    if (dest_kind := probe(dest_path)) is None and os.path.exists(dest_path):  # a FIFO, say
+        raise PifileError(f"destination is not a file or block device: {dest_path}",
+                          origin=tos[-1] if tos else None)
+    target_kind = (TargetKind.BLOCK_DEVICE if dest_kind is SourceKind.BLOCK_DEVICE
                    else TargetKind.LOCAL_FILE)
     destination = TargetSpec(kind=target_kind, path=dest_path)
 
@@ -172,14 +177,6 @@ def build_plan(pifile: Pifile,
         staged=staged,
         pifile_path=pifile.source_path,
     )
-
-
-def _anchor(path_text: str, base_dir: Path) -> str:
-    """Resolve a Pifile-relative path against the Pifile's directory."""
-    p = Path(path_text)
-    if p.is_absolute():
-        return path_text
-    return str(base_dir / p)
 
 
 def _partition_index(from_cmd: Command) -> int:

@@ -42,6 +42,7 @@ from itertools import takewhile
 from pathlib import Path
 from typing import TYPE_CHECKING, BinaryIO, Callable, Iterator, Mapping
 
+from . import child
 from .actions import Action, ActionKind
 from .errors import EnvironmentProblem, ExecutionFailure
 
@@ -245,18 +246,10 @@ def _decompress(archive: Path, argv: tuple[str, ...], dst: BinaryIO) -> None:
     """Unpack ``archive`` with ``argv`` into the empty file ``dst``; a failure kills the tool."""
     stdout = subprocess.PIPE if argv[0] == "gzip" else dst  # see _DECOMPRESSORS
     with open(archive, "rb") as stdin, tempfile.TemporaryFile() as stderr:  # a file never fills
-        try:
-            proc = subprocess.Popen(argv, stdin=stdin, stdout=stdout, stderr=stderr)
-        except FileNotFoundError as exc:
-            raise EnvironmentProblem(f"cannot execute {argv[0]}: {exc}") from exc
-        with proc:  # closes the pipe and reaps the tool on every way out
-            try:
-                if proc.stdout:
-                    _write_sparse(proc.stdout, dst)
-                proc.wait()
-            except BaseException:
-                proc.kill()
-                raise
+        with child.started(argv, stdin=stdin, stdout=stdout, stderr=stderr) as proc:
+            if proc.stdout:
+                _write_sparse(proc.stdout, dst)
+            proc.wait()
         if proc.returncode:
             stderr.seek(0)
             detail = stderr.read().decode(errors="replace").strip() or f"status {proc.returncode}"
@@ -436,6 +429,4 @@ def materialize_destination(plan: "ExecutionPlan", src: str | Path) -> list[Acti
         return []
     if plan.destination.kind is TargetKind.BLOCK_DEVICE:
         return [Action(ActionKind.DEVICE_WRITE, {"src": str(src), "dst": str(dest)})]
-    if dest.is_dir():
-        raise ExecutionFailure(f"destination {dest} is a directory")
     return [Action(ActionKind.COPY_IMAGE, {"src": str(src), "dst": str(dest)})]

@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
-# Two real imgforge builds through the default runner.  The first does PUMP, INSTALL
+# Three real imgforge builds through the default runner.  The first does PUMP, INSTALL
 # into the root partition and into the /boot partition that the guest's fstab names,
 # copies an emulator in, and enters the guest with RUN: a here-document, and a script
 # that INSTALL put under /opt/bin and PATH makes callable.  The second fails at a
-# `RUN false` and must exit 2 with everything torn down.  It is the only test in which
-# mount(8) performs imgforge's loop,offset=,sizelimit= mounts and chroot(8) enters the
-# guest.
+# `RUN false` and must exit 2 with everything torn down.  The third is sent SIGTERM
+# while its RUN loops in the guest, and must exit 2 with everything torn down and that
+# RUN's shell no longer running.  It is the only test in which mount(8) performs
+# imgforge's loop,offset=,sizelimit= mounts and chroot(8) enters the guest.
 #
 # It needs root, util-linux, e2fsprogs and dash, and it attaches loop devices and
 # mounts partitions on the host, so run it only on a disposable machine, such as a CI
@@ -100,4 +101,36 @@ PYTHONPATH="$repo/src" "$python" -m imgforge --emulator "$work/qemu-stub-static"
     || status=$?
 [ "$status" -eq 2 ] || fail "a build whose RUN fails exited $status, not 2"
 torn_down "the failed build"
+
+# the RUN writes its shell's pid to /started, then loops on dash builtins
+cat > term.Pifile <<'EOF'
+FROM base.img
+TO term.img
+RUN echo $$ > /started; while :; do :; done
+EOF
+PYTHONPATH="$repo/src" "$python" -m imgforge --emulator "$work/qemu-stub-static" term.Pifile \
+    2> term.err &
+build=$!
+started=
+for _ in $(seq 600); do
+    started=$(compgen -G "${TMPDIR:-/tmp}/imgforge-root-*/started" || true)
+    if [ -n "$started" ] && [ -s "$started" ]; then break; fi
+    kill -0 "$build" 2>/dev/null || break
+    sleep 0.1
+done
+if [ -z "$started" ] || [ ! -s "$started" ]; then
+    kill -KILL "$build" 2>/dev/null || true
+    cat term.err >&2
+    fail "the RUN of the interrupted build never wrote /started"
+fi
+guest=$(cat "$started")
+kill -TERM "$build"
+status=0
+wait "$build" || status=$?
+cat term.err >&2
+[ "$status" -eq 2 ] || fail "a build sent SIGTERM exited $status, not 2"
+[ "$(tail -n 1 term.err)" = "[chroot] interrupted by SIGTERM" ] \
+    || fail "a build sent SIGTERM did not end with [chroot] interrupted by SIGTERM"
+torn_down "the interrupted build"
+if kill -0 "$guest" 2>/dev/null; then fail "the RUN's shell $guest is still running"; fi
 echo "privileged build: ok"

@@ -5,6 +5,7 @@ import logging
 import lzma
 import os
 import random
+import resource
 import shutil
 import signal
 import subprocess
@@ -290,15 +291,21 @@ class TestExitCodes:
         assert not (tmp_path / "out.img").exists()
 
     def test_failed_image_copy_is_exit_2_in_setup(self, tmp_path, capsys):
-        # a copy truncates its destination first, which a character device refuses;
-        # FROM, TO and HOST mount nothing, so this build is real
-        pifile = write_fixture(tmp_path, text="FROM base.img\nTO /dev/full\nHOST true\n")
-        assert main([str(pifile)], ENV) == 2
+        # a file size limit below the image's makes the copy fail with EFBIG, as Python
+        # ignores SIGXFSZ; FROM, TO and HOST mount nothing, so this build is real
+        pifile = write_fixture(tmp_path, text="FROM base.img\nTO out.img\nHOST true\n")
+        soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+        resource.setrlimit(resource.RLIMIT_FSIZE, (4096, hard))
+        try:
+            code = main([str(pifile)], ENV)
+        finally:
+            resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+        assert code == 2
         captured = capsys.readouterr()
         assert captured.out == "[setup] begin\n"
         assert captured.err == (
-            f"[setup] copying {tmp_path / 'base.img'} to /dev/full failed: "
-            f"[Errno {errno.EINVAL}] {os.strerror(errno.EINVAL)}\n")
+            f"[setup] copying {tmp_path / 'base.img'} to {tmp_path / 'out.img'} failed: "
+            f"[Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}\n")
 
     @pytest.mark.parametrize("error, reason", [
         (lambda url: urllib.error.HTTPError(url, 404, "Not Found", None, None),
@@ -469,6 +476,18 @@ class TestDryRun:
         assert main([*log, str(pifile)], ENV) == 3
         assert error_line(capsys.readouterr().err).startswith("[setup] cannot execute zstd: ")
         assert not (tmp_path / ".pimod-cache").exists()
+        assert list(tmp_path.rglob(".extract.*")) == []
+        assert not (tmp_path / "out.img").exists()
+
+    def test_decompressor_that_cannot_be_started_is_exit_3(self, tmp_path, capsys,
+                                                           monkeypatch):
+        pifile = write_packed_fixture(tmp_path)
+        (tmp_path / "bin").mkdir()
+        (tmp_path / "bin" / "xz").write_text("#!/bin/sh\n")  # found on PATH, not executable
+        monkeypatch.setenv("PATH", str(tmp_path / "bin"))
+        assert main([str(pifile)], ENV) == 3
+        assert error_line(capsys.readouterr().err) == (
+            f"[setup] cannot execute xz: [Errno {errno.EACCES}] {os.strerror(errno.EACCES)}: 'xz'")
         assert list(tmp_path.rglob(".extract.*")) == []
         assert not (tmp_path / "out.img").exists()
 

@@ -10,7 +10,11 @@ planner errors and of warnings, before a directive's location moved into its
 ``Command``; ``partition-five`` and ``TO-without-directory`` are refusals the
 planner gained later, which before failed only in setup or not at all, and
 ``FROM-missing`` and ``INPLACE-character-device`` were recorded when a source
-refusal began to name its line.
+refusal began to name its line.  ``to-directory`` was a build case (exit 2
+in setup, with no line) until the planner began to refuse a ``TO`` that is
+neither a regular file nor a block device; ``TO-fifo``, which hung in setup
+before, and ``TO-character-device``, which failed its copy, were recorded
+then.
 ``BUILD_CASES`` fail while a build runs (exit 2) or on the host it runs on
 (exit 3), and none of them mounts anything; their text was recorded before
 the exception classes were folded into one per exit code, except
@@ -27,6 +31,8 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).parent.parent / "src"
+
+FIFO = None  # a file's content that makes it a named pipe
 
 # case: (files, exit code, stderr)
 CASES = {
@@ -136,6 +142,15 @@ CASES = {
     "INPLACE-character-device": (
         {"main.Pifile": "INPLACE /dev/null\nHOST true\n"},
         1, "[error] main.Pifile:1: source is not a file or block device: /dev/null\n"),
+    "to-directory": (
+        {"main.Pifile": "FROM a.img\nTO out\nHOST true\n", "out/keep": ""},
+        1, "[error] main.Pifile:2: destination is not a file or block device: out\n"),
+    "TO-fifo": (
+        {"main.Pifile": "FROM a.img\nTO out.fifo\nHOST true\n", "out.fifo": FIFO},
+        1, "[error] main.Pifile:2: destination is not a file or block device: out.fifo\n"),
+    "TO-character-device": (
+        {"main.Pifile": "FROM a.img\nTO /dev/full\nHOST true\n"},
+        1, "[error] main.Pifile:2: destination is not a file or block device: /dev/full\n"),
 }
 
 # case: (files, arguments, exit code, stdout, stderr); bytes are written as they are
@@ -157,9 +172,6 @@ BUILD_CASES = {
          "a.img.xz": b"not an xz stream\n"}, ["main.Pifile"],
         2, "[setup] begin\n",
         "[setup] cannot decompress a.img.xz: xz: (stdin): File format not recognized\n"),
-    "to-directory": (
-        {"main.Pifile": "FROM a.img\nTO out\nHOST true\n", "out/keep": ""}, ["main.Pifile"],
-        2, "[setup] begin\n", "[setup] destination out is a directory\n"),
     "missing-emulator": (
         {"main.Pifile": "FROM a.img\nTO out.img\nRUN true\n"},
         ["--emulator", "missing", "main.Pifile"],
@@ -181,7 +193,11 @@ def test_error_path_is_pinned(tmp_path, case):
     files, code, stderr = CASES[case]
     (tmp_path / "a.img").write_bytes(b"")
     for name, text in files.items():
-        (tmp_path / name).write_text(text)
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        if text is FIFO:
+            os.mkfifo(tmp_path / name)
+        else:
+            (tmp_path / name).write_text(text)
     result = run_cli(tmp_path, "main.Pifile")
     assert (result.returncode, result.stdout, result.stderr) == (code, "", stderr)
 

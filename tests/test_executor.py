@@ -17,6 +17,7 @@ from hypothesis import given, strategies as st
 import imgforge.executor as executor_mod
 import imgforge.mounts as mounts_mod
 import mbr_oracle
+from imgforge.child import interrupt
 from imgforge.cli import main
 from imgforge.errors import CommandFailed, EnvironmentProblem, ExecutionFailure
 from imgforge.executor import (
@@ -267,6 +268,76 @@ class TestRunCommand:
         with pytest.raises(ProcessLookupError):  # killed and reaped
             os.kill(int(lines[0]), 0)
         assert sorted(os.listdir("/proc/self/fd")) == fds
+
+
+class TestSignalWhileStarting:
+    """A SIGTERM handled as ``cli.main`` handles it, and sent while a command is being
+    started, still kills and reaps that command."""
+
+    @pytest.fixture
+    def started(self, monkeypatch):
+        """The Popen of every command started from now on, with the handler installed."""
+        popens, real = [], subprocess.Popen._execute_child
+
+        def execute_child(self, *args, **kwargs):
+            real(self, *args, **kwargs)
+            popens.append(self)
+        monkeypatch.setattr(subprocess.Popen, "_execute_child", execute_child)
+        previous = signal.signal(signal.SIGTERM, interrupt)
+        yield popens
+        signal.signal(signal.SIGTERM, previous)
+        for popen in popens:  # one that a failing test left running
+            popen.kill()
+            popen.wait()
+
+    def test_a_signal_as_the_command_starts_kills_it(self, started, monkeypatch):
+        real = subprocess.Popen._execute_child
+
+        def execute_child(self, *args, **kwargs):
+            real(self, *args, **kwargs)
+            os.kill(os.getpid(), signal.SIGTERM)
+        monkeypatch.setattr(subprocess.Popen, "_execute_child", execute_child)
+        with pytest.raises(ExecutionFailure, match="^interrupted by SIGTERM$"):
+            run_command(["sleep", "5"])
+        [popen] = started
+        with pytest.raises(ProcessLookupError):  # killed and reaped
+            os.kill(popen.pid, 0)
+
+    def test_a_signal_as_the_body_closes_kills_the_command(self, started, monkeypatch):
+        class SignalOnClose:
+            def __init__(self, file):
+                self.file = file
+
+            def __getattr__(self, name):
+                return getattr(self.file, name)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.file.close()
+                os.kill(os.getpid(), signal.SIGTERM)
+
+        real = tempfile.TemporaryFile
+        monkeypatch.setattr(tempfile, "TemporaryFile",
+                            lambda *args, **kwargs: SignalOnClose(real(*args, **kwargs)))
+        with pytest.raises(ExecutionFailure, match="^interrupted by SIGTERM$"):
+            run_command(["sleep", "1"], stdin_text="body\n")
+        [popen] = started
+        with pytest.raises(ProcessLookupError):
+            os.kill(popen.pid, 0)
+
+    def test_a_start_that_fails_leaves_signals_raised_at_once(self, started):
+        with pytest.raises(ValueError, match="embedded null byte"):
+            run_command(["sleep\0"])
+        with pytest.raises(ExecutionFailure, match="^interrupted by SIGTERM$"):
+            os.kill(os.getpid(), signal.SIGTERM)
+        assert started == []
+
+    def test_a_command_starts_with_no_signal_blocked(self, started):
+        """So a ``timeout`` in a RUN or HOST can still stop the program it runs."""
+        assert run_command(["grep", "^SigBlk:", "/proc/self/status"]) == (
+            0, "SigBlk:\t0000000000000000")
 
 
 class TestRunGuest:
@@ -1228,14 +1299,14 @@ class TestGuestFstab:
 
     @staticmethod
     def _debugfs_runs(monkeypatch):
-        """The argv of every debugfs that ``subprocess.run`` starts from now on."""
-        runs, real = [], subprocess.run
+        """The argv of every debugfs that ``subprocess.Popen`` starts from now on."""
+        runs, real = [], subprocess.Popen
 
-        def run(argv, *args, **kwargs):
+        def popen(argv, *args, **kwargs):
             if Path(argv[0]).name == "debugfs":
                 runs.append(list(argv))
             return real(argv, *args, **kwargs)
-        monkeypatch.setattr(subprocess, "run", run)
+        monkeypatch.setattr(subprocess, "Popen", popen)
         return runs
 
     @pytest.mark.parametrize("dry_run", [True, False])

@@ -105,6 +105,14 @@ class TestBuildPlan:
         plan = build_plan(pifile, files_probe(img))
         assert plan.source.locator == str(img)
 
+    def test_absolute_paths_are_normalised(self, tmp_path):
+        """``//``, ``/./`` and a trailing ``/`` fold away, as in a relative path."""
+        (tmp_path / "out").mkdir()
+        pifile = pifile_at(tmp_path, f"FROM {tmp_path}//./a.img\nTO {tmp_path}/out/./b.img/\n")
+        plan = build_plan(pifile, files_probe(tmp_path / "a.img"))
+        assert plan.source.locator == str(tmp_path / "a.img")
+        assert plan.destination.path == str(tmp_path / "out" / "b.img")
+
     def test_missing_source(self, tmp_path):
         with pytest.raises(PifileError, match="neither FROM nor INPLACE"):
             build_plan(pifile_at(tmp_path, "RUN x\n"))

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import imgforge.source as source_mod
-from imgforge.errors import EnvironmentProblem, ExecutionFailure
+from imgforge.errors import EnvironmentProblem, ExecutionFailure, PifileError
 from imgforge.executor import ActionKind
 from imgforge.pifile import parse_pifile_text
 from imgforge.plan import build_plan
@@ -440,7 +440,8 @@ class TestMaterializeDestination:
         (tmp_path / "outdir").mkdir()
         src = tmp_path / "a.img"
         src.write_bytes(b"data")
-        plan = self._plan(tmp_path, "FROM a.img\nTO outdir\n",
-                          lambda loc: SourceKind.LOCAL_FILE if loc == str(src) else None)
-        with pytest.raises(ExecutionFailure, match="is a directory"):
-            materialize_destination(plan, plan.source.locator)
+        # refused by the planner, at the TO line, before any copy is planned
+        with pytest.raises(PifileError, match=r"m\.Pifile:2: destination is not a file or "
+                                              r"block device: .*/outdir$"):
+            self._plan(tmp_path, "FROM a.img\nTO outdir\n",
+                       lambda loc: SourceKind.LOCAL_FILE if loc == str(src) else None)
