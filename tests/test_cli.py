@@ -874,6 +874,36 @@ def test_local_dry_run_loads_no_network_stack(tmp_path):
     assert result.stdout.splitlines()[-1] == "[]"
 
 
+def test_pump_build_rewrites_only_the_table_bytes_it_normalises(tmp_path):
+    """Sector 0 of a PUMP build's output, pinned byte for byte.
+
+    The build sets the grown slot's size; every occupied slot gets status
+    0x80 or 0x00 and CHS FE FF FF, and a degenerate slot (a type without a
+    size) becomes 16 zero bytes.  Boot code, disk id, the two bytes before
+    the table and the signature are left as they were.
+    """
+    base = mbr_oracle.write_image(tmp_path / "base.img")
+    with open(base, "r+b") as fh:
+        fh.write(bytes(range(256)) + bytes(range(184)) + b"\xef\xbe\xad\xde\x5a\xa5")
+        fh.seek(446)
+        fh.write(b"\x01\x20\x21\x00")  # slot 1: status 0x01, CHS start 20 21 00
+        fh.seek(446 + 32 + 4)
+        fh.write(b"\x83")  # slot 3: type 0x83 with size 0
+    before = base.read_bytes()[:512]
+    pifile = tmp_path / "pump.Pifile"
+    pifile.write_text("FROM base.img 2\nTO out.img\nPUMP 1M\n")
+    code = main([str(pifile)], ENV,
+                executor_factory=lambda cfg: LocalExecutor(runner=lambda argv, **kw: (0, "")))
+    assert code == 0
+    expected = bytearray(before)
+    expected[446:450] = b"\x00\xfe\xff\xff"
+    expected[482] = 0
+    expected[474:478] = (112640 + 2048).to_bytes(4, "little")  # slot 2's size
+    out = tmp_path / "out.img"
+    assert out.read_bytes()[:512] == bytes(expected)
+    assert out.stat().st_size == mbr_oracle.FIXTURE_SIZE + 1024 * 1024
+
+
 DEMO_DIR = Path(__file__).parent.parent / "demo"
 DATA_DIR = Path(__file__).parent / "data"
 
