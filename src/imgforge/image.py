@@ -13,13 +13,17 @@ targets; rewritten entries get the saturated FE FF FF triple.
 
 Only classic 4-slot tables are supported.  A protective-MBR type (0xEE)
 means the image is GPT-partitioned and is rejected outright.
+
+Setup checks the table: it decodes the source's sector 0 and refuses, in
+:func:`check_partition`, a plan the table cannot serve, before the
+destination is written.  Prepare only performs what :func:`pump` planned:
+GROW_FILE truncates the file longer and TABLE_WRITE rewrites the entry area.
 """
 
 from __future__ import annotations
 
 import os
 import re
-import stat as stat_module
 import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -105,36 +109,14 @@ class PartitionTable:
         return replace(self, entries=tuple(slots))
 
 
-def validate_table(table: PartitionTable) -> None:
-    """Raise ExecutionFailure when structural invariants do not hold."""
-    if len(table.entries) != 4:
-        raise ExecutionFailure(f"expected 4 partition slots, got {len(table.entries)}")
-    if not 0 <= table.disk_id < 2**32:
-        raise ExecutionFailure(f"disk id {table.disk_id:#x} out of 32-bit range")
-    for n, entry in enumerate(table.entries, start=1):
-        if entry.index != n:
-            raise ExecutionFailure(f"slot {n} carries index {entry.index}")
-        if not 0 <= entry.type_code <= 0xFF:
-            raise ExecutionFailure(f"slot {n} type {entry.type_code:#x} out of range")
-        if entry.empty != (entry.lba_size == 0):
-            raise ExecutionFailure(f"slot {n} is half-empty (type {entry.type_code:#x}, "
-                                   f"{entry.lba_size} sectors)")
-        if not (0 <= entry.lba_start < 2**32 and 0 <= entry.lba_size < 2**32):
-            raise ExecutionFailure(f"slot {n} LBA fields out of 32-bit range")
-    spans = sorted((e.lba_start, e.lba_end, e.index) for e in table.occupied())
-    for (_, prev_end, prev_idx), (start, _, idx) in zip(spans, spans[1:]):
-        if start < prev_end:
-            raise ExecutionFailure(f"partitions {prev_idx} and {idx} overlap")
+def read_partition_table(fh: BinaryIO) -> PartitionTable:
+    """Decode sector 0 from ``fh``, an open binary file at offset 0.
 
-
-def read_partition_table(source: str | Path | BinaryIO) -> PartitionTable:
-    """Decode sector 0 of an image file, path, or readable binary stream."""
-    if isinstance(source, (str, Path)):
-        with open(source, "rb") as fh:
-            return read_partition_table(fh)
-    if source.seekable():
-        source.seek(0)
-    sector = source.read(SECTOR_SIZE)
+    Refuses a short read, a missing boot signature, a protective MBR and
+    overlapping partitions.  A degenerate slot (a type without a size, or
+    a size without a type) reads as vacant.
+    """
+    sector = fh.read(SECTOR_SIZE)
     if len(sector) < SECTOR_SIZE:
         raise ExecutionFailure(f"image is only {len(sector)} bytes, need at least {SECTOR_SIZE}")
     if sector[SIGNATURE_OFFSET:SIGNATURE_OFFSET + 2] != BOOT_SIGNATURE:
@@ -150,7 +132,6 @@ def read_partition_table(source: str | Path | BinaryIO) -> PartitionTable:
                 "protective MBR found: this is a GPT image, which is not supported"
             )
         if type_code == 0x00 or lba_size == 0:
-            # degenerate slots (type without size, or size without type) are unusable
             entries.append(PartitionEntry.vacant(n + 1))
         else:
             entries.append(PartitionEntry(
@@ -161,95 +142,43 @@ def read_partition_table(source: str | Path | BinaryIO) -> PartitionTable:
                 lba_size=lba_size,
             ))
     table = PartitionTable(disk_id=disk_id, entries=tuple(entries))
-    validate_table(table)
+    spans = sorted((e.lba_start, e.lba_end, e.index) for e in table.occupied())
+    for (_, prev_end, prev_idx), (start, _, idx) in zip(spans, spans[1:]):
+        if start < prev_end:
+            raise ExecutionFailure(f"partitions {prev_idx} and {idx} overlap")
     return table
 
 
-def write_partition_table(target: str | Path | BinaryIO, table: PartitionTable) -> None:
-    """Rewrite the partition area of sector 0.
-
-    Touches only bytes 440..444 (disk id) and 446..510 (entries); the boot
-    code and the signature are preserved.  The target must already carry a
-    boot signature: this tool modifies partitioned images, it does not
-    create them.  CHS fields of written entries are saturated to FE FF FF.
-    """
-    validate_table(table)
-    if isinstance(target, (str, Path)):
-        try:
-            with open(target, "r+b") as fh:
-                write_partition_table(fh, table)
-        except OSError as exc:
-            raise ExecutionFailure(f"cannot write partition table to {target}: {exc}") from exc
-        return
-    target.seek(0)
-    sector = target.read(SECTOR_SIZE)
-    if len(sector) < SECTOR_SIZE:
-        raise ExecutionFailure(f"target is only {len(sector)} bytes, need at least {SECTOR_SIZE}")
-    if sector[SIGNATURE_OFFSET:SIGNATURE_OFFSET + 2] != BOOT_SIGNATURE:
-        raise ExecutionFailure("refusing to write a partition table to an unsigned sector 0")
-    area = bytearray()
-    for entry in table.entries:
-        if entry.empty:
-            area += bytes(16)
-        else:
-            area += _ENTRY.pack(
-                0x80 if entry.bootable else 0x00,
-                CHS_SATURATED,
-                entry.type_code,
-                CHS_SATURATED,
-                entry.lba_start,
-                entry.lba_size,
-            )
-    try:
-        target.seek(DISK_ID_OFFSET)
-        target.write(struct.pack("<I", table.disk_id))
-        target.seek(TABLE_OFFSET)
-        target.write(bytes(area))
-        target.flush()
-    except OSError as exc:
-        raise ExecutionFailure(f"partition table write failed: {exc}") from exc
-
-
-def grow_image_file(path: str | Path, extra_bytes: int) -> int:
-    """Append ``extra_bytes`` zeros to a regular file; returns the new length.
-
-    Block devices cannot grow and are refused.  Growth is done by truncation,
-    so the appended region is a hole until written.
-    """
-    path = Path(path)
-    try:
-        st = os.stat(path)
-    except OSError as exc:
-        raise ExecutionFailure(f"cannot stat {path}: {exc}") from exc
-    if stat_module.S_ISBLK(st.st_mode):
-        raise ExecutionFailure(f"{path} is a block device and cannot grow")
-    if not stat_module.S_ISREG(st.st_mode):
-        raise ExecutionFailure(f"{path} is not a regular file")
-    if extra_bytes < 0:
-        raise ExecutionFailure(f"cannot grow by a negative amount ({extra_bytes})")
-    new_size = st.st_size + extra_bytes
-    if extra_bytes:
-        try:
-            os.truncate(path, new_size)
-        except OSError as exc:
-            raise ExecutionFailure(f"cannot grow {path}: {exc}") from exc
-    return new_size
-
-
-def _occupied_slot(table: PartitionTable, index: int) -> PartitionEntry:
-    if not 1 <= index <= 4:
-        raise ExecutionFailure(f"partition index {index} is outside the 4 MBR slots")
-    entry = table.entries[index - 1]
+def _encode(entry: PartitionEntry) -> bytes:
     if entry.empty:
-        raise ExecutionFailure(f"partition {index} is an empty slot")
-    return entry
+        return bytes(16)
+    return _ENTRY.pack(0x80 if entry.bootable else 0x00, CHS_SATURATED, entry.type_code,
+                       CHS_SATURATED, entry.lba_start, entry.lba_size)
 
 
-def resize_partition_entry(path: str | Path, index: int, lba_size: int) -> None:
-    """Rewrite slot ``index`` of the table at ``path`` to span ``lba_size`` sectors."""
-    table = read_partition_table(path)
-    entry = _occupied_slot(table, index)
-    write_partition_table(path, table.with_entry(replace(entry, lba_size=lba_size)))
+def resize_partition_entry(path: str, index: int, lba_size: int) -> None:
+    """Set slot ``index`` of the table at ``path`` to ``lba_size`` sectors, in place.
+
+    The whole 64-byte entry area is rewritten: an occupied slot gets status
+    0x80 or 0x00 and CHS FE FF FF, a vacant one 16 zero bytes.  The boot
+    code, the disk id and the signature are not touched.
+    """
+    try:
+        with open(path, "r+b") as fh:
+            table = read_partition_table(fh)
+            table = table.with_entry(replace(table.entries[index - 1], lba_size=lba_size))
+            fh.seek(TABLE_OFFSET)
+            fh.write(b"".join(_encode(entry) for entry in table.entries))
+    except OSError as exc:
+        raise ExecutionFailure(f"cannot write partition table to {path}: {exc}") from exc
+
+
+def grow_image_file(path: str, extra_bytes: int) -> None:
+    """Append ``extra_bytes`` zeros to the regular file at ``path``, as a hole."""
+    try:
+        os.truncate(path, os.stat(path).st_size + extra_bytes)
+    except OSError as exc:
+        raise ExecutionFailure(f"cannot grow {path}: {exc}") from exc
 
 
 def check_partition(plan: "ExecutionPlan", table: PartitionTable, image_bytes: int) -> None:
@@ -261,7 +190,9 @@ def check_partition(plan: "ExecutionPlan", table: PartitionTable, image_bytes: i
     32-bit field.  Setup calls this before the destination is written.
     """
     index = plan.partition_index
-    entry = _occupied_slot(table, index)
+    entry = table.entries[index - 1]
+    if entry.empty:
+        raise ExecutionFailure(f"partition {index} is an empty slot")
     if plan.pump_bytes <= 0:
         return
     if entry.type_code in EXTENDED_TYPES:

@@ -7,6 +7,7 @@ reviewed golden file in tests/data/.
 """
 
 import hashlib
+import io
 import time
 from pathlib import Path
 
@@ -28,7 +29,6 @@ from imgforge.image import (
     pump,
     read_partition_table,
     render_size,
-    write_partition_table,
 )
 from imgforge.mounts import base_mount_actions, fstab_mount_actions, teardown_actions
 from imgforge.pifile import CommandKind, parse_pifile, parse_pifile_text
@@ -90,7 +90,8 @@ def test_criterion_2_pump_arithmetic(tmp_path):
     backend = LocalExecutor(runner=lambda argv, **kw: (0, ""))
 
     started = time.monotonic()
-    table = read_partition_table(image)
+    with open(image, "rb") as fh:
+        table = read_partition_table(fh)
     check_partition(plan, table, image.stat().st_size)
     for action in pump(plan, table)[0]:
         backend.emit(action)
@@ -110,7 +111,8 @@ def test_criterion_3_100m_semantics():
 
 
 def test_criterion_4_mount_plan_golden(tmp_path):
-    table = read_partition_table(mbr_oracle.write_image(tmp_path / "disk.img"))
+    with open(mbr_oracle.write_image(tmp_path / "disk.img"), "rb") as fh:
+        table = read_partition_table(fh)
     pifile = parse_pifile_text("INPLACE disk.img\n", {},
                                source_path=Path("golden.Pifile"))
     plan = build_plan(pifile, lambda loc: SourceKind.LOCAL_FILE)
@@ -154,7 +156,7 @@ def test_criterion_5_cache_property(tmp_path):
 
 # --- criterion 6: randomized round-trip properties, >= 1000 cases each --------
 
-from test_image import partition_tables  # noqa: E402
+from test_image import oracle_partitions, partition_tables  # noqa: E402
 from test_pifile import commands as command_specs, _build_pifile  # noqa: E402
 from test_plan import _pifile_of_kinds, _stage_kinds  # noqa: E402
 
@@ -162,11 +164,8 @@ from test_plan import _pifile_of_kinds, _stage_kinds  # noqa: E402
 @settings(max_examples=1000, deadline=None)
 @given(partition_tables())
 def test_criterion_6a_table_round_trip(table):
-    import io
-
-    buf = io.BytesIO(bytearray(mbr_oracle.build_sector0(0, [])))
-    write_partition_table(buf, table)
-    assert read_partition_table(buf) == table
+    sector = mbr_oracle.build_sector0(table.disk_id, oracle_partitions(table))
+    assert read_partition_table(io.BytesIO(sector)) == table
 
 
 @settings(max_examples=1000, deadline=None)
@@ -237,7 +236,8 @@ def test_criterion_8_pump_safety(tmp_path):
         "FROM disk.img 1\nTO disk.img\nPUMP 16M\n", {}, source_path=tmp_path / "unsafe.Pifile")
     plan = build_plan(pifile, lambda loc: SourceKind.LOCAL_FILE)
 
-    table = read_partition_table(image)
+    with open(image, "rb") as fh:
+        table = read_partition_table(fh)
     with pytest.raises(ExecutionFailure, match="cannot grow: partition 2 starts after it"):
         check_partition(plan, table, image.stat().st_size)
         backend = LocalExecutor(runner=lambda argv, **kw: (0, ""))

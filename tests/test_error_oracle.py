@@ -19,7 +19,9 @@ then.
 (exit 3), and none of them mounts anything; their text was recorded before
 the exception classes were folded into one per exit code, except
 ``corrupt-xz``'s, which is the ``xz`` tool's own diagnostic since archives
-are unpacked by the format's tool.  A change that only speeds up a path or
+are unpacked by the format's tool, and ``pump-unsigned-image``'s, recorded
+when TABLE_WRITE stopped checking the signature that setup checks in the
+source.  A change that only speeds up a path or
 reshapes the error classes must leave every line as it is.
 """
 
@@ -167,6 +169,12 @@ BUILD_CASES = {
         2, "[setup] begin\n",
         "warning: no guest modifications: the chroot stage is empty\n"
         "[setup] image is only 0 bytes, need at least 512\n"),
+    "pump-unsigned-image": (
+        {"main.Pifile": "FROM a.img\nTO out.img\nPUMP 1M\n", "a.img": bytes(1024)},
+        ["--dry-run", "plan.log", "main.Pifile"],
+        2, "[setup] begin\n",
+        "warning: no guest modifications: the chroot stage is empty\n"
+        "[setup] sector 0 lacks the 55 AA boot signature\n"),
     "corrupt-xz": (
         {"main.Pifile": "FROM a.img.xz\nTO out.img\nHOST true\n",
          "a.img.xz": b"not an xz stream\n"}, ["main.Pifile"],
