@@ -143,8 +143,10 @@ class TestReadTable:
         assert decode(img).entries[0].empty
 
 
-class TestResizeEntry:
-    def test_same_size_leaves_sector_unchanged(self, fixture_image):
+class TestWriteTable:
+    """TABLE_WRITE's perform: ``resize_partition_entry`` on the file at ``TO``."""
+
+    def test_round_trip_leaves_sector_unchanged(self, fixture_image):
         before = fixture_image.read_bytes()[:512]
         resize_partition_entry(str(fixture_image), 2, 112640)
         # the oracle already saturates CHS fields, so this is byte-exact
@@ -155,6 +157,28 @@ class TestResizeEntry:
         oracle = mbr_oracle.read_table(fixture_image)
         assert oracle["entries"][1]["size"] == 112640 + 204800
 
+    @pytest.mark.parametrize("partitions, message", [
+        ([{"index": 1, "type": 0x83, "start": 100, "size": 100},
+          {"index": 2, "type": 0x83, "start": 150, "size": 100}],
+         "partitions 1 and 2 overlap"),
+        ([{"index": 1, "type": 0xEE, "start": 1, "size": 2047}], "protective MBR found"),
+    ], ids=["overlap", "protective"])
+    def test_bad_table_rejected_before_write(self, tmp_path, partitions, message):
+        img = mbr_oracle.write_image(tmp_path / "bad.img", 1024 * 1024, 1, partitions)
+        digest = sha256(img)
+        with pytest.raises(ExecutionFailure, match=message):
+            resize_partition_entry(str(img), 2, 4096)
+        assert sha256(img) == digest
+
+    def test_refuses_unsigned_target(self, tmp_path):
+        target = tmp_path / "unsigned.img"
+        target.write_bytes(bytes(4096))
+        with pytest.raises(ExecutionFailure) as info:
+            resize_partition_entry(str(target), 1, 8)
+        assert str(info.value) == "sector 0 lacks the 55 AA boot signature"
+        assert info.value.exit_code == 2
+        assert target.read_bytes() == bytes(4096)
+
     def test_target_that_cannot_be_opened(self, tmp_path):
         target = tmp_path / "absent.img"
         with pytest.raises(ExecutionFailure) as info:
@@ -162,6 +186,15 @@ class TestResizeEntry:
         assert str(info.value) == (f"cannot write partition table to {target}: [Errno "
                                    f"{errno.ENOENT}] No such file or directory: '{target}'")
         assert info.value.exit_code == 2
+
+    def test_target_shorter_than_a_sector(self, tmp_path):
+        target = tmp_path / "short.img"
+        target.write_bytes(b"\x5a" * 100)
+        with pytest.raises(ExecutionFailure) as info:
+            resize_partition_entry(str(target), 1, 8)
+        assert str(info.value) == "image is only 100 bytes, need at least 512"
+        assert info.value.exit_code == 2
+        assert target.read_bytes() == b"\x5a" * 100
 
     def test_untouched_bytes_preserved(self, tmp_path):
         img = tmp_path / "boot.img"
@@ -174,6 +207,40 @@ class TestResizeEntry:
         assert sector[:440] == b"\xab" * 440
         assert sector[440:444] == (0xDEADBEEF).to_bytes(4, "little")
         assert sector[510:] == b"\x55\xaa"
+
+    def test_bytes_past_sector_0_untouched(self, tmp_path):
+        img = mbr_oracle.write_image(tmp_path / "data.img", size_bytes=64 * 1024)
+        with open(img, "r+b") as fh:
+            fh.seek(512)
+            fh.write(bytes(range(256)) * 250)
+        before = img.read_bytes()[512:]
+        resize_partition_entry(str(img), 2, 4096)
+        assert img.read_bytes()[512:] == before
+
+    @pytest.mark.parametrize("status, written", [(0x01, 0x00), (0x80, 0x80), (0x81, 0x80)],
+                             ids=["0x01", "0x80", "0x81"])
+    def test_status_byte_keeps_only_the_boot_flag(self, fixture_image, status, written):
+        with open(fixture_image, "r+b") as fh:
+            fh.seek(446)
+            fh.write(bytes([status]))
+        resize_partition_entry(str(fixture_image), 2, 4096)
+        assert fixture_image.read_bytes()[446] == written
+
+    def test_chs_fields_saturated(self, fixture_image):
+        with open(fixture_image, "r+b") as fh:
+            fh.seek(446 + 1)
+            fh.write(b"\x20\x21\x00\x0c\x01\x02\x03")  # slot 1: CHS start, type, CHS end
+        resize_partition_entry(str(fixture_image), 2, 4096)
+        entry = fixture_image.read_bytes()[446:462]
+        assert entry[1:4] == b"\xfe\xff\xff"
+        assert entry[5:8] == b"\xfe\xff\xff"
+
+    def test_degenerate_slot_written_as_zeros(self, fixture_image):
+        with open(fixture_image, "r+b") as fh:
+            fh.seek(446 + 32)
+            fh.write(b"\x80\x20\x21\x00\x83\xfe\xff\xff" + (100).to_bytes(4, "little"))
+        resize_partition_entry(str(fixture_image), 2, 4096)
+        assert fixture_image.read_bytes()[478:494] == bytes(16)
 
 
 class TestGrowImageFile:
@@ -204,6 +271,22 @@ class TestGrowImageFile:
             grow_image_file(str(target), 512)
         assert str(info.value) == (f"cannot grow {target}: [Errno {errno.ENOENT}] "
                                    f"No such file or directory: '{target}'")
+
+    def test_directory_refused(self, tmp_path):
+        with pytest.raises(ExecutionFailure) as info:
+            grow_image_file(str(tmp_path), 512)
+        assert str(info.value) == (f"cannot grow {tmp_path}: [Errno {errno.EISDIR}] "
+                                   f"{os.strerror(errno.EISDIR)}: '{tmp_path}'")
+        assert info.value.exit_code == 2
+
+    def test_fifo_refused(self, tmp_path):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)  # truncate refuses it at once; nothing opens it
+        with pytest.raises(ExecutionFailure) as info:
+            grow_image_file(str(fifo), 512)
+        assert str(info.value) == (f"cannot grow {fifo}: [Errno {errno.EINVAL}] "
+                                   f"{os.strerror(errno.EINVAL)}: '{fifo}'")
+        assert info.value.exit_code == 2
 
     def test_failed_truncate(self, fixture_image, monkeypatch):
         def truncate(path, length):
@@ -275,6 +358,11 @@ class TestPump:
         with pytest.raises(ExecutionFailure, match="partition 3 is an empty slot"):
             pump_image(plan, DryRunExecutor(), fixture_image)
 
+    def test_empty_slot_refused_without_pump(self, tmp_path, fixture_image):
+        plan = plan_for(tmp_path, fixture_image, "0", partition=3)
+        with pytest.raises(ExecutionFailure, match="partition 3 is an empty slot"):
+            check_partition(plan, decode(fixture_image), fixture_image.stat().st_size)
+
     def test_extended_partition_refused(self, tmp_path):
         img = tmp_path / "ext.img"
         mbr_oracle.write_image(img, size_bytes=8 * 1024 * 1024, partitions=[
@@ -315,6 +403,19 @@ class TestTableWriteAction:
         expected[1]["size"] = grown
         assert after["disk_id"] == before["disk_id"]
         assert after["entries"] == expected
+
+    def test_refused_table_raises_and_leaves_image_untouched(self, tmp_path):
+        img = mbr_oracle.write_image(tmp_path / "overlap.img", 1024 * 1024, 1, [
+            {"index": 1, "type": 0x83, "start": 100, "size": 100},
+            {"index": 2, "type": 0x83, "start": 150, "size": 100},
+        ])
+        digest = sha256(img)
+        with pytest.raises(ExecutionFailure, match="partitions 1 and 2 overlap"):
+            LocalExecutor(runner=stub_runner).emit(Action(ActionKind.TABLE_WRITE, {
+                "path": str(img), "partition": "2",
+                "added_sectors": "8", "lba_size": "108",
+            }))
+        assert sha256(img) == digest
 
 
 # --- table round-trip property ------------------------------------------------
