@@ -34,11 +34,11 @@ from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 from .child import interrupt
-from .errors import CommandFailed, ExecutionFailure, ImgforgeError, PifileError
+from .errors import ExecutionFailure, ImgforgeError, PifileError
 from .executor import DryRunExecutor, Executor, LocalExecutor, RunOptions, execute
 from .pifile import Command, parse_pifile
 from .plan import build_plan, validate_plan
-from .source import TargetKind
+from .source import TargetKind, publish_text
 
 logger = logging.getLogger(__name__)
 
@@ -157,16 +157,15 @@ def _main(argv: Sequence[str] | None, env: Mapping[str, str] | None,
         try:
             report = execute(plan, backend, options)
         finally:
-            if dry_run is not None:  # a write failure surfaces as the OSError below
-                dry_run.write_text(backend.render_log())
+            if dry_run is not None:
+                publish_text(dry_run, backend.render_log())
         if report.image_digest is not None:
             log("done", None, f"{plan.destination.path} sha256={report.image_digest}")
         else:
             log("done", None, f"{len(backend.actions)} actions")
         return 0
     except ImgforgeError as exc:
-        status = f" (exit status {exc.status})" if isinstance(exc, CommandFailed) else ""
-        print(f"[{exc.stage or 'error'}] {exc}{status}", file=sys.stderr)
+        print(f"[{exc.stage or 'error'}] {exc}", file=sys.stderr)
         return exc.exit_code
     except OSError as exc:
         print(f"[error] {exc}", file=sys.stderr)

@@ -1,14 +1,13 @@
-"""Exception hierarchy: one class per exit code.
+"""Exception hierarchy: one base class, then one class per exit code.
 
-Three base classes partition all failures by the exit code the CLI maps
-them to, which each names as ``exit_code``: PifileError (static problems
-in the Pifile or plan, exit 1), ExecutionFailure (something went wrong
-while applying a plan, SIGTERM and SIGHUP among them, exit 2), and
-EnvironmentProblem (the host cannot do what was asked, exit 3).  The
-message tells one failure from another; CommandFailed also carries the
-failed command's status.  An error's ``origin``, when it has one, is the
-:class:`~imgforge.pifile.Command` of the directive it is about, which
-carries that directive's file and line.
+Three classes under ImgforgeError partition all failures by the exit code the
+CLI maps them to, which each names as ``exit_code``: PifileError (static problems
+in the Pifile or plan, exit 1), ExecutionFailure (something went wrong while
+applying a plan, a failed RUN or HOST, SIGTERM and SIGHUP among them, exit 2),
+and EnvironmentProblem (the host cannot do what was asked, exit 3).  The message
+tells one failure from another.  An error's ``origin``, when it has one, is the
+:class:`~imgforge.pifile.Command` of the directive it is about, which carries
+that directive's file and line.
 """
 
 from __future__ import annotations
@@ -51,10 +50,3 @@ class EnvironmentProblem(ImgforgeError):
 
     exit_code = 3
 
-
-class CommandFailed(ExecutionFailure):
-    """A RUN or HOST command exited with a nonzero ``status``."""
-
-    def __init__(self, message: str, *, status: int, origin: "Command | None" = None):
-        super().__init__(message, origin=origin)
-        self.status = status

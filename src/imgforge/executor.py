@@ -47,7 +47,7 @@ from . import mounts as mounts_mod
 from . import source as source_mod
 # the vocabulary and its log format stay importable from here
 from .actions import Action, ActionKind, render_action, serialize_actions  # noqa: F401
-from .errors import CommandFailed, EnvironmentProblem, ExecutionFailure, ImgforgeError
+from .errors import EnvironmentProblem, ExecutionFailure, ImgforgeError
 from .pifile import Command, CommandKind, pathlib_join, render_first_line
 from .plan import ExecutionPlan, Stage
 
@@ -383,7 +383,6 @@ class RunOptions:
     refresh: bool = False
     offline: bool = False
     emulators: Sequence[str] | None = None
-    fetcher: source_mod.Fetcher | None = None
     on_log: Callable[[str, Command | None, str], None] | None = None
 
 
@@ -421,8 +420,8 @@ def plan_actions(plan: ExecutionPlan, options: RunOptions | None = None, *,
     cache_dir = source_mod.resolve_cache_dir(opts.cache_dir, env, plan.pifile_path)
     src_image = Path(spec.locator)
     if spec.kind is source_mod.SourceKind.URL:
-        src_image = source_mod.fetch_to_cache(spec.locator, cache_dir, opts.fetcher,
-                                              refresh=opts.refresh, offline=opts.offline)
+        src_image = source_mod.fetch_to_cache(spec.locator, cache_dir, refresh=opts.refresh,
+                                              offline=opts.offline)
         setup.append(Action(ActionKind.FETCH, {"url": spec.locator, "dest": str(src_image)}))
         if opts.on_log is not None:
             opts.on_log(Stage.SETUP.label, None, f"fetched {spec.locator}")
@@ -504,9 +503,9 @@ def execute(plan: ExecutionPlan, backend: Executor,
                 if step.kind.undo is not None:
                     applied.append(step)
                 if status != 0:
-                    raise CommandFailed(
+                    raise ExecutionFailure(
                         f"{origin.kind.value} command failed with status {status}: "
-                        f"{origin.args[0]}", status=status, origin=origin)
+                        f"{origin.args[0]}", origin=origin)
             durations[label] = time.monotonic() - started
     except ImgforgeError as exc:
         if exc.stage is None:

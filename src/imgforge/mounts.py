@@ -24,7 +24,6 @@ import os
 import re
 import shutil
 import subprocess
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -49,24 +48,15 @@ _PARTUUID = re.compile(r"^PARTUUID=([0-9a-f]{8})-0*(\d+)$")
 _DEV_PARTITION = re.compile(r"^/dev/(?:mmcblk\d+p|sd[a-z]+)(\d+)$")
 
 
-@dataclass(frozen=True)
-class FstabEntry:
-    device_spec: str
-    mount_point: str
-    fs_type: str
-    options: str
-    dump: int
-    passno: int
+def parse_fstab(text: str) -> list[tuple[str, str, str]]:
+    """``(device_spec, mount_point, fs_type)`` for each line of fstab text.
 
-
-def parse_fstab(text: str) -> list[FstabEntry]:
-    """Parse fstab text: 4 to 6 fields per line, a missing dump or pass reading 0.
-
-    Blank lines and ``#`` comments are skipped; malformed lines are skipped
-    with a warning rather than aborting, since guest fstabs are not under
-    this tool's control.
+    A line has 4 to 6 fields; a dump or pass field may be missing, and one
+    that is given must be an integer.  Blank lines and ``#`` comments are
+    skipped; malformed lines are skipped with a warning rather than
+    aborting, since guest fstabs are not under this tool's control.
     """
-    entries: list[FstabEntry] = []
+    entries: list[tuple[str, str, str]] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -77,19 +67,13 @@ def parse_fstab(text: str) -> list[FstabEntry]:
                            line_no, len(fields), line)
             continue
         try:
-            dump, passno = map(int, (*fields[4:], "0", "0")[:2])
+            for number in fields[4:]:
+                int(number)
         except ValueError:
             logger.warning("fstab line %d has non-numeric dump/pass fields, skipped: %s",
                            line_no, line)
             continue
-        entries.append(FstabEntry(
-            device_spec=fields[0],
-            mount_point=fields[1],
-            fs_type=fields[2],
-            options=fields[3],
-            dump=dump,
-            passno=passno,
-        ))
+        entries.append((fields[0], fields[1], fields[2]))
     return entries
 
 
@@ -220,31 +204,31 @@ def fstab_mount_actions(plan: ExecutionPlan, table: PartitionTable, fstab_text: 
     """
     occupied = set(already_mounted or ())
     pending: list[tuple[int, int, int, str]] = []  # (depth, position, slot, target)
-    for position, entry in enumerate(parse_fstab(fstab_text)):
-        if entry.fs_type == "swap":
+    for position, (device_spec, mount_point, fs_type) in enumerate(parse_fstab(fstab_text)):
+        if fs_type == "swap":
             continue
-        slot = map_fstab_device(entry.device_spec, table)
+        slot = map_fstab_device(device_spec, table)
         if slot is None:
             continue
-        if entry.mount_point == "/":
+        if mount_point == "/":
             if slot != plan.partition_index:
                 logger.warning(
                     "guest fstab maps / to partition %d, but partition %d is mounted as root",
                     slot, plan.partition_index,
                 )
             continue
-        if not entry.mount_point.startswith("/") or ".." in entry.mount_point.split("/"):
+        if not mount_point.startswith("/") or ".." in mount_point.split("/"):
             logger.warning("fstab mount point %s is not absolute or has a '..' component, "
-                           "skipped", entry.mount_point)
+                           "skipped", mount_point)
             continue
         if table.entries[slot - 1].empty:
             logger.warning("fstab names partition %d, which is an empty slot", slot)
             continue
-        target = ROOT_TOKEN + entry.mount_point.rstrip("/")
+        target = ROOT_TOKEN + mount_point.rstrip("/")
         if target in occupied:
             continue
         occupied.add(target)
-        depth = entry.mount_point.rstrip("/").count("/")
+        depth = mount_point.rstrip("/").count("/")
         pending.append((depth, position, slot, target))
 
     return [partition_mount(plan, table, slot, target) for _, _, slot, target in sorted(pending)]

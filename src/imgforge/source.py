@@ -14,12 +14,12 @@ raw local source never touches it::
 
     <key>/image     the downloaded bytes
     <key>/meta      url=..., fetched_at=..., size=... (one per line)
-    <key>/<name>    an unpacked image; ``.<name>.source`` stamps its archive's
-                    size, mtime and inode (a local archive's key hashes its path)
+    <key>/<name>    an unpacked image; ``.<name>.source`` stamps its archive's size, mtime
+                    and inode, and its own as image_inode= (a local archive's key hashes its path)
 
-Every file is written as ``.<name>.partial`` beside it under an exclusive flock,
-renamed into place, and its meta or stamp written before the lock is let go, so
-builds of one entry wait for each other and share one download and one unpack.
+Every file is written as ``.<name>.partial`` beside it under an exclusive flock
+and renamed into place, a stamp before the rename and meta after it, so builds
+of one entry wait for each other and share one download and one unpack.
 A failed download or unpack and an --offline miss leave nothing; a killed
 build's ``.partial`` is reused by the next build of its entry.  The lock is on
 a file, not the entry directory: on NFS flock is emulated with fcntl byte-range
@@ -32,9 +32,11 @@ from __future__ import annotations
 import errno
 import fcntl
 import hashlib
+import locale
 import logging
 import os
 import shutil
+import signal
 import stat as stat_module
 import subprocess
 import tempfile
@@ -72,6 +74,7 @@ _REJECTED_SUFFIXES = frozenset({".bz2", ".tar", ".tgz", ".txz", ".tbz2", ".lz4",
 # has no sparse mode, so only its output is piped through _write_sparse
 _DECOMPRESSORS = {".gz": ("gzip", "-dc"), ".xz": ("xz", "-dc", "-T0"),
                   ".zst": ("zstd", "-dc", "--sparse")}
+_SIGNALS = {sig.value: sig.name for sig in signal.Signals}  # SIGRTMIN+1 and the like have none
 
 # unit of every image read and write; one buffer of it is the most any of them holds
 CHUNK = 1024 * 1024
@@ -188,6 +191,25 @@ def _publishing(target: Path) -> Iterator[BinaryIO | None]:
             raise
 
 
+def publish_text(path: Path, text: str) -> None:
+    """Replace ``path`` with ``text``, encoded as ``Path.write_text`` does, through a
+    ``.partial`` file renamed over it; a failed write leaves ``path`` as it was."""
+    data = text.encode(locale.getpreferredencoding(False))
+    try:
+        if path.exists() and not path.is_file():  # /dev/null, a FIFO: written, never replaced
+            path.write_bytes(data)
+            return
+        while True:
+            with _publishing(path) as fh:
+                if fh is not None:
+                    fh.write(data)
+                    fh.flush()  # a write that fails, fails before the rename
+                    os.replace(fh.name, path)
+                    return
+    except OSError as exc:
+        raise ExecutionFailure(f"cannot write {path}: {exc}") from exc
+
+
 def _urllib_fetcher(url: str, dest: Path) -> None:
     import urllib.error  # the HTTP/TLS stack loads only when a URL misses the cache
     import urllib.request
@@ -260,9 +282,11 @@ def _decompress(archive: Path, argv: tuple[str, ...], dst: BinaryIO) -> None:
             if proc.stdout:
                 _write_sparse(proc.stdout, dst)
             proc.wait()
-        if proc.returncode:
+        if status := proc.returncode:
             stderr.seek(0)
-            detail = stderr.read().decode(errors="replace").strip() or f"status {proc.returncode}"
+            detail = stderr.read().decode(errors="replace").strip() or (
+                f"status {status}" if status > 0
+                else f"{argv[0]} was killed by {_SIGNALS.get(-status, f'signal {-status}')}")
             raise ExecutionFailure(f"cannot decompress {archive}: {detail}")
 
 
@@ -318,13 +342,14 @@ def _unpack(archive: Path, out: Path, write: Callable[[BinaryIO], None]) -> Path
     st = os.stat(archive)
     identity = f"size={st.st_size}\nmtime_ns={st.st_mtime_ns}\ninode={st.st_ino}\n"
     stamp = out.with_name(f".{out.name}.source")
-    while not (out.is_file() and stamp.is_file() and stamp.read_text() == identity):
+    while not (out.is_file() and stamp.is_file()
+               and stamp.read_text() == f"{identity}image_inode={out.stat().st_ino}\n"):
         with _publishing(out) as dst:
             if dst is not None:
                 write(dst)
-                stamp.unlink(missing_ok=True)  # no moment where an old stamp vouches for new bytes
+                # first, so the image is current once in place; it vouches for no other image
+                stamp.write_text(f"{identity}image_inode={os.fstat(dst.fileno()).st_ino}\n")
                 os.replace(dst.name, out)
-                stamp.write_text(identity)
     return out
 
 

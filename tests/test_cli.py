@@ -2,6 +2,7 @@ import contextlib
 import errno
 import gzip
 import hashlib
+import io
 import logging
 import lzma
 import os
@@ -9,6 +10,7 @@ import random
 import resource
 import shutil
 import signal
+import stat
 import subprocess
 import sys
 import time
@@ -283,6 +285,36 @@ class TestExitCodes:
                     ENV)
         assert code == 2
 
+    def test_stdout_on_a_full_disk_is_exit_2(self, tmp_path, capsys, monkeypatch):
+        # /dev/full fails every write with ENOSPC; the first stage line is the first write,
+        # so the build stops before TO is written, with the one [error] line on stderr
+        pifile = write_fixture(tmp_path, text="FROM base.img\nTO out.img\nHOST true\n")
+        # unbuffered, so that no failed line is left to flush when it is closed
+        with io.TextIOWrapper(open("/dev/full", "wb", buffering=0), write_through=True) as full:
+            monkeypatch.setattr(sys, "stdout", full)
+            assert main([str(pifile)], ENV) == 2
+        assert capsys.readouterr().err == (
+            f"[error] [Errno {errno.ENOSPC}] No space left on device\n")
+        assert not (tmp_path / "out.img").exists()
+
+    def test_dry_run_log_onto_a_fifo_is_written_through(self, tmp_path):
+        # a log path that is no regular file, such as /dev/null or a FIFO, is written to and
+        # never replaced. The test holds the FIFO open for reading and writing, so that the
+        # log's open does not wait, and reads what is written without blocking
+        pifile = write_fixture(tmp_path)
+        assert main(["--dry-run", str(tmp_path / "plan.log"), str(pifile)], ENV) == 0
+        fifo = tmp_path / "plan.fifo"
+        os.mkfifo(fifo)
+        fd = os.open(fifo, os.O_RDWR | os.O_NONBLOCK)
+        try:
+            assert main(["--dry-run", str(fifo), str(pifile)], ENV) == 0
+            log = os.read(fd, 1024 * 1024)
+        finally:
+            os.close(fd)
+        assert stat.S_ISFIFO(fifo.lstat().st_mode)
+        assert log == (tmp_path / "plan.log").read_bytes()
+        assert_no_temporary_files(tmp_path)
+
     def test_cache_that_is_a_regular_file_is_exit_3_for_a_url(self, tmp_path, capsys,
                                                                monkeypatch):
         def fetch(url, dest):
@@ -299,41 +331,65 @@ class TestExitCodes:
             f"[Errno {errno.EEXIST}] File exists: '{cache}'\n")
         assert not (tmp_path / "out.img").exists()
 
-    @pytest.mark.parametrize("source, dry_run, limit, error", [
-        ("base.img.gz", False, 4096,
+    @pytest.mark.parametrize("source, directive, dry_run, limit, error", [
+        ("base.img.gz", "HOST true", False, 4096,
          "[setup] cannot unpack {d}/base.img.gz: [Errno 27] File too large"),
-        ("base.img.xz", False, 4096,
+        ("base.img.xz", "HOST true", False, 4096,
          "[setup] cannot decompress {d}/base.img.xz: xz: (stdout): Write error: File too large"),
-        ("base.img.zst", False, 4096, "[setup] cannot decompress {d}/base.img.zst: status -25"),
-        ("base.img", False, 4096,
+        ("base.img.zst", "HOST true", False, 4096,
+         "[setup] cannot decompress {d}/base.img.zst: zstd was killed by SIGXFSZ"),
+        ("base.img", "HOST true", False, 4096,
          "[setup] copying {d}/base.img to {d}/out.img failed: [Errno 27] File too large"),
-        ("base.img", True, 64, "[error] [Errno 27] File too large"),
-    ], ids=["gz", "xz", "zst", "copy", "log"])
-    def test_write_past_the_file_size_limit_is_exit_2(self, tmp_path, capsys, source, dry_run,
-                                                      limit, error):
+        ("base.img", "PUMP 1M", False, mbr_oracle.FIXTURE_SIZE,
+         "warning: no guest modifications: the chroot stage is empty\n"
+         "[prepare] cannot grow {d}/out.img: [Errno 27] File too large: '{d}/out.img'"),
+        ("base.img", "HOST true", True, 64,
+         "[error] cannot write {d}/plan.log: [Errno 27] File too large"),
+    ], ids=["gz", "xz", "zst", "copy", "grow", "log"])
+    def test_write_past_the_file_size_limit_is_exit_2(self, tmp_path, capsys, source, directive,
+                                                      dry_run, limit, error):
         # a file size limit below what the site writes makes its write fail with EFBIG, as
         # Python ignores SIGXFSZ; subprocess restores it in its children, so zstd dies of
         # SIGXFSZ (25) while xz reports the error. FROM, TO and HOST mount nothing, so
-        # these builds are real. The limit holds for this process until it is restored
-        raw = mbr_oracle.write_image(tmp_path / "base.img", 1024 * 1024)
+        # these builds are real; PUMP's runner is never reached, as the copy fits under the
+        # limit and the grown image does not. The limit holds for this process until it is
+        # restored
+        pump = directive.startswith("PUMP")
+        raw = mbr_oracle.write_image(tmp_path / "base.img",
+                                     mbr_oracle.FIXTURE_SIZE if pump else 1024 * 1024)
         if source != "base.img":
             tool = {".gz": "gzip", ".xz": "xz", ".zst": "zstd"}[Path(source).suffix]
             subprocess.run([tool, "-q", "--keep", str(raw)], check=True)
         pifile = tmp_path / "full.Pifile"
-        pifile.write_text(f"FROM {source}\nTO out.img\nHOST true\n")
+        pifile.write_text(f"FROM {source}\nTO out.img\n{directive}\n")
         log = ["--dry-run", str(tmp_path / "plan.log")] if dry_run else []
+        if dry_run:  # a good log from an earlier run, which the failed write must leave alone
+            assert main([*log, str(pifile)], ENV) == 0
+            good = (tmp_path / "plan.log").read_bytes()
+            assert len(good) > limit
+
+        def runner(argv, **kwargs):
+            pytest.fail(f"ran {argv}")
+
         soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
         resource.setrlimit(resource.RLIMIT_FSIZE, (limit, hard))
         try:
-            code = main([*log, str(pifile)], ENV)
+            capsys.readouterr()
+            code = main([*log, str(pifile)], ENV, executor_factory=(
+                (lambda cfg: LocalExecutor(runner=runner)) if pump else None))
         finally:
             resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out.startswith("[setup] begin\n")
-        if not dry_run:  # a dry run fails only at its log, which it writes after every stage
+        if pump:
+            assert captured.out == (
+                "[setup] begin\n[prepare] begin\n[prepare] full.Pifile:3 PUMP 1M\n")
+        elif not dry_run:  # a dry run fails only at its log, which it writes after every stage
             assert captured.out == "[setup] begin\n"
         assert captured.err == error.format(d=tmp_path) + "\n"
+        if dry_run:
+            assert (tmp_path / "plan.log").read_bytes() == good
         assert_no_temporary_files(tmp_path)
         assert not (tmp_path / ".pimod-cache").exists()
 
@@ -804,7 +860,7 @@ class TestLogging:
         err = capsys.readouterr().err
         assert "[chroot]" in err
         assert "fail.Pifile:3" in err
-        assert "exit status 1" in err
+        assert "failed with status 1" in err
 
     def test_guest_output_indented(self, tmp_path, capsys):
         pifile = write_fixture(tmp_path, text="FROM base.img\nHOST echo deep\n")
@@ -863,7 +919,7 @@ class TestCliBoundary:
                      str(pifile)], ENV, executor_factory=lambda cfg: FailingSecondRun())
         assert code == 2
         assert error_line(capsys.readouterr().err) == (
-            f"[chroot] {pifile}:3: RUN command failed with status 1: boom (exit status 1)")
+            f"[chroot] {pifile}:3: RUN command failed with status 1: boom")
 
     def test_plan_error_is_one_stderr_line(self, tmp_path, capsys):
         pifile = write_fixture(tmp_path, name="both.Pifile",
@@ -943,7 +999,8 @@ def test_sigkilled_unpack_is_cleared_by_the_next_build(tmp_path, capsys):
     archive = os.stat(tmp_path / "base.img.xz")
     [image] = cache.glob("*/base.img")
     assert image.with_name(".base.img.source").read_text() == (
-        f"size={archive.st_size}\nmtime_ns={archive.st_mtime_ns}\ninode={archive.st_ino}\n")
+        f"size={archive.st_size}\nmtime_ns={archive.st_mtime_ns}\ninode={archive.st_ino}\n"
+        f"image_inode={image.stat().st_ino}\n")
     expected = (tmp_path / "base.img").read_bytes()
     assert image.read_bytes() == (tmp_path / "out.img").read_bytes() == expected
     assert capsys.readouterr().out.splitlines()[-1] == (

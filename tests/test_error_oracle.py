@@ -162,7 +162,7 @@ BUILD_CASES = {
         2, "[setup] begin\n[prepare] begin\n[chroot] begin\n"
            "[chroot] main.Pifile:3 HOST false\n"
            "[chroot] main.Pifile:3 failed: HOST command failed with status 1: false\n",
-        "[chroot] main.Pifile:3: HOST command failed with status 1: false (exit status 1)\n"),
+        "[chroot] main.Pifile:3: HOST command failed with status 1: false\n"),
     "pump-empty-image": (
         {"main.Pifile": "FROM a.img\nTO out.img\nPUMP 1M\n"},
         ["--dry-run", "plan.log", "main.Pifile"],

@@ -16,10 +16,11 @@ from hypothesis import given, strategies as st
 
 import imgforge.executor as executor_mod
 import imgforge.mounts as mounts_mod
+import imgforge.source as source_mod
 import mbr_oracle
 from imgforge.child import interrupt
 from imgforge.cli import main
-from imgforge.errors import CommandFailed, EnvironmentProblem, ExecutionFailure
+from imgforge.errors import EnvironmentProblem, ExecutionFailure
 from imgforge.executor import (
     Action,
     ActionKind,
@@ -121,9 +122,8 @@ class TestRunHost:
     def test_failure_raises_with_status(self, tmp_path):
         backend = LocalExecutor()
         assert emit_command(backend, "HOST false") == 1
-        with pytest.raises(CommandFailed) as err:
+        with pytest.raises(ExecutionFailure, match="failed with status 1") as err:
             run_pifile(tmp_path, "INPLACE base.img\nHOST false\n", backend)
-        assert err.value.status == 1
 
     def test_output_streams_to_callback(self):
         lines = []
@@ -366,9 +366,8 @@ class TestRunGuest:
 
     def test_failure_aborts_with_origin(self, tmp_path):
         backend = ScriptedExecutor(fail_guest_exec_number=1)
-        with pytest.raises(CommandFailed) as err:
+        with pytest.raises(ExecutionFailure, match="failed with status 1") as err:
             run_pifile(tmp_path, "INPLACE base.img\n" + "\n" * 5 + "RUN boom\n", backend)
-        assert err.value.status == 1
         assert err.value.origin.line_no == 7
 
 
@@ -875,10 +874,9 @@ class TestExecutePipeline:
         self._fixture(tmp_path, monkeypatch)
         plan = make_plan(tmp_path, self.LISTING)
         backend = ScriptedExecutor(fail_guest_exec_number=2)
-        with pytest.raises(CommandFailed) as err:
+        with pytest.raises(ExecutionFailure, match="failed with status 1") as err:
             execute(plan, backend, RunOptions(env=FIXED_ENV, emulators=[EMULATOR]))
         assert err.value.stage == "chroot"
-        assert err.value.status == 1
         assert err.value.origin.line_no == 5
         assert err.value.args[0] == (
             "RUN command failed with status 1: DEBIAN_FRONTEND=noninteractive apt-get update")
@@ -903,9 +901,8 @@ class TestExecutePipeline:
         plan = make_plan(
             tmp_path, "FROM base.img\nRUN ok\nHOST false\nRUN never\n")
         backend = FailingHost()
-        with pytest.raises(CommandFailed) as err:
+        with pytest.raises(ExecutionFailure, match="failed with status 1") as err:
             execute(plan, backend, RunOptions(env=FIXED_ENV, emulators=[EMULATOR]))
-        assert err.value.status == 1
         assert err.value.origin.line_no == 3
         assert err.value.args[0] == "HOST command failed with status 1: false"
         kinds = [a.kind for a in backend.actions]
@@ -940,11 +937,11 @@ class TestExecutePipeline:
             calls.append(url)
             Path(dest).write_bytes(image_bytes)
 
+        monkeypatch.setattr(source_mod, "_urllib_fetcher", fetcher)
         plan = make_plan(tmp_path, "FROM https://host/base.img\nTO out.img\nRUN x\n")
         backend = DryRunExecutor()
         cache = tmp_path / "cache"
-        execute(plan, backend, RunOptions(env=FIXED_ENV, emulators=[],
-                                          cache_dir=cache, fetcher=fetcher))
+        execute(plan, backend, RunOptions(env=FIXED_ENV, emulators=[], cache_dir=cache))
         assert calls == ["https://host/base.img"]
         assert backend.actions[0].kind is ActionKind.FETCH
         assert (cache / "__present__").exists() is False  # sanity: key-named dirs only
@@ -1130,7 +1127,7 @@ class TestTeardownFailure:
     def test_a_command_failure_in_flight_wins(self, tmp_path):
         listing = "FROM base.img\nTO out.img\nRUN true\nHOST false\nRUN never\n"
         runner = StuckRunner()
-        with pytest.raises(CommandFailed) as err:
+        with pytest.raises(ExecutionFailure, match="failed with status 1") as err:
             execute(make_plan(tmp_path, listing), LocalExecutor(runner=runner),
                     RunOptions(env=FIXED_ENV, emulators=[]))
         assert err.value.args[0] == "HOST command failed with status 1: false"

@@ -9,7 +9,6 @@ from imgforge.executor import Action, ActionKind, DryRunExecutor
 from imgforge.image import PartitionEntry, PartitionTable, check_partition
 from imgforge.mounts import (
     ROOT_TOKEN,
-    FstabEntry,
     base_mount_actions,
     discover_emulators,
     fstab_mount_actions,
@@ -62,11 +61,14 @@ def mount_action(kind, source, target):
 P1_OPTIONS = "loop,offset=1048576,sizelimit=8388608"
 P2_OPTIONS = "loop,offset=9437184,sizelimit=57671680"
 
+# the warning for a line whose dump or pass field is not an integer, before the line
+NON_NUMERIC = "fstab line 1 has non-numeric dump/pass fields, skipped: "
+
 
 class TestParseFstab:
     def test_proc_line(self):
         entries = parse_fstab("proc /proc proc defaults 0 0\n")
-        assert entries == [FstabEntry("proc", "/proc", "proc", "defaults", 0, 0)]
+        assert entries == [("proc", "/proc", "proc")]
 
     def test_comment_line(self):
         assert parse_fstab("# just a comment\n") == []
@@ -74,13 +76,7 @@ class TestParseFstab:
     def test_partuuid_line_matches_manual_split(self):
         line = "PARTUUID=deadbeef-02 / ext4 defaults 0 1"
         entries = parse_fstab(line + "\n")
-        fields = line.split()
-        assert entries[0].device_spec == fields[0] == "PARTUUID=deadbeef-02"
-        assert entries[0].mount_point == fields[1]
-        assert entries[0].fs_type == fields[2]
-        assert entries[0].options == fields[3]
-        assert entries[0].dump == int(fields[4])
-        assert entries[0].passno == int(fields[5]) == 1
+        assert entries == [tuple(line.split()[:3])] == [("PARTUUID=deadbeef-02", "/", "ext4")]
 
     def test_malformed_lines_skipped_with_warning(self, caplog):
         text = "only three fields\nproc /proc proc defaults 0 0\n"
@@ -89,11 +85,9 @@ class TestParseFstab:
         assert len(entries) == 1
         assert any("skipped" in r.message for r in caplog.records)
 
-    @pytest.mark.parametrize("line, dump", [("proc /proc proc defaults", 0),
-                                            ("proc /proc proc defaults 1", 1)])
-    def test_missing_dump_and_pass_read_as_zero(self, line, dump):
-        assert parse_fstab(line + "\n") == [FstabEntry("proc", "/proc", "proc", "defaults",
-                                                        dump, 0)]
+    @pytest.mark.parametrize("line", ["proc /proc proc defaults", "proc /proc proc defaults 1"])
+    def test_missing_dump_and_pass_accepted(self, line):
+        assert parse_fstab(line + "\n") == [("proc", "/proc", "proc")]
 
     def test_seven_fields_skipped_with_warning(self, caplog):
         with caplog.at_level(logging.WARNING, logger="imgforge.mounts"):
@@ -111,7 +105,19 @@ class TestParseFstab:
     def test_order_preserved(self):
         text = ("PARTUUID=deadbeef-02 / ext4 defaults 0 1\n"
                 "PARTUUID=deadbeef-01 /boot vfat defaults 0 2\n")
-        assert [e.mount_point for e in parse_fstab(text)] == ["/", "/boot"]
+        assert [mount_point for _, mount_point, _ in parse_fstab(text)] == ["/", "/boot"]
+
+    @pytest.mark.parametrize("line, warning", [
+        ("proc /proc proc", "fstab line 1 has 3 fields (expected 4 to 6), skipped: "),
+        ("proc /proc proc defaults 0 0 extra",
+         "fstab line 1 has 7 fields (expected 4 to 6), skipped: "),
+        ("proc /proc proc defaults x 0", NON_NUMERIC),
+        ("proc /proc proc defaults 0 x", NON_NUMERIC),
+    ])
+    def test_skipped_line_warns_once(self, caplog, line, warning):
+        with caplog.at_level(logging.WARNING, logger="imgforge.mounts"):
+            assert parse_fstab(line + "\n") == []
+        assert [r.getMessage() for r in caplog.records] == [warning + line]
 
 
 class TestMapFstabDevice:

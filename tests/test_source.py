@@ -3,6 +3,7 @@ import gzip
 import hashlib
 import lzma
 import os
+import resource
 import stat as stat_module
 import subprocess
 import threading
@@ -121,6 +122,21 @@ class TestFetchToCache:
         assert str(info.value) == f"cache directory {tmp_path} is not writable"
         assert info.value.exit_code == 3
 
+    def test_write_past_the_file_size_limit_leaves_no_entry(self, tmp_path):
+        # the real fetcher on a file:// URL, its .partial capped below the image; Python
+        # ignores SIGXFSZ, so the write fails with EFBIG. The limit holds until restored
+        src = tmp_path / "base.img"
+        src.write_bytes(os.urandom(64 * 1024))
+        soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+        resource.setrlimit(resource.RLIMIT_FSIZE, (4096, hard))
+        try:
+            with pytest.raises(ExecutionFailure) as info:
+                fetch_to_cache(src.as_uri(), tmp_path / "cache")
+        finally:
+            resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+        assert str(info.value) == f"fetching {src.as_uri()} failed: [Errno 27] File too large"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["base.img"]
+
     def test_offline_miss_fails(self, tmp_path):
         fetcher = CountingFetcher()
         with pytest.raises(ExecutionFailure, match="offline mode"):
@@ -225,6 +241,36 @@ class TestPublish:
         assert extract_image(archive, tmp_path / "work").read_bytes() == payload
         assert sorted(p.name for p in (tmp_path / "work").iterdir()) == [
             ".base.img.source", "base.img"]
+
+    def test_a_build_that_starts_after_the_rename_finds_the_image_current(self, tmp_path,
+                                                                          monkeypatch):
+        # the stamp is written before the image's rename, so no build that starts after it
+        # unpacks again; one starts in a thread right after the rename, and is joined
+        archive = tmp_path / "base.img.gz"
+        archive.write_bytes(gzip.compress(b"image-payload" * 100))
+        work = tmp_path / "work"
+        writes, threads, results = [], [], []
+        write_sparse, replace = source_mod._write_sparse, os.replace
+
+        def counting(src, dst):
+            writes.append(dst.name)
+            write_sparse(src, dst)
+
+        def replacing(src, dst):
+            replace(src, dst)
+            if Path(dst) == work / "base.img" and not threads:
+                threads.append(threading.Thread(
+                    target=lambda: results.append(extract_image(archive, work))))
+                threads[0].start()
+                threads[0].join(10)
+
+        monkeypatch.setattr(source_mod, "_write_sparse", counting)
+        monkeypatch.setattr(source_mod.os, "replace", replacing)
+        assert extract_image(archive, work).read_bytes() == b"image-payload" * 100
+        assert not threads[0].is_alive()
+        assert results == [work / "base.img"]
+        assert len(writes) == 1
+        assert sorted(p.name for p in work.iterdir()) == [".base.img.source", "base.img"]
 
 
 class TestCacheEntry:
