@@ -175,10 +175,10 @@ def resize_partition_entry(path: str, index: int, lba_size: int) -> None:
 
 def grow_image_file(path: str, extra_bytes: int) -> None:
     """Append ``extra_bytes`` zeros to the regular file at ``path``, as a hole."""
-    try:
+    try:  # by path, so that nothing opens a FIFO
         os.truncate(path, os.stat(path).st_size + extra_bytes)
-    except OSError as exc:
-        raise ExecutionFailure(f"cannot grow {path}: {exc}") from exc
+    except OSError as exc:  # str(exc) would name the path a second time
+        raise ExecutionFailure(f"cannot grow {path}: [Errno {exc.errno}] {exc.strerror}") from exc
 
 
 def check_partition(plan: "ExecutionPlan", table: PartitionTable, image_bytes: int) -> None:

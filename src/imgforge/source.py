@@ -17,14 +17,14 @@ raw local source never touches it::
     <key>/<name>    an unpacked image; ``.<name>.source`` stamps its archive's size, mtime
                     and inode, and its own as image_inode= (a local archive's key hashes its path)
 
-Every file is written as ``.<name>.partial`` beside it under an exclusive flock
-and renamed into place, a stamp before the rename and meta after it, so builds
-of one entry wait for each other and share one download and one unpack.
-A failed download or unpack and an --offline miss leave nothing; a killed
-build's ``.partial`` is reused by the next build of its entry.  The lock is on
-a file, not the entry directory: on NFS flock is emulated with fcntl byte-range
-locks (flock(2), NOTES), and an exclusive one needs a descriptor open for
-writing, which a directory cannot have.
+``_publish`` writes every cache file and the --dry-run log as ``.<name>.partial`` beside
+it under an exclusive flock, then renames it into place; ``meta`` and the stamp are written
+before the rename.  A build that waited for the lock asks again and fills nothing another
+build published meanwhile, so builds of one entry share one download and one unpack.  A
+failed download or unpack and an --offline miss leave nothing; a killed build's ``.partial``
+is reused by the next build of its entry.  The lock is on a file, not the entry directory:
+on NFS flock is emulated with fcntl byte-range locks (flock(2), NOTES), and an exclusive
+one needs a descriptor open for writing, which a directory cannot have.
 """
 
 from __future__ import annotations
@@ -165,30 +165,35 @@ def _new_dirs(path: Path) -> Iterator[None]:
         raise
 
 
-@contextmanager
-def _publishing(target: Path) -> Iterator[BinaryIO | None]:
-    """Lock ``.<name>.partial`` beside ``target`` and yield it empty, to be filled and renamed
-    over ``target``; on failure it and the directories made for it go.  None: look again."""
+def _publish(target: Path, fill: Callable[[BinaryIO], object],
+             current: Callable[[], bool] = lambda: False) -> None:
+    """Unless ``current()``, also once ``target``'s ``.partial`` is locked, have ``fill`` write
+    that empty file and rename it into place; on failure it and the directories made for it go."""
     tmp = target.with_name(f".{target.name}.partial")
-    with _new_dirs(target.parent), ExitStack() as stack:
-        try:
-            fh = stack.enter_context(open(tmp, "r+b", opener=lambda path, flags: os.open(
-                path, flags | os.O_CREAT, 0o666)))
-            fcntl.flock(fh, fcntl.LOCK_EX)
-            st = os.fstat(fh.fileno())
-            mine = os.path.samestat(st, os.stat(tmp))  # not renamed or removed while this waited
-        except FileNotFoundError:  # a failed build removed the file, or the directory just made
+    while not current():
+        with _new_dirs(target.parent), ExitStack() as stack:  # again: a failed build removes them
             mine = False
-        if not mine:
-            yield None
-            return
-        if st.st_size:  # a killed build's; on ext4, truncating a new file costs a block
-            fh.truncate()
-        try:
-            yield fh
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+            with suppress(FileNotFoundError):  # a failed build removed the file or its directory
+                fh = stack.enter_context(open(tmp, "r+b", opener=lambda path, flags: os.open(
+                    path, flags | os.O_CREAT, 0o666)))
+                fcntl.flock(fh, fcntl.LOCK_EX)
+                st = os.fstat(fh.fileno())
+                mine = os.path.samestat(st, os.stat(tmp))  # not renamed or removed meanwhile
+            if not mine:
+                continue
+            try:
+                if current():  # another build published it between the check above and the open
+                    tmp.unlink()
+                    return
+                if st.st_size:  # a killed build's; on ext4, truncating a new file costs a block
+                    fh.truncate()
+                fill(fh)
+                fh.flush()  # a write that fails, fails before the rename
+                os.replace(tmp, target)
+                return
+            except BaseException:
+                tmp.unlink(missing_ok=True)
+                raise
 
 
 def publish_text(path: Path, text: str) -> None:
@@ -198,14 +203,8 @@ def publish_text(path: Path, text: str) -> None:
     try:
         if path.exists() and not path.is_file():  # /dev/null, a FIFO: written, never replaced
             path.write_bytes(data)
-            return
-        while True:
-            with _publishing(path) as fh:
-                if fh is not None:
-                    fh.write(data)
-                    fh.flush()  # a write that fails, fails before the rename
-                    os.replace(fh.name, path)
-                    return
+        else:
+            _publish(path, lambda fh: fh.write(data))
     except OSError as exc:
         raise ExecutionFailure(f"cannot write {path}: {exc}") from exc
 
@@ -230,29 +229,30 @@ def fetch_to_cache(url: str, cache_dir: str | Path, fetcher: Fetcher | None = No
                    refresh: bool = False, offline: bool = False) -> Path:
     """Return a local path holding the bytes of ``url``, downloading at most once.
 
-    A hit returns the stored path without touching the network.  A miss
-    downloads to a temporary name and moves it into place atomically, so a
-    failed transfer leaves no cache entry behind.  ``refresh`` forces a
+    A hit returns the stored path and opens nothing.  A miss is downloaded into
+    ``.image.partial``, ``meta`` written, and renamed into place by ``_publish``,
+    so a failed transfer leaves no cache entry behind.  ``refresh`` forces a
     re-download; ``offline`` turns a miss into an error.
     """
     cache_dir = Path(cache_dir)
     image = cache_dir / cache_key(url) / "image"
+
+    def download(tmp: BinaryIO) -> None:
+        (fetcher or _urllib_fetcher)(url, Path(tmp.name))
+        size = os.fstat(tmp.fileno()).st_size
+        (image.parent / "meta").write_text(
+            f"url={url}\nfetched_at={int(time.time())}\nsize={size}\n")
+        logger.info("fetched %s (%d bytes)", url, size)
+
     with _new_dirs(cache_dir):
         if not os.access(cache_dir, os.W_OK):
             raise EnvironmentProblem(f"cache directory {cache_dir} is not writable")
-        while refresh or not image.is_file():
-            if offline:
-                raise ExecutionFailure(f"offline mode: {url} is not in the cache")
-            with _publishing(image) as tmp:
-                if tmp is not None:
-                    (fetcher or _urllib_fetcher)(url, Path(tmp.name))
-                    os.replace(tmp.name, image)
-                    size = image.stat().st_size
-                    (image.parent / "meta").write_text(
-                        f"url={url}\nfetched_at={int(time.time())}\nsize={size}\n")
-                    logger.info("fetched %s (%d bytes)", url, size)
-                    return image
-    logger.debug("cache hit for %s at %s", url, image)
+        if not refresh and image.is_file():
+            logger.debug("cache hit for %s at %s", url, image)
+        elif offline:
+            raise ExecutionFailure(f"offline mode: {url} is not in the cache")
+        else:
+            _publish(image, download, (lambda: False) if refresh else image.is_file)
     return image
 
 
@@ -342,14 +342,14 @@ def _unpack(archive: Path, out: Path, write: Callable[[BinaryIO], None]) -> Path
     st = os.stat(archive)
     identity = f"size={st.st_size}\nmtime_ns={st.st_mtime_ns}\ninode={st.st_ino}\n"
     stamp = out.with_name(f".{out.name}.source")
-    while not (out.is_file() and stamp.is_file()
-               and stamp.read_text() == f"{identity}image_inode={out.stat().st_ino}\n"):
-        with _publishing(out) as dst:
-            if dst is not None:
-                write(dst)
-                # first, so the image is current once in place; it vouches for no other image
-                stamp.write_text(f"{identity}image_inode={os.fstat(dst.fileno()).st_ino}\n")
-                os.replace(dst.name, out)
+
+    def fill(dst: BinaryIO) -> None:
+        write(dst)
+        # before the rename, so the image is current once in place; it vouches for no other image
+        stamp.write_text(f"{identity}image_inode={os.fstat(dst.fileno()).st_ino}\n")
+
+    _publish(out, fill, lambda: out.is_file() and stamp.is_file()
+             and stamp.read_text() == f"{identity}image_inode={out.stat().st_ino}\n")
     return out
 
 

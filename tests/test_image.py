@@ -270,13 +270,13 @@ class TestGrowImageFile:
         with pytest.raises(ExecutionFailure) as info:
             grow_image_file(str(target), 512)
         assert str(info.value) == (f"cannot grow {target}: [Errno {errno.ENOENT}] "
-                                   f"No such file or directory: '{target}'")
+                                   "No such file or directory")
 
     def test_directory_refused(self, tmp_path):
         with pytest.raises(ExecutionFailure) as info:
             grow_image_file(str(tmp_path), 512)
         assert str(info.value) == (f"cannot grow {tmp_path}: [Errno {errno.EISDIR}] "
-                                   f"{os.strerror(errno.EISDIR)}: '{tmp_path}'")
+                                   f"{os.strerror(errno.EISDIR)}")
         assert info.value.exit_code == 2
 
     def test_fifo_refused(self, tmp_path):
@@ -285,7 +285,7 @@ class TestGrowImageFile:
         with pytest.raises(ExecutionFailure) as info:
             grow_image_file(str(fifo), 512)
         assert str(info.value) == (f"cannot grow {fifo}: [Errno {errno.EINVAL}] "
-                                   f"{os.strerror(errno.EINVAL)}: '{fifo}'")
+                                   f"{os.strerror(errno.EINVAL)}")
         assert info.value.exit_code == 2
 
     def test_failed_truncate(self, fixture_image, monkeypatch):

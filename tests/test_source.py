@@ -177,6 +177,41 @@ def lock_waiters(path):
                if "->" in line and line.split()[-3].endswith(f":{inode}"))
 
 
+def race_past_the_rename(monkeypatch, target, build):
+    """Run ``build`` in threads B and A: B finds ``target`` not current, and its open of
+    the ``.partial`` is then held until A has renamed ``target`` into place."""
+    held, renamed, failures = threading.Event(), threading.Event(), []
+    replace = os.replace
+
+    def opening(file, *args, **kwargs):
+        if threading.current_thread().name == "B" and str(file).endswith(".partial"):
+            held.set()
+            assert renamed.wait(10)
+        return open(file, *args, **kwargs)
+
+    def replacing(src, dst):
+        replace(src, dst)
+        if Path(dst) == target:
+            renamed.set()
+
+    def run():
+        try:
+            build()
+        except BaseException as exc:
+            failures.append(exc)
+
+    monkeypatch.setattr(source_mod, "open", opening, raising=False)
+    monkeypatch.setattr(source_mod.os, "replace", replacing)
+    threads = [threading.Thread(target=run, name=name) for name in "BA"]
+    threads[0].start()
+    assert held.wait(10)
+    threads[1].start()
+    for thread in threads:
+        thread.join(10)
+        assert not thread.is_alive()
+    assert failures == []
+
+
 class TestPublish:
     """Every cache file is written as ``.<name>.partial`` under flock, then renamed."""
 
@@ -216,13 +251,86 @@ class TestPublish:
         assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == [
             Path("cache"), entry, entry / "image", entry / "meta"]
 
+    def test_a_build_waiting_on_a_publishing_one_looks_again(self, tmp_path):
+        # the second build waits in flock on the first one's .partial, which is renamed
+        # into place meanwhile: it looks again, finds the image and downloads nothing
+        url = "https://host/base.img"
+        holding = threading.Event()
+
+        def slow(url, dest):
+            Path(dest).write_bytes(b"image-bytes")
+            holding.set()
+            deadline = time.monotonic() + 10
+            while not lock_waiters(dest) and time.monotonic() < deadline:
+                time.sleep(0.01)
+
+        fetcher, outcome = CountingFetcher(), {}
+
+        def build(name, fetcher):
+            outcome[name] = fetch_to_cache(url, tmp_path, fetcher)
+
+        first = threading.Thread(target=build, args=("first", slow))
+        second = threading.Thread(target=build, args=("second", fetcher))
+        first.start()
+        assert holding.wait(10)
+        second.start()
+        for thread in (first, second):
+            thread.join(10)
+            assert not thread.is_alive()
+        image = tmp_path / cache_key(url) / "image"
+        assert outcome == {"first": image, "second": image}
+        assert image.read_bytes() == b"image-bytes"
+        assert fetcher.calls == 0
+        assert sorted(p.name for p in image.parent.iterdir()) == ["image", "meta"]
+
     def test_a_hit_takes_no_lock(self, tmp_path, monkeypatch):
         url = "https://host/base.img.gz"
         fetched = fetch_to_cache(url, tmp_path, CountingFetcher(gzip.compress(b"raw")))
         out = extract_image(fetched, fetched.parent, name_hint="base.img.gz")
-        monkeypatch.setattr(source_mod, "_publishing", None)  # so that opening a .partial fails
+
+        def flock(*args):
+            raise AssertionError("a hit took a lock")
+
+        def opening(file, *args, **kwargs):
+            assert not str(file).endswith(".partial"), f"a hit opened {file}"
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(source_mod.fcntl, "flock", flock)
+        monkeypatch.setattr(source_mod, "open", opening, raising=False)
         assert fetch_to_cache(url, tmp_path, CountingFetcher()) == fetched
         assert extract_image(fetched, fetched.parent, name_hint="base.img.gz") == out
+
+    def test_a_build_that_opens_after_the_rename_does_not_unpack_again(self, tmp_path,
+                                                                         monkeypatch):
+        archive = tmp_path / "base.img.gz"
+        archive.write_bytes(gzip.compress(b"image-payload" * 100))
+        work = tmp_path / "work"
+        writers, write_sparse = [], source_mod._write_sparse
+
+        def counting(src, dst):
+            writers.append(threading.current_thread().name)
+            write_sparse(src, dst)
+
+        monkeypatch.setattr(source_mod, "_write_sparse", counting)
+        race_past_the_rename(monkeypatch, work / "base.img", lambda: extract_image(archive, work))
+        assert writers == ["A"]
+        assert (work / "base.img").read_bytes() == b"image-payload" * 100
+        assert sorted(p.name for p in work.iterdir()) == [".base.img.source", "base.img"]
+
+    def test_a_build_that_opens_after_the_rename_does_not_download_again(self, tmp_path,
+                                                                           monkeypatch):
+        url = "https://host/base.img"
+        image = tmp_path / cache_key(url) / "image"
+        fetchers = []
+
+        def fetcher(url, dest):
+            fetchers.append(threading.current_thread().name)
+            Path(dest).write_bytes(b"image-bytes")
+
+        race_past_the_rename(monkeypatch, image, lambda: fetch_to_cache(url, tmp_path, fetcher))
+        assert fetchers == ["A"]
+        assert image.read_bytes() == b"image-bytes"
+        assert sorted(p.name for p in image.parent.iterdir()) == ["image", "meta"]
 
     def test_a_killed_builds_partial_download_is_reused(self, tmp_path):
         url = "https://host/base.img"
